@@ -5,7 +5,7 @@ threshold), syndrome compresses the parities through a BCH parity-check
 matrix (near-linear).  All three answer "is |x XOR y| <= d?".
 """
 
-from xorsmp import CoinSource, hd_decide, hd_encode, sample_pair_with_distance
+from xorsmp import CoinSource, hd_decide, sample_pair_with_distance
 from xorsmp.hamming import HDParams, hd_encode_shared, hd_shared
 
 n = 256
@@ -40,7 +40,7 @@ params = HDParams(d=2, epsilon=0.05, strategy="syndrome", length=32)
 coins = root.derive("lin")
 shared = hd_shared(params, coins)
 x, y = sample_pair_with_distance(32, 9, coins.derive("in"))
-mx = hd_encode_shared(shared, x).payload()
-my = hd_encode_shared(shared, y).payload()
-mxy = hd_encode_shared(shared, x ^ y).payload()
+mx = hd_encode_shared(shared, x).block_payload(0)
+my = hd_encode_shared(shared, y).block_payload(0)
+mxy = hd_encode_shared(shared, x ^ y).block_payload(0)
 print(f"\nencode(x) XOR encode(y) == encode(x XOR y): {bool(((mx ^ my) == mxy).all())}")

@@ -14,18 +14,8 @@ from .bits import (
     sample_pair_with_distance,
 )
 from .coins import CoinSource, Partition, c_of_k, sample_partition
-from .gf2 import BchCode, bch_code, gf2_decode
-from .hamming import (
-    HDMessage,
-    HDParams,
-    HDShared,
-    HDVerdict,
-    exact_block_distance,
-    find_threshold,
-    hd_decide,
-    hd_encode,
-    hd_shared,
-)
+from .gf2 import BchCode, bch_code
+from .hamming import HDParams, HDShared, HDVerdict, hd_decide, hd_shared
 from .predicate import (
     Predicate,
     Profile,
@@ -63,16 +53,11 @@ __all__ = [
     "c_of_k",
     "BchCode",
     "bch_code",
-    "gf2_decode",
     "HDParams",
     "HDShared",
-    "HDMessage",
     "HDVerdict",
     "hd_shared",
-    "hd_encode",
     "hd_decide",
-    "find_threshold",
-    "exact_block_distance",
     "Predicate",
     "Profile",
     "violations",

@@ -194,7 +194,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     lines = [REPLAY_CSV_HEADER]
     bad = 0
     for path in sorted(Path(args.dump_transcripts).glob("trial-*.txt")):
-        res = replay_transcript_text(path.read_text())
+        try:
+            res = replay_transcript_text(path.read_text())
+        except ValueError as exc:
+            raise SystemExit(f"{path}: {exc}") from None
         bad += 0 if res.consistent else 1
         lines.append(
             f"{res.trial},{res.output},{res.recorded_output},{res.truth},"

@@ -76,12 +76,6 @@ class CoinSource:
             np.random.Philox(key=int.from_bytes(self.key[:16], "little"))
         )
 
-    def bit_array(self, shape) -> np.ndarray:
-        """Fresh uniform 0/1 array of the given shape (one-shot helper)."""
-        n = int(np.prod(shape)) if shape else 1
-        raw = self.generator().integers(0, 256, size=(n + 7) // 8, dtype=np.uint8)
-        return np.unpackbits(raw, count=n, bitorder="little").reshape(shape)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CoinSource) and self.key == other.key
 
@@ -99,9 +93,6 @@ class Partition:
     n: int
     k: int
     block_of: np.ndarray  # shape (n,), entries in [0, k)
-
-    def positions_of(self, block: int) -> np.ndarray:
-        return np.nonzero(self.block_of == block)[0]
 
     def block_sizes(self) -> np.ndarray:
         return np.bincount(self.block_of, minlength=self.k)

@@ -302,9 +302,4 @@ def bch_code(n_buckets: int, d: int) -> BchCode:
     return _CODES[key]
 
 
-def gf2_decode(code: BchCode, syndrome_bits: np.ndarray) -> Optional[Tuple[int, ...]]:
-    """Recover a weight <= d error vector from its syndrome, or None on failure."""
-    return code.decode(syndrome_bits)
-
-
-__all__ = ["Field", "field", "BchCode", "bch_code", "gf2_decode"]
+__all__ = ["Field", "field", "BchCode", "bch_code"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +47,7 @@ class HDParams:
     syndrome repetitions R = ceil(log2(1/eps)) + 1 with
     f = ceil(log2(R/eps)) + 4 fingerprint rows.  d = 0 degenerates to a
     pure equality fingerprint of f = ceil(log2(1/eps)) + 4 rows over the
-    raw input.
+    raw input.  Derived sizes are computed once per instance, on first use.
     """
 
     d: int
@@ -62,7 +63,7 @@ class HDParams:
         if self.strategy != "raw" and not 0.0 < self.epsilon < 1.0:
             raise ValueError("error budget must lie in (0, 1)")
 
-    @property
+    @cached_property
     def bucket_count(self) -> int:
         # Floor of 16: with 4d^2 = 4 buckets at d = 1, a weight-3 difference
         # collapses to weight <= 1 in 5 of 8 repetitions (odd weights cannot
@@ -72,7 +73,7 @@ class HDParams:
             return 1
         return max(16, 4 * self.d * self.d)
 
-    @property
+    @cached_property
     def repetitions(self) -> int:
         if self.strategy == "raw" or self.d == 0:
             return 1
@@ -80,7 +81,7 @@ class HDParams:
             return math.ceil(4.0 * math.log(1.0 / self.epsilon))
         return math.ceil(math.log2(1.0 / self.epsilon)) + 1
 
-    @property
+    @cached_property
     def fingerprint_rows(self) -> int:
         if self.strategy == "raw":
             return 0
@@ -90,13 +91,13 @@ class HDParams:
             return 0
         return math.ceil(math.log2(self.repetitions / self.epsilon)) + 4
 
-    @property
+    @cached_property
     def code(self) -> Optional[BchCode]:
         if self.strategy == "syndrome" and self.d >= 1:
             return bch_code(self.bucket_count, self.d)
         return None
 
-    @property
+    @cached_property
     def payload_bits(self) -> int:
         """Message length in bits; identical for both parties."""
         return self.payload_bits_for(self.length)
@@ -119,7 +120,8 @@ class HDShared:
 
     ``buckets`` maps (repetition, position) -> bucket; ``fmat`` holds the
     fingerprint matrix, (R, f, B) for syndrome or (f, length) for the d = 0
-    equality test.  Drawn in a fixed order from one derived stream so that
+    equality test, and ``fmat_f32`` its float32 copy for the encoder's
+    matmuls.  Drawn in a fixed order from one derived stream so that
     independent derivations by each party agree bit for bit.
     """
 
@@ -136,7 +138,7 @@ def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
     gen = coins.generator()
     if params.d == 0:
         fmat = _draw_bits(gen, (params.fingerprint_rows, params.length))
-        return HDShared(params, None, fmat)
+        return HDShared(params, None, fmat, fmat.astype(np.float32))
     buckets = gen.integers(
         0, params.bucket_count, size=(params.repetitions, params.length),
         dtype=np.int64,
@@ -158,88 +160,14 @@ def _draw_bits(gen: np.random.Generator, shape) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little").reshape(shape)
 
 
-@dataclass(frozen=True, eq=False)
-class HDMessage:
-    """One party's payload, plus a handle on the shared coins that shaped it.
-
-    Wire layout (bit-exact, rep-major): syndrome repetitions are
-    [syndrome bits][fingerprint bits]; bucket repetitions are the B bucket
-    parities; raw is the input verbatim; d = 0 is the f fingerprint bits.
-    """
-
-    shared: HDShared
-    raw_bits: Optional[np.ndarray] = None     # (length,)
-    parities: Optional[np.ndarray] = None     # (R, B)
-    syndromes: Optional[np.ndarray] = None    # (R, redundancy)
-    fingerprints: Optional[np.ndarray] = None # (R, f) or (f,) for d = 0
-
-    def payload(self) -> np.ndarray:
-        params = self.shared.params
-        if params.strategy == "raw":
-            return self.raw_bits
-        if params.d == 0:
-            return self.fingerprints
-        if params.strategy == "bucket":
-            return self.parities.reshape(-1)
-        return np.concatenate([self.syndromes, self.fingerprints], axis=1).reshape(-1)
-
-    @property
-    def bit_length(self) -> int:
-        return int(self.payload().size)
-
-
 @dataclass(frozen=True)
 class HDVerdict:
     le: bool               # the protocol's claim: distance <= d
     estimate: int          # best distance estimate backing the claim
 
 
-def _bucket_parities(shared: HDShared, x: BitVector) -> np.ndarray:
-    params = shared.params
-    ones = x.ones()
-    r_count, b_count = params.repetitions, params.bucket_count
-    if ones.size == 0:
-        return np.zeros((r_count, b_count), dtype=np.uint8)
-    flat = (
-        np.arange(r_count, dtype=np.int64)[:, None] * b_count
-        + shared.buckets[:, ones]
-    )
-    counts = np.bincount(flat.ravel(), minlength=r_count * b_count)
-    return (counts & 1).astype(np.uint8).reshape(r_count, b_count)
-
-
-def hd_encode(params: HDParams, x: BitVector, coins: CoinSource) -> HDMessage:
-    """Build this party's message; identical coins on both sides required."""
-    return hd_encode_shared(hd_shared(params, coins), x)
-
-
-def hd_encode_shared(shared: HDShared, x: BitVector) -> HDMessage:
-    params = shared.params
-    if x.length != params.length:
-        raise ValueError(f"input length {x.length}, instance expects {params.length}")
-    if params.strategy == "raw":
-        return HDMessage(shared, raw_bits=x.to_array())
-    if params.d == 0:
-        fp = _mod2(shared.fmat.astype(np.float32) @ x.to_array().astype(np.float32))
-        return HDMessage(shared, fingerprints=fp)
-    par = _bucket_parities(shared, x)
-    if params.strategy == "bucket":
-        return HDMessage(shared, parities=par)
-    code = params.code
-    par_f = par.astype(np.float32)
-    synd = _mod2(par_f @ code.H_f32.T)
-    fp = _mod2(np.matmul(shared.fmat_f32, par_f[:, :, None])[:, :, 0])
-    return HDMessage(shared, parities=par, syndromes=synd, fingerprints=fp)
-
-
 def _mod2(arr: np.ndarray) -> np.ndarray:
-    return (arr.astype(np.int64) & 1).astype(np.uint8)
-
-
-def _fingerprint_of(fmat_rep: np.ndarray, positions: Tuple[int, ...]) -> np.ndarray:
-    if not positions:
-        return np.zeros(fmat_rep.shape[0], dtype=np.uint8)
-    return np.bitwise_xor.reduce(fmat_rep[:, list(positions)], axis=1)
+    return (arr.astype(np.int32) & 1).astype(np.uint8)
 
 
 def _fingerprint_matches(
@@ -252,65 +180,19 @@ def _fingerprint_matches(
         return bool((fmat_rep[:, positions[0]] == fpd).all())
     if w == 2:
         col = fmat_rep[:, positions[0]] ^ fmat_rep[:, positions[1]]
-        return bool((col == fpd).all())
-    return bool((_fingerprint_of(fmat_rep, positions) == fpd).all())
-
-
-def hd_decide(params: HDParams, m_a: HDMessage, m_b: HDMessage) -> HDVerdict:
-    """Referee's verdict from the two messages of one instance.
-
-    Symmetric in its two message arguments.  Decode and fingerprint
-    failures map to GT: above the threshold that is the right answer, and
-    under the promise they are already inside the error budget.
-    """
-    if m_a.shared is not m_b.shared and m_a.shared.params != m_b.shared.params:
-        raise ValueError("messages come from different instances")
-    shared = m_a.shared
-    if params.strategy == "raw":
-        if m_a.raw_bits.size != m_b.raw_bits.size:
-            raise ValueError("message length mismatch")
-        dist = int((m_a.raw_bits ^ m_b.raw_bits).sum())
-        return HDVerdict(le=dist <= params.d, estimate=dist)
-    if params.d == 0:
-        same = bool((m_a.fingerprints == m_b.fingerprints).all())
-        return HDVerdict(le=same, estimate=0 if same else 1)
-    if params.strategy == "bucket":
-        diff = m_a.parities ^ m_b.parities
-        estimate = int(diff.sum(axis=1).max())
-        return HDVerdict(le=estimate <= params.d, estimate=estimate)
-    code = params.code
-    diffs = m_a.syndromes ^ m_b.syndromes
-    fpd = m_a.fingerprints ^ m_b.fingerprints
-    packed_rows = np.packbits(diffs, axis=1, bitorder="little")
-    estimate = 0
-    for rep in range(params.repetitions):
-        packed = int.from_bytes(packed_rows[rep].tobytes(), "little")
-        hit = code.decode_elements(code.elements_from_packed(packed)) if packed else ()
-        if hit is None or not _fingerprint_matches(shared.fmat[rep], hit, fpd[rep]):
-            return HDVerdict(le=False, estimate=params.d + 1)
-        estimate = max(estimate, len(hit))
-    return HDVerdict(le=True, estimate=estimate)
-
-
-def find_threshold(h: Sequence[int]) -> int:
-    """Binary search over verdict bits h[0..c], h[j] = 1 meaning LE at j.
-
-    Assumes h is monotone nondecreasing and returns the smallest j with
-    h[j] = 1; on non-monotone input (possible under sub-protocol errors)
-    the landing index is returned as-is, always within [0, c].
-    """
-    lo, hi = 0, len(h) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if h[mid] == 1:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    else:
+        col = np.bitwise_xor.reduce(fmat_rep[:, list(positions)], axis=1)
+    return bool((col == fpd).all())
 
 
 def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
-    """find_threshold over lazily evaluated verdicts; returns (result, visited)."""
+    """Binary search over lazily evaluated verdicts h(0..c), h(j) true
+    meaning LE at threshold j; returns (result, visited).
+
+    Assumes h is monotone nondecreasing and returns the smallest j with
+    h(j) true; on non-monotone input (possible under sub-protocol errors)
+    the landing index is returned as-is, always within [0, c].
+    """
     visited: List[int] = []
     lo, hi = 0, c
     while lo < hi:
@@ -323,35 +205,23 @@ def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
     return lo, visited
 
 
-def exact_block_distance(
-    msgs_a: Sequence[HDMessage], msgs_b: Sequence[HDMessage]
-) -> int:
-    """Distance of one block from its c + 1 threshold messages.
-
-    Message j of each list must come from the threshold-j instance (shared
-    coins on both sides).  Only the thresholds on the binary-search path
-    are decided, at most ceil(log2(c + 1)) of them.
-    """
-    if len(msgs_a) != len(msgs_b) or not msgs_a:
-        raise ValueError("need matching non-empty message lists")
-    result, _ = threshold_search(
-        len(msgs_a) - 1,
-        lambda j: hd_decide(msgs_a[j].shared.params, msgs_a[j], msgs_b[j]).le,
-    )
-    return result
+# One threshold instance across all k blocks of a partition; a single
+# instance is the stack with k = 1.  The bucket hash is drawn per global
+# position (restricting a uniform hash on [n] to a block gives an
+# independent uniform hash on the block) and the fingerprint matrices are
+# shared across blocks, which leaves every per-block failure bound intact
+# since the union bound over blocks never needed independence.
 
 
-# Block-stacked variants: one threshold instance across all k blocks of a
-# partition.  The bucket hash is drawn per global position (restricting a
-# uniform hash on [n] to a block gives an independent uniform hash on the
-# block) and the fingerprint matrices are shared across blocks, which
-# leaves every per-block failure bound intact since the union bound over
-# blocks never needed independence.
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)  # not frozen: built several times per trial, and frozen init is slow
 class BlockMessages:
-    """One party's messages for one threshold across all blocks."""
+    """One party's messages for one threshold across all blocks.
+
+    Wire layout of block i (bit-exact, rep-major): syndrome repetitions are
+    [syndrome bits][fingerprint bits]; bucket repetitions are the B bucket
+    parities; raw is the block's input bits verbatim; d = 0 is the f
+    fingerprint bits.
+    """
 
     shared: HDShared
     k: int
@@ -373,8 +243,31 @@ class BlockMessages:
             [self.syndromes[:, i, :], self.fingerprints[:, i, :]], axis=1
         ).reshape(-1)
 
+    @classmethod
+    def from_block_payloads(
+        cls, shared: HDShared, payloads: Sequence[np.ndarray], bounds: np.ndarray
+    ) -> "BlockMessages":
+        """Inverse of ``block_payload``: payloads[i] is block i's wire bits,
+        each already of the length ``payload_bits_for`` gives."""
+        params = shared.params
+        k = len(payloads)
+        if params.strategy == "raw":
+            return cls(shared, k, raw_sorted=np.concatenate(payloads), raw_bounds=bounds)
+        if params.d == 0:
+            return cls(shared, k, fingerprints=np.stack(payloads))
+        rows = np.stack(payloads).reshape(k, params.repetitions, -1).transpose(1, 0, 2)
+        if params.strategy == "bucket":
+            return cls(shared, k, parities=np.ascontiguousarray(rows))
+        red = params.code.redundancy
+        return cls(
+            shared,
+            k,
+            syndromes=np.ascontiguousarray(rows[:, :, :red]),
+            fingerprints=np.ascontiguousarray(rows[:, :, red:]),
+        )
+
     @property
-    def total_bits(self) -> int:
+    def bit_length(self) -> int:
         params = self.shared.params
         if params.strategy == "raw":
             return int(self.raw_sorted.size)
@@ -396,37 +289,39 @@ def encode_blocks(
         return BlockMessages(
             shared, k, raw_sorted=x_arr[sort_order], raw_bounds=bounds
         )
+    blocks = block_of[ones]
     if params.d == 0:
-        fp = np.zeros((k, params.fingerprint_rows), dtype=np.int64)
-        if ones.size:
-            np.add.at(fp, block_of[ones], shared.fmat[:, ones].T.astype(np.int64))
-        return BlockMessages(shared, k, fingerprints=(fp & 1).astype(np.uint8))
+        # row b holds the input restricted to block b; (k, n) @ (n, f) -> (k, f)
+        x_blocks = np.zeros((k, params.length), dtype=np.float32)
+        x_blocks[blocks, ones] = 1.0
+        fp = _mod2(x_blocks @ shared.fmat_f32.T)
+        return BlockMessages(shared, k, fingerprints=fp)
     r_count, b_count = params.repetitions, params.bucket_count
-    if ones.size:
-        rep_base = (
-            np.arange(r_count, dtype=np.int64)[:, None] * k + block_of[ones][None, :]
-        )
-        flat = rep_base * b_count + shared.buckets[:, ones]
-        counts = np.bincount(flat.ravel(), minlength=r_count * k * b_count)
-        par = (counts & 1).astype(np.uint8).reshape(r_count, k, b_count)
-    else:
-        par = np.zeros((r_count, k, b_count), dtype=np.uint8)
+    flat = shared.buckets[:, ones] + blocks * b_count
+    flat += np.arange(0, r_count * k * b_count, k * b_count)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=r_count * k * b_count)
+    par = (counts & 1).astype(np.uint8).reshape(r_count, k, b_count)
     if params.strategy == "bucket":
         return BlockMessages(shared, k, parities=par)
     code = params.code
-    par_f = par.reshape(r_count * k, b_count).astype(np.float32)
-    synd = _mod2(par_f @ code.H_f32.T).reshape(r_count, k, code.redundancy)
-    stacked = np.matmul(  # (R, f, B) @ (R, B, k) -> (R, f, k), batched BLAS
-        shared.fmat_f32, par_f.reshape(r_count, k, b_count).transpose(0, 2, 1)
+    par_f = par.astype(np.float32)
+    synd = _mod2(par_f.reshape(r_count * k, b_count) @ code.H_f32.T)
+    # (R, k, B) @ (R, B, f) -> (R, k, f), batched BLAS
+    fp = _mod2(np.matmul(par_f, shared.fmat_f32.transpose(0, 2, 1)))
+    return BlockMessages(
+        shared, k, parities=par, syndromes=synd.reshape(r_count, k, -1), fingerprints=fp
     )
-    fp = np.ascontiguousarray(_mod2(stacked).transpose(0, 2, 1))
-    return BlockMessages(shared, k, parities=par, syndromes=synd, fingerprints=fp)
 
 
 def decide_block(
     msgs_a: BlockMessages, msgs_b: BlockMessages, i: int
 ) -> HDVerdict:
-    """Referee's verdict for block i of one stacked threshold instance."""
+    """Referee's verdict for block i of one stacked threshold instance.
+
+    Symmetric in its two message arguments.  Decode and fingerprint
+    failures map to GT: above the threshold that is the right answer, and
+    under the promise they are already inside the error budget.
+    """
     shared = msgs_a.shared
     params = shared.params
     if params.strategy == "raw":
@@ -443,33 +338,62 @@ def decide_block(
         return HDVerdict(le=estimate <= params.d, estimate=estimate)
     code = params.code
     diffs = msgs_a.syndromes[:, i, :] ^ msgs_b.syndromes[:, i, :]
-    if not diffs.any():
-        return HDVerdict(le=True, estimate=0)
     fpd = msgs_a.fingerprints[:, i, :] ^ msgs_b.fingerprints[:, i, :]
-    packed_rows = np.packbits(diffs, axis=1, bitorder="little")
+    packed = np.packbits(diffs, axis=1, bitorder="little").tobytes()
+    if packed.count(0) == len(packed):
+        # Every repetition decodes to the empty set; a nonzero fingerprint
+        # difference then means a codeword of weight >= 2d + 1, so GT.
+        if fpd.any():
+            return HDVerdict(le=False, estimate=params.d + 1)
+        return HDVerdict(le=True, estimate=0)
+    width = len(packed) // params.repetitions
     estimate = 0
     for rep in range(params.repetitions):
-        packed = int.from_bytes(packed_rows[rep].tobytes(), "little")
-        hit = code.decode_elements(code.elements_from_packed(packed)) if packed else ()
+        word = int.from_bytes(packed[rep * width : (rep + 1) * width], "little")
+        hit = code.decode_elements(code.elements_from_packed(word)) if word else ()
         if hit is None or not _fingerprint_matches(shared.fmat[rep], hit, fpd[rep]):
             return HDVerdict(le=False, estimate=params.d + 1)
         estimate = max(estimate, len(hit))
     return HDVerdict(le=True, estimate=estimate)
 
 
+@lru_cache(maxsize=16)
+def _one_block(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (block_of, sort_order, bounds) of the 1-block partition of [n]."""
+    arrays = (np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n]))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:
+    """One party's message for a single instance: its 1-block stack."""
+    n = shared.params.length
+    if x.length != n:
+        raise ValueError(f"input length {x.length}, instance expects {n}")
+    x_arr = x.to_array()
+    block_of, sort_order, bounds = _one_block(n)
+    return encode_blocks(
+        shared, x_arr, np.nonzero(x_arr)[0], block_of, 1, sort_order, bounds
+    )
+
+
+def hd_decide(params: HDParams, m_a: BlockMessages, m_b: BlockMessages) -> HDVerdict:
+    """Referee's verdict from the two messages of one single instance."""
+    if m_a.shared is not m_b.shared and m_a.shared.params != m_b.shared.params:
+        raise ValueError("messages come from different instances")
+    return decide_block(m_a, m_b, 0)
+
+
 __all__ = [
     "STRATEGIES",
     "HDParams",
     "HDShared",
-    "HDMessage",
     "HDVerdict",
     "hd_shared",
-    "hd_encode",
     "hd_encode_shared",
     "hd_decide",
-    "find_threshold",
     "threshold_search",
-    "exact_block_distance",
     "BlockMessages",
     "encode_blocks",
     "decide_block",

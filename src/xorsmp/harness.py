@@ -38,6 +38,7 @@ from .protocol import (
     p_transcript_entries,
     parse_transcript,
     run_protocol,
+    transcript_cost,
 )
 
 
@@ -226,7 +227,7 @@ def replay_transcript_text(text: str) -> ReplayResult:
     x = BitVector(n, int.from_bytes(bytes.fromhex(h["x"]), "little"))
     y = BitVector(n, int.from_bytes(bytes.fromhex(h["y"]), "little"))
     truth = oracle(pred, x, y)
-    cost = transcript_total(t)
+    cost = transcript_cost(t)
     consistent = (
         res.output == int(h["output"])
         and cost == int(h["cost_bits"])
@@ -241,10 +242,6 @@ def replay_transcript_text(text: str) -> ReplayResult:
         cost_bits=cost,
         consistent=consistent,
     )
-
-
-def transcript_total(t: Transcript) -> int:
-    return sum(e.bit_length for e in t.entries)
 
 
 @dataclass(frozen=True)

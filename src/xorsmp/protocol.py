@@ -29,7 +29,6 @@ from .bits import BitVector, complement, parity
 from .coins import CoinSource, Partition, c_of_k, sample_partition
 from .hamming import (
     BlockMessages,
-    HDMessage,
     HDParams,
     HDShared,
     decide_block,
@@ -75,7 +74,6 @@ class PkShared:
 
     inst: PkInstance
     n: int
-    strategy: str
     partition: Partition
     stacks: Tuple[HDShared, ...]      # thresholds j = 0..c
     sort_order: np.ndarray            # positions grouped by block, for raw payloads
@@ -96,7 +94,7 @@ def pk_shared(
     sort_order = np.argsort(part.block_of, kind="stable")
     bounds = np.zeros(inst.k + 1, dtype=np.int64)
     np.cumsum(part.block_sizes(), out=bounds[1:])
-    return PkShared(inst, n, strategy, part, stacks, sort_order, bounds)
+    return PkShared(inst, n, part, stacks, sort_order, bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +106,14 @@ class PkPartyMessages:
 
     @property
     def cost_bits(self) -> int:
-        return sum(m.total_bits for m in self.per_threshold)
+        return sum(m.bit_length for m in self.per_threshold)
 
 
 def pk_party_messages(shared: PkShared, x: BitVector) -> PkPartyMessages:
     if x.length != shared.n:
         raise ValueError(f"input length {x.length}, run expects {shared.n}")
     x_arr = x.to_array()
-    ones = x.ones()
+    ones = np.nonzero(x_arr)[0]
     msgs = tuple(
         encode_blocks(
             stack,
@@ -170,18 +168,6 @@ def pk_special_case_k0(apply: Predicate) -> int:
     return apply(0)
 
 
-def pk_party_cost(inst: PkInstance, n: int, strategy: str) -> int:
-    """Deterministic per-party cost of a promise-protocol run, in bits."""
-    total = 0
-    for j in range(inst.c + 1):
-        params = HDParams(d=j, epsilon=inst.epsilon, strategy=strategy, length=n)
-        if strategy == "raw":
-            total += n  # block lengths sum to n at every threshold
-        else:
-            total += inst.k * params.payload_bits_for(0)
-    return total
-
-
 # The full protocol.
 
 
@@ -231,8 +217,8 @@ class PBundle:
     """Everything one party sends in the full protocol."""
 
     party: str
-    hd0_msg: HDMessage
-    hd1_msg: HDMessage
+    hd0_msg: BlockMessages            # 1-block stacks
+    hd1_msg: BlockMessages
     pk_main_msgs: Optional[PkPartyMessages]
     pk_tilde_msgs: Optional[PkPartyMessages]
     parity_bit: int
@@ -370,8 +356,8 @@ def p_transcript_entries(
     entries: List[TranscriptEntry] = []
     for bundle in (bundle_a, bundle_b):
         who = bundle.party
-        entries.append(TranscriptEntry(who, "p/hd0", bundle.hd0_msg.payload()))
-        entries.append(TranscriptEntry(who, "p/hd1", bundle.hd1_msg.payload()))
+        entries.append(TranscriptEntry(who, "p/hd0", bundle.hd0_msg.block_payload(0)))
+        entries.append(TranscriptEntry(who, "p/hd1", bundle.hd1_msg.block_payload(0)))
         if shared.pk_main is not None:
             entries.extend(
                 _pk_entries(who, "p/pk/main", shared.pk_main, bundle.pk_main_msgs)
@@ -424,102 +410,69 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(header=header, entries=entries)
 
 
-def _hd_message_from_payload(shared: HDShared, payload: np.ndarray) -> HDMessage:
-    params = shared.params
+def _payload(by_label: Dict[str, np.ndarray], label: str) -> np.ndarray:
+    if label not in by_label:
+        raise ValueError(f"transcript has no {label!r} payload")
+    return by_label[label]
+
+
+def _stack_from_payloads(
+    stack: HDShared,
+    bounds: np.ndarray,
+    by_label: Dict[str, np.ndarray],
+    labels: List[str],
+) -> BlockMessages:
+    """One party's stacked messages rebuilt from the payloads of blocks
+    0..k-1, whose labels are given in block order."""
+    params = stack.params
     if params.strategy == "raw":
-        return HDMessage(shared, raw_bits=payload)
-    if params.d == 0:
-        return HDMessage(shared, fingerprints=payload)
-    r_count = params.repetitions
-    if params.strategy == "bucket":
-        return HDMessage(shared, parities=payload.reshape(r_count, params.bucket_count))
-    red = params.code.redundancy
-    per_rep = payload.reshape(r_count, red + params.fingerprint_rows)
-    return HDMessage(
-        shared, syndromes=per_rep[:, :red].copy(), fingerprints=per_rep[:, red:].copy()
-    )
+        sizes = np.diff(bounds)
+    else:
+        sizes = [params.payload_bits_for(0)] * len(labels)
+    payloads = []
+    for label, want in zip(labels, sizes):
+        payload = _payload(by_label, label)
+        if payload.size != want:
+            raise ValueError(f"{label!r} payload has {payload.size} bits, expected {want}")
+        payloads.append(payload)
+    return BlockMessages.from_block_payloads(stack, payloads, bounds)
 
 
-def _pk_messages_from_payloads(
-    shared: PkShared, payloads: Dict[Tuple[int, int], np.ndarray]
-) -> PkPartyMessages:
-    inst = shared.inst
-    per_threshold = []
-    for j, stack in enumerate(shared.stacks):
-        params = stack.params
-        if shared.strategy == "raw":
-            raw_sorted = np.concatenate(
-                [payloads[(i, j)] for i in range(inst.k)]
-            ) if inst.k else np.zeros(0, dtype=np.uint8)
-            per_threshold.append(
-                BlockMessages(
-                    stack, inst.k, raw_sorted=raw_sorted, raw_bounds=shared.bounds
-                )
-            )
-            continue
-        if params.d == 0:
-            fp = np.stack([payloads[(i, j)] for i in range(inst.k)])
-            per_threshold.append(BlockMessages(stack, inst.k, fingerprints=fp))
-            continue
-        r_count, b_count = params.repetitions, params.bucket_count
-        if shared.strategy == "bucket":
-            par = np.stack(
-                [payloads[(i, j)].reshape(r_count, b_count) for i in range(inst.k)],
-                axis=1,
-            )
-            per_threshold.append(BlockMessages(stack, inst.k, parities=par))
-            continue
-        red = params.code.redundancy
-        rows = np.stack(
-            [
-                payloads[(i, j)].reshape(r_count, red + params.fingerprint_rows)
-                for i in range(inst.k)
-            ],
-            axis=1,
-        )
-        per_threshold.append(
-            BlockMessages(
+def _pk_from_payloads(
+    shared: Optional[PkShared], by_label: Dict[str, np.ndarray], prefix: str
+) -> Optional[PkPartyMessages]:
+    if shared is None:
+        return None
+    return PkPartyMessages(
+        per_threshold=tuple(
+            _stack_from_payloads(
                 stack,
-                inst.k,
-                syndromes=np.ascontiguousarray(rows[:, :, :red]),
-                fingerprints=np.ascontiguousarray(rows[:, :, red:]),
+                shared.bounds,
+                by_label,
+                [f"{prefix}/block/{i}/hd/{j}" for i in range(shared.inst.k)],
             )
+            for j, stack in enumerate(shared.stacks)
         )
-    return PkPartyMessages(per_threshold=tuple(per_threshold))
+    )
 
 
 def bundles_from_transcript(
     shared: PShared, t: Transcript
 ) -> Tuple[PBundle, PBundle]:
     """Rebuild both parties' bundles from a dumped transcript; together with
-    the rederived coins this replays the referee exactly."""
+    the rederived coins this replays the referee exactly.  A missing or
+    mis-sized payload raises ``ValueError`` naming its label."""
+    whole = np.array([0, shared.n])
     bundles = {}
     for who in (ALICE, BOB):
-        mine = [e for e in t.entries if e.party == who]
-        by_label = {e.label: e.payload for e in mine}
-        pk_payloads: Dict[str, Dict[Tuple[int, int], np.ndarray]] = {
-            "main": {},
-            "tilde": {},
-        }
-        for e in mine:
-            if e.label.startswith("p/pk/"):
-                _, _, side, _, i, _, j = e.label.split("/")
-                pk_payloads[side][(int(i), int(j))] = e.payload
+        by_label = {e.label: e.payload for e in t.entries if e.party == who}
         bundles[who] = PBundle(
             party=who,
-            hd0_msg=_hd_message_from_payload(shared.hd0, by_label["p/hd0"]),
-            hd1_msg=_hd_message_from_payload(shared.hd1, by_label["p/hd1"]),
-            pk_main_msgs=(
-                _pk_messages_from_payloads(shared.pk_main, pk_payloads["main"])
-                if shared.pk_main is not None
-                else None
-            ),
-            pk_tilde_msgs=(
-                _pk_messages_from_payloads(shared.pk_tilde, pk_payloads["tilde"])
-                if shared.pk_tilde is not None
-                else None
-            ),
-            parity_bit=int(by_label["p/parity"][0]),
+            hd0_msg=_stack_from_payloads(shared.hd0, whole, by_label, ["p/hd0"]),
+            hd1_msg=_stack_from_payloads(shared.hd1, whole, by_label, ["p/hd1"]),
+            pk_main_msgs=_pk_from_payloads(shared.pk_main, by_label, "p/pk/main"),
+            pk_tilde_msgs=_pk_from_payloads(shared.pk_tilde, by_label, "p/pk/tilde"),
+            parity_bit=int(_payload(by_label, "p/parity")[0]),
         )
     return bundles[ALICE], bundles[BOB]
 
@@ -572,7 +525,6 @@ __all__ = [
     "pk_party_messages",
     "pk_referee",
     "pk_special_case_k0",
-    "pk_party_cost",
     "PShared",
     "PBundle",
     "PResult",

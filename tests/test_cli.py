@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import xorsmp
 from xorsmp.cli import main
 from xorsmp.harness import RUN_CSV_HEADER, SWEEP_CSV_HEADER
 
@@ -115,6 +121,25 @@ def test_replay_cli(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "trial,output,recorded_output,truth,correct,cost_bits,consistent"
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_replay_truncated_dump_exits_with_message(tmp_path):
+    dump = tmp_path / "dumps"
+    run_cli("run", "--n", 16, "--predicate", "eq", "--weights", "1", "--trials", 1,
+            "--seed", 8, "--strategy", "syndrome", "--out", tmp_path / "r.csv",
+            "--dump-transcripts", dump)
+    path = dump / "trial-000000.txt"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    env = dict(os.environ)
+    src = str(Path(xorsmp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xorsmp", "replay", "--dump-transcripts", str(dump)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "trial-000000.txt" in proc.stderr and "'p/parity'" in proc.stderr
 
 
 def test_replay_requires_dir():

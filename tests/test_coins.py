@@ -10,15 +10,15 @@ from xorsmp.coins import CoinSource, c_of_k, sample_partition
 def test_same_seed_and_path_identical_streams():
     a = CoinSource.from_seed(99).derive("trial/3").derive("pk/main/hd/2")
     b = CoinSource.from_seed(99).derive("trial/3").derive("pk/main/hd/2")
-    bits_a = a.bit_array(1_000_000)
-    bits_b = b.bit_array(1_000_000)
+    bits_a = a.generator().integers(0, 2, size=1_000_000, dtype=np.uint8)
+    bits_b = b.generator().integers(0, 2, size=1_000_000, dtype=np.uint8)
     assert (bits_a == bits_b).all()
 
 
 def test_distinct_labels_distinct_streams():
     s = CoinSource.from_seed(7)
-    a = s.derive("block/3").bit_array(128)
-    b = s.derive("block/4").bit_array(128)
+    a = s.derive("block/3").generator().integers(0, 2, size=128, dtype=np.uint8)
+    b = s.derive("block/4").generator().integers(0, 2, size=128, dtype=np.uint8)
     assert (a != b).any()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xorsmp.gf2 import bch_code, field, gf2_decode
+from xorsmp.gf2 import bch_code, field
 
 # The (buckets, capacity) pairs the sketch strategies actually build.
 CODES = [(4, 1), (16, 2), (36, 3), (64, 4), (100, 5), (144, 6), (196, 7), (256, 8)]
@@ -57,14 +57,14 @@ def test_qsolve_solves_its_quadratic():
 def test_zero_syndrome_decodes_to_empty():
     for b, d in CODES:
         code = bch_code(b, d)
-        assert gf2_decode(code, np.zeros(code.redundancy, dtype=np.uint8)) == ()
+        assert code.decode(np.zeros(code.redundancy, dtype=np.uint8)) == ()
 
 
 @pytest.mark.parametrize("b,d", CODES + [(1024, 16)])
 def test_weight_one_exhaustive(b, d):
     code = bch_code(b, d)
     for pos in range(b):
-        assert gf2_decode(code, syndrome_bits_of(code, [pos])) == (pos,)
+        assert code.decode(syndrome_bits_of(code, [pos])) == (pos,)
 
 
 @pytest.mark.parametrize("b,d", CODES)
@@ -74,7 +74,7 @@ def test_weight_up_to_d_roundtrip(b, d):
     for _ in range(250):
         w = int(gen.integers(0, d + 1))
         pos = tuple(sorted(int(p) for p in gen.choice(b, size=w, replace=False)))
-        assert gf2_decode(code, syndrome_bits_of(code, pos)) == pos
+        assert code.decode(syndrome_bits_of(code, pos)) == pos
 
 
 def test_weight_d_plus_one_rejected_by_fingerprint():
@@ -87,7 +87,7 @@ def test_weight_d_plus_one_rejected_by_fingerprint():
     fmat = (np.random.default_rng(78).integers(0, 2, size=(16, 256))).astype(np.uint8)
     for _ in range(samples):
         pos = sorted(int(p) for p in gen.choice(256, size=9, replace=False))
-        hit = gf2_decode(code, syndrome_bits_of(code, pos))
+        hit = code.decode(syndrome_bits_of(code, pos))
         if hit is None:
             continue
         truth = np.zeros(256, dtype=np.uint8)
@@ -108,7 +108,7 @@ def test_decoded_vector_always_reproduces_syndrome():
     decoded = 0
     for _ in range(2000):
         s = gen.integers(0, 2, size=code.redundancy).astype(np.uint8)
-        hit = gf2_decode(code, s)
+        hit = code.decode(s)
         if hit is not None:
             decoded += 1
             assert len(hit) <= code.d

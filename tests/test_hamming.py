@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource
 from xorsmp.hamming import (
+    BlockMessages,
     HDParams,
-    exact_block_distance,
-    find_threshold,
+    decide_block,
     hd_decide,
-    hd_encode,
     hd_encode_shared,
     hd_shared,
     threshold_search,
@@ -40,8 +39,8 @@ def test_param_derivations():
 
 def test_raw_payload_is_verbatim():
     params = HDParams(d=2, epsilon=0.1, strategy="raw", length=4)
-    msg = hd_encode(params, BitVector.from_bits("1010"), ROOT.derive("raw"))
-    assert msg.payload().tolist() == [1, 0, 1, 0]
+    msg = hd_encode_shared(hd_shared(params, ROOT.derive("raw")), BitVector.from_bits("1010"))
+    assert msg.block_payload(0).tolist() == [1, 0, 1, 0]
 
 
 def test_raw_is_exact_oracle():
@@ -49,8 +48,8 @@ def test_raw_is_exact_oracle():
     for i in range(60):
         w = i % 9
         x, y = sample_pair_with_distance(32, w, ROOT.derive(f"rx/{i}"))
-        c = ROOT.derive(f"rc/{i}")
-        v = hd_decide(params, hd_encode(params, x, c), hd_encode(params, y, c))
+        shared = hd_shared(params, ROOT.derive(f"rc/{i}"))
+        v = hd_decide(params, hd_encode_shared(shared, x), hd_encode_shared(shared, y))
         assert v.le == (w <= 3)
         assert v.estimate == w
 
@@ -60,8 +59,8 @@ def test_equal_inputs_always_le_estimate_zero():
         for d in (0, 2, 5):
             params = HDParams(d=d, epsilon=0.05, strategy=strategy, length=40)
             x, _ = sample_pair_with_distance(40, 0, ROOT.derive(f"eq/{strategy}/{d}"))
-            c = ROOT.derive(f"eqc/{strategy}/{d}")
-            v = hd_decide(params, hd_encode(params, x, c), hd_encode(params, x, c))
+            shared = hd_shared(params, ROOT.derive(f"eqc/{strategy}/{d}"))
+            v = hd_decide(params, hd_encode_shared(shared, x), hd_encode_shared(shared, x))
             assert v.le and v.estimate == 0
 
 
@@ -76,9 +75,9 @@ def test_gf2_linearity_of_messages(seedish, strategy, d):
     shared = hd_shared(params, coins.derive("hd"))
     x = BitVector.random(n, coins.derive("x"))
     y = BitVector.random(n, coins.derive("y"))
-    mx = hd_encode_shared(shared, x).payload()
-    my = hd_encode_shared(shared, y).payload()
-    mxy = hd_encode_shared(shared, x ^ y).payload()
+    mx = hd_encode_shared(shared, x).block_payload(0)
+    my = hd_encode_shared(shared, y).block_payload(0)
+    mxy = hd_encode_shared(shared, x ^ y).block_payload(0)
     assert ((mx ^ my) == mxy).all()
 
 
@@ -92,18 +91,19 @@ def test_message_symmetry():
 
 def test_wire_layout_segment_sizes():
     params = HDParams(d=2, epsilon=0.05, strategy="syndrome", length=32)
-    msg = hd_encode(params, BitVector.random(32, ROOT.derive("wl")), ROOT.derive("wlc"))
+    shared = hd_shared(params, ROOT.derive("wlc"))
+    msg = hd_encode_shared(shared, BitVector.random(32, ROOT.derive("wl")))
     red = params.code.redundancy
-    assert msg.syndromes.shape == (params.repetitions, red)
-    assert msg.fingerprints.shape == (params.repetitions, params.fingerprint_rows)
+    assert msg.syndromes.shape == (params.repetitions, 1, red)
+    assert msg.fingerprints.shape == (params.repetitions, 1, params.fingerprint_rows)
     assert msg.bit_length == params.repetitions * (red + params.fingerprint_rows)
     assert msg.bit_length == params.payload_bits
     # rep-major concatenation: [syndrome | fingerprint] per repetition
-    payload = msg.payload()
+    payload = msg.block_payload(0)
     per = red + params.fingerprint_rows
-    assert (payload[:red] == msg.syndromes[0]).all()
-    assert (payload[red:per] == msg.fingerprints[0]).all()
-    assert (payload[per : per + red] == msg.syndromes[1]).all()
+    assert (payload[:red] == msg.syndromes[0, 0]).all()
+    assert (payload[red:per] == msg.fingerprints[0, 0]).all()
+    assert (payload[per : per + red] == msg.syndromes[1, 0]).all()
 
 
 def test_syndrome_gt_rate_above_threshold():
@@ -150,17 +150,21 @@ def test_cost_monotone_in_d_and_epsilon():
         assert eps_costs == sorted(eps_costs)
 
 
+def search_bits(h):
+    return threshold_search(len(h) - 1, lambda j: h[j] == 1)[0]
+
+
 def test_find_threshold_examples():
-    assert find_threshold([1, 1, 1]) == 0
-    assert find_threshold([0, 0, 1, 1, 1]) == 2
-    assert find_threshold([0, 0, 0]) == 2  # clamp on non-monotone/all-GT input
+    assert search_bits([1, 1, 1]) == 0
+    assert search_bits([0, 0, 1, 1, 1]) == 2
+    assert search_bits([0, 0, 0]) == 2  # clamp on non-monotone/all-GT input
 
 
 @given(st.integers(0, 20), st.integers(0, 20))
 def test_find_threshold_monotone(c, t):
     t = min(t, c)
     h = [1 if j >= t else 0 for j in range(c + 1)]
-    assert find_threshold(h) == t
+    assert search_bits(h) == t
 
 
 def test_threshold_search_visit_budget():
@@ -172,23 +176,29 @@ def test_threshold_search_visit_budget():
             assert len(visited) <= math.ceil(math.log2(c + 1))
 
 
+def block_distance(params, shareds, x, y):
+    """Distance from the c + 1 threshold instances by lazy binary search."""
+    msgs_a = [hd_encode_shared(s, x) for s in shareds]
+    msgs_b = [hd_encode_shared(s, y) for s in shareds]
+    res, _ = threshold_search(
+        len(params) - 1, lambda j: hd_decide(params[j], msgs_a[j], msgs_b[j]).le
+    )
+    return res
+
+
 def test_exact_block_distance_raw():
     params = [HDParams(d=j, epsilon=0.1, strategy="raw", length=24) for j in range(6)]
     x, y = sample_pair_with_distance(24, 3, ROOT.derive("ebd"))
-    coins = [ROOT.derive(f"ebd/{j}") for j in range(6)]
-    msgs_a = [hd_encode(p, x, c) for p, c in zip(params, coins)]
-    msgs_b = [hd_encode(p, y, c) for p, c in zip(params, coins)]
-    assert exact_block_distance(msgs_a, msgs_b) == 3
+    shareds = [hd_shared(p, ROOT.derive(f"ebd/{j}")) for j, p in enumerate(params)]
+    assert block_distance(params, shareds, x, y) == 3
 
 
 def test_exact_block_distance_zero_block():
     params = [HDParams(d=j, epsilon=0.1, strategy="syndrome", length=24)
               for j in range(4)]
     x, _ = sample_pair_with_distance(24, 0, ROOT.derive("z"))
-    coins = [ROOT.derive(f"z/{j}") for j in range(4)]
-    msgs_a = [hd_encode(p, x, c) for p, c in zip(params, coins)]
-    msgs_b = [hd_encode(p, x, c) for p, c in zip(params, coins)]
-    assert exact_block_distance(msgs_a, msgs_b) == 0
+    shareds = [hd_shared(p, ROOT.derive(f"z/{j}")) for j, p in enumerate(params)]
+    assert block_distance(params, shareds, x, x) == 0
 
 
 def test_exact_block_distance_syndrome_monte_carlo():
@@ -222,7 +232,35 @@ def test_mismatched_instances_rejected():
     p1 = HDParams(d=1, epsilon=0.1, strategy="syndrome", length=16)
     p2 = HDParams(d=2, epsilon=0.1, strategy="syndrome", length=16)
     x, y = sample_pair_with_distance(16, 1, ROOT.derive("mm"))
-    m1 = hd_encode(p1, x, ROOT.derive("mm1"))
-    m2 = hd_encode(p2, y, ROOT.derive("mm2"))
+    m1 = hd_encode_shared(hd_shared(p1, ROOT.derive("mm1")), x)
+    m2 = hd_encode_shared(hd_shared(p2, ROOT.derive("mm2")), y)
     with pytest.raises(ValueError):
         hd_decide(p1, m1, m2)
+
+
+def test_zero_syndrome_with_fingerprint_difference_is_gt():
+    # equal syndromes but one differing fingerprint bit: the difference is a
+    # codeword of weight >= 2d + 1, so both deciders must answer GT
+    params = HDParams(d=1, epsilon=0.1, strategy="syndrome", length=16)
+    shared = hd_shared(params, ROOT.derive("zs"))
+    m_a = hd_encode_shared(shared, BitVector.random(16, ROOT.derive("zsx")))
+    fp = m_a.fingerprints.copy()
+    fp[0, 0, 0] ^= 1
+    m_b = BlockMessages(shared, 1, parities=m_a.parities,
+                        syndromes=m_a.syndromes.copy(), fingerprints=fp)
+    assert not hd_decide(params, m_a, m_b).le
+    assert not decide_block(m_a, m_b, 0).le
+
+
+def test_single_instance_is_one_block_stack():
+    # the single-instance message equals the k = 1 stack built from payloads
+    for strategy in ("raw", "bucket", "syndrome"):
+        for d in (0, 3):
+            params = HDParams(d=d, epsilon=0.05, strategy=strategy, length=40)
+            shared = hd_shared(params, ROOT.derive(f"one/{strategy}/{d}"))
+            msg = hd_encode_shared(shared, BitVector.random(40, ROOT.derive("one")))
+            assert msg.k == 1 and msg.bit_length == params.payload_bits
+            back = BlockMessages.from_block_payloads(
+                shared, [msg.block_payload(0)], msg.raw_bounds
+            )
+            assert (back.block_payload(0) == msg.block_payload(0)).all()

@@ -167,3 +167,30 @@ def test_replay_detects_tampering(tmp_path):
             tokens[i] = f"output={1 - int(tok.split('=')[1])}"
     res = replay_transcript_text("\n".join(["\t".join(tokens)] + lines[1:]))
     assert not res.consistent
+
+
+@pytest.mark.parametrize("cut_before, missing", [
+    ("p/parity", r"'p/parity'"),
+    ("p/hd1", r"'p/hd1'"),
+    ("p/pk/main/block/0/hd/1", r"'p/pk/main/block/1/hd/0'"),
+])
+def test_truncated_dump_names_missing_label(tmp_path, cut_before, missing):
+    cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
+                      seed=5, strategy="syndrome", dump_dir=tmp_path)
+    run_trials(cfg)
+    lines = next(tmp_path.glob("trial-*.txt")).read_text().splitlines()
+    cut = next(i for i, ln in enumerate(lines)
+               if ln.startswith(f"Bob\t{cut_before}\t"))
+    with pytest.raises(ValueError, match=missing):
+        replay_transcript_text("\n".join(lines[:cut]) + "\n")
+
+
+def test_dump_with_wrong_payload_length_is_rejected(tmp_path):
+    cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
+                      seed=5, strategy="raw", dump_dir=tmp_path)
+    run_trials(cfg)
+    lines = next(tmp_path.glob("trial-*.txt")).read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("Alice\tp/hd0\t"))
+    lines[i] = lines[i].rsplit("\t", 1)[0] + "\t23"
+    with pytest.raises(ValueError, match="'p/hd0' payload has 23 bits, expected 24"):
+        replay_transcript_text("\n".join(lines) + "\n")

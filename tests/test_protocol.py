@@ -31,7 +31,6 @@ from xorsmp.protocol import (
     p_total_cost,
     p_transcript_entries,
     parse_transcript,
-    pk_party_cost,
     pk_party_messages,
     pk_referee,
     pk_shared,
@@ -176,7 +175,8 @@ def test_cost_decomposition():
         t = Transcript(header={}, entries=entries)
         assert transcript_cost(t) == out.cost_bits
         if prof.r0 >= 1:
-            sub = pk_party_cost(PkInstance.build(prof.r0, pred), n, strategy)
+            sub = out.bundle_a.pk_main_msgs.cost_bits
+            assert sub == out.bundle_b.pk_main_msgs.cost_bits
             assert out.cost_bits >= 2 * sub  # superset of the promise run
 
 
