@@ -15,7 +15,10 @@ Three interchangeable strategies share one message interface:
 
 For bucket and syndrome every message segment is a GF(2)-linear function
 of the sender's input, so the XOR of the two messages equals the same
-function of x XOR y; all decisions are made on that difference.  Both
+function of x XOR y; all decisions are made on that difference.  Syndromes
+and fingerprints are computed as GF(2) operations: each is the XOR of
+packed uint64 columns gathered at the sender's ones (a bucket's BCH
+column, a bucket's or position's fingerprint column), taken per block.  Both
 strategies only ever under-count distances (hash collisions cancel
 parities in pairs), which makes the verdict one-sided: a true distance at
 most d is never reported as GT unless a fingerprint or decode anomaly
@@ -26,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bits import BitVector
 from .coins import CoinSource
-from .gf2 import BchCode, bch_code
+from .gf2 import BchCode, bch_code, pack_words, syndrome_bits, unpack_words
 
 STRATEGIES = ("raw", "bucket", "syndrome")
 
@@ -109,9 +112,8 @@ class HDParams:
             return self.fingerprint_rows
         if self.strategy == "bucket":
             return self.repetitions * self.bucket_count
-        code = self.code
-        assert code is not None
-        return self.repetitions * (code.redundancy + self.fingerprint_rows)
+        redundancy = syndrome_bits(self.bucket_count, self.d)
+        return self.repetitions * (redundancy + self.fingerprint_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +122,20 @@ class HDShared:
 
     ``buckets`` maps (repetition, position) -> bucket; ``fmat`` holds the
     fingerprint matrix, (R, f, B) for syndrome or (f, length) for the d = 0
-    equality test, and ``fmat_f32`` its float32 copy for the encoder's
-    matmuls.  Drawn in a fixed order from one derived stream so that
+    equality test.  Drawn in a fixed order from one derived stream so that
     independent derivations by each party agree bit for bit.
     """
 
     params: HDParams
     buckets: Optional[np.ndarray]
     fmat: Optional[np.ndarray]
-    fmat_f32: Optional[np.ndarray] = None
+
+    @cached_property
+    def fwords(self) -> np.ndarray:
+        """``fmat`` packed per column: (R, B, w) words for syndrome, (length,
+        w) for d = 0, w = ceil(f / 64).  Packed on the first encode, so a
+        referee that only replays never pays for it."""
+        return _pack_columns(self.fmat)
 
 
 def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
@@ -138,20 +145,18 @@ def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
     gen = coins.generator()
     if params.d == 0:
         fmat = _draw_bits(gen, (params.fingerprint_rows, params.length))
-        return HDShared(params, None, fmat, fmat.astype(np.float32))
+        return HDShared(params, None, fmat)
     buckets = gen.integers(
         0, params.bucket_count, size=(params.repetitions, params.length),
         dtype=np.int64,
     )
     fmat = None
-    fmat_f32 = None
     if params.strategy == "syndrome":
         fmat = _draw_bits(
             gen,
             (params.repetitions, params.fingerprint_rows, params.bucket_count),
         )
-        fmat_f32 = fmat.astype(np.float32)
-    return HDShared(params, buckets, fmat, fmat_f32)
+    return HDShared(params, buckets, fmat)
 
 
 def _draw_bits(gen: np.random.Generator, shape) -> np.ndarray:
@@ -160,14 +165,25 @@ def _draw_bits(gen: np.random.Generator, shape) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little").reshape(shape)
 
 
+_SHIFT8 = np.arange(8, dtype=np.uint8)[:, None]
+
+
+def _pack_columns(bits: np.ndarray) -> np.ndarray:
+    """(..., f, B) bits -> (..., B, ceil(f / 64)) words: bit t of column b
+    is bit t % 64 of word t // 64.  Built one byte of rows at a time, since
+    packing along a non-last axis is far slower."""
+    f, b = bits.shape[-2:]
+    out = np.zeros(bits.shape[:-2] + (b, 8 * -(-f // 64)), dtype=np.uint8)
+    for t in range(0, f, 8):
+        rows = bits[..., t : t + 8, :]
+        out[..., t >> 3] = np.bitwise_or.reduce(rows << _SHIFT8[: rows.shape[-2]], axis=-2)
+    return out.view("<u8")
+
+
 @dataclass(frozen=True)
 class HDVerdict:
     le: bool               # the protocol's claim: distance <= d
     estimate: int          # best distance estimate backing the claim
-
-
-def _mod2(arr: np.ndarray) -> np.ndarray:
-    return (arr.astype(np.int32) & 1).astype(np.uint8)
 
 
 def _fingerprint_matches(
@@ -220,28 +236,40 @@ class BlockMessages:
     Wire layout of block i (bit-exact, rep-major): syndrome repetitions are
     [syndrome bits][fingerprint bits]; bucket repetitions are the B bucket
     parities; raw is the block's input bits verbatim; d = 0 is the f
-    fingerprint bits.
+    fingerprint bits.  Syndromes and fingerprints are held as packed words
+    (see ``gf2.pack_words``); only the payload conversions touch bits.
     """
 
     shared: HDShared
     k: int
-    parities: Optional[np.ndarray] = None      # (R, k, B)
-    syndromes: Optional[np.ndarray] = None     # (R, k, redundancy)
-    fingerprints: Optional[np.ndarray] = None  # (R, k, f) or (k, f) for d = 0
+    parities: Optional[np.ndarray] = None      # (R, k, B) bits
+    syndromes: Optional[np.ndarray] = None     # (R, k, ceil(redundancy / 64)) words
+    fingerprints: Optional[np.ndarray] = None  # (R, k, ceil(f / 64)) words, (k, .) for d = 0
     raw_sorted: Optional[np.ndarray] = None    # input bits grouped by block
     raw_bounds: Optional[np.ndarray] = None    # block i occupies [b[i], b[i+1])
 
-    def block_payload(self, i: int) -> np.ndarray:
+    def block_payloads(self) -> List[np.ndarray]:
+        """Wire bits of every block, in block order, unpacked in one pass."""
         params = self.shared.params
         if params.strategy == "raw":
-            return self.raw_sorted[self.raw_bounds[i] : self.raw_bounds[i + 1]]
+            return np.split(self.raw_sorted, self.raw_bounds[1:-1])
         if params.d == 0:
-            return self.fingerprints[i]
+            return list(unpack_words(self.fingerprints, params.fingerprint_rows))
         if params.strategy == "bucket":
-            return self.parities[:, i, :].reshape(-1)
-        return np.concatenate(
-            [self.syndromes[:, i, :], self.fingerprints[:, i, :]], axis=1
-        ).reshape(-1)
+            rows = self.parities
+        else:
+            rows = np.concatenate(
+                [
+                    unpack_words(self.syndromes, params.code.redundancy),
+                    unpack_words(self.fingerprints, params.fingerprint_rows),
+                ],
+                axis=2,
+            )
+        return list(rows.transpose(1, 0, 2).reshape(self.k, -1))
+
+    def block_payload(self, i: int) -> np.ndarray:
+        """Wire bits of block i; a single instance's message is block 0."""
+        return self.block_payloads()[i]
 
     @classmethod
     def from_block_payloads(
@@ -254,16 +282,16 @@ class BlockMessages:
         if params.strategy == "raw":
             return cls(shared, k, raw_sorted=np.concatenate(payloads), raw_bounds=bounds)
         if params.d == 0:
-            return cls(shared, k, fingerprints=np.stack(payloads))
-        rows = np.stack(payloads).reshape(k, params.repetitions, -1).transpose(1, 0, 2)
+            return cls(shared, k, fingerprints=pack_words(np.stack(payloads)))
+        rows = np.stack(payloads).reshape(k, params.repetitions, -1)
         if params.strategy == "bucket":
-            return cls(shared, k, parities=np.ascontiguousarray(rows))
+            return cls(shared, k, parities=np.ascontiguousarray(rows.transpose(1, 0, 2)))
         red = params.code.redundancy
         return cls(
             shared,
             k,
-            syndromes=np.ascontiguousarray(rows[:, :, :red]),
-            fingerprints=np.ascontiguousarray(rows[:, :, red:]),
+            syndromes=pack_words(rows[:, :, :red]).transpose(1, 0, 2),
+            fingerprints=pack_words(rows[:, :, red:]).transpose(1, 0, 2),
         )
 
     @property
@@ -274,43 +302,57 @@ class BlockMessages:
         return self.k * params.payload_bits_for(0)
 
 
+def _xor_by_block(vals: np.ndarray, one_bounds: np.ndarray) -> np.ndarray:
+    """XOR of the word rows vals[..., j, :] over the ones j of each block,
+    block i owning j in [one_bounds[i], one_bounds[i+1]); empty blocks
+    give zero words."""
+    if one_bounds.size == 2:  # a single block: one plain reduction
+        return np.bitwise_xor.reduce(vals, axis=-2, keepdims=True)
+    starts = one_bounds[:-1]
+    filled = starts < one_bounds[1:]
+    if filled.all():
+        return np.bitwise_xor.reduceat(vals, starts, axis=-2)
+    out = np.zeros(vals.shape[:-2] + (starts.size, vals.shape[-1]), dtype=vals.dtype)
+    if filled.any():
+        out[..., filled, :] = np.bitwise_xor.reduceat(vals, starts[filled], axis=-2)
+    return out
+
+
 def encode_blocks(
     shared: HDShared,
-    x_arr: np.ndarray,
+    x_sorted: np.ndarray,
     ones: np.ndarray,
-    block_of: np.ndarray,
+    one_bounds: np.ndarray,
     k: int,
-    sort_order: Optional[np.ndarray] = None,
-    bounds: Optional[np.ndarray] = None,
+    bounds: np.ndarray,
 ) -> BlockMessages:
-    """Encode one party's input restricted to every block of the partition."""
+    """Encode one party's input restricted to every block of the partition.
+
+    The party splits its input once for all thresholds: ``x_sorted`` holds
+    its bits grouped by block (block i occupies [bounds[i], bounds[i+1]))
+    and ``ones`` the positions of its ones grouped by block (block i owns
+    ones[one_bounds[i]:one_bounds[i+1]]).
+    """
     params = shared.params
     if params.strategy == "raw":
-        return BlockMessages(
-            shared, k, raw_sorted=x_arr[sort_order], raw_bounds=bounds
-        )
-    blocks = block_of[ones]
+        return BlockMessages(shared, k, raw_sorted=x_sorted, raw_bounds=bounds)
     if params.d == 0:
-        # row b holds the input restricted to block b; (k, n) @ (n, f) -> (k, f)
-        x_blocks = np.zeros((k, params.length), dtype=np.float32)
-        x_blocks[blocks, ones] = 1.0
-        fp = _mod2(x_blocks @ shared.fmat_f32.T)
+        fp = _xor_by_block(shared.fwords[ones], one_bounds)
         return BlockMessages(shared, k, fingerprints=fp)
     r_count, b_count = params.repetitions, params.bucket_count
-    flat = shared.buckets[:, ones] + blocks * b_count
-    flat += np.arange(0, r_count * k * b_count, k * b_count)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=r_count * k * b_count)
-    par = (counts & 1).astype(np.uint8).reshape(r_count, k, b_count)
     if params.strategy == "bucket":
+        rep_base = np.arange(0, r_count * k * b_count, k * b_count)[:, None]
+        flat = shared.buckets[:, ones] + rep_base
+        if k > 1:  # offset each one by its block
+            flat += np.repeat(np.arange(0, k * b_count, b_count), np.diff(one_bounds))
+        counts = np.bincount(flat.ravel(), minlength=r_count * k * b_count)
+        par = (counts & 1).astype(np.uint8).reshape(r_count, k, b_count)
         return BlockMessages(shared, k, parities=par)
-    code = params.code
-    par_f = par.astype(np.float32)
-    synd = _mod2(par_f.reshape(r_count * k, b_count) @ code.H_f32.T)
-    # (R, k, B) @ (R, B, f) -> (R, k, f), batched BLAS
-    fp = _mod2(np.matmul(par_f, shared.fmat_f32.transpose(0, 2, 1)))
-    return BlockMessages(
-        shared, k, parities=par, syndromes=synd.reshape(r_count, k, -1), fingerprints=fp
-    )
+    # A bucket hit twice cancels in the XOR, so no parity vector is needed.
+    hit = shared.buckets[:, ones]
+    synd = _xor_by_block(params.code.cols[hit], one_bounds)
+    fp = _xor_by_block(shared.fwords[np.arange(r_count)[:, None], hit], one_bounds)
+    return BlockMessages(shared, k, syndromes=synd, fingerprints=fp)
 
 
 def decide_block(
@@ -325,9 +367,8 @@ def decide_block(
     shared = msgs_a.shared
     params = shared.params
     if params.strategy == "raw":
-        a = msgs_a.block_payload(i)
-        b = msgs_b.block_payload(i)
-        dist = int((a ^ b).sum())
+        lo, hi = msgs_a.raw_bounds[i], msgs_a.raw_bounds[i + 1]
+        dist = int((msgs_a.raw_sorted[lo:hi] ^ msgs_b.raw_sorted[lo:hi]).sum())
         return HDVerdict(le=dist <= params.d, estimate=dist)
     if params.d == 0:
         same = bool((msgs_a.fingerprints[i] == msgs_b.fingerprints[i]).all())
@@ -337,33 +378,25 @@ def decide_block(
         estimate = int(diff.sum(axis=1).max())
         return HDVerdict(le=estimate <= params.d, estimate=estimate)
     code = params.code
-    diffs = msgs_a.syndromes[:, i, :] ^ msgs_b.syndromes[:, i, :]
-    fpd = msgs_a.fingerprints[:, i, :] ^ msgs_b.fingerprints[:, i, :]
-    packed = np.packbits(diffs, axis=1, bitorder="little").tobytes()
-    if packed.count(0) == len(packed):
+    diffs = msgs_a.syndromes[:, i] ^ msgs_b.syndromes[:, i]
+    fpd = msgs_a.fingerprints[:, i] ^ msgs_b.fingerprints[:, i]
+    if not diffs.any():
         # Every repetition decodes to the empty set; a nonzero fingerprint
         # difference then means a codeword of weight >= 2d + 1, so GT.
         if fpd.any():
             return HDVerdict(le=False, estimate=params.d + 1)
         return HDVerdict(le=True, estimate=0)
+    fpd_bits = unpack_words(fpd, params.fingerprint_rows)
+    packed = diffs.astype("<u8", copy=False).tobytes()
     width = len(packed) // params.repetitions
     estimate = 0
     for rep in range(params.repetitions):
         word = int.from_bytes(packed[rep * width : (rep + 1) * width], "little")
         hit = code.decode_elements(code.elements_from_packed(word)) if word else ()
-        if hit is None or not _fingerprint_matches(shared.fmat[rep], hit, fpd[rep]):
+        if hit is None or not _fingerprint_matches(shared.fmat[rep], hit, fpd_bits[rep]):
             return HDVerdict(le=False, estimate=params.d + 1)
         estimate = max(estimate, len(hit))
     return HDVerdict(le=True, estimate=estimate)
-
-
-@lru_cache(maxsize=16)
-def _one_block(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (block_of, sort_order, bounds) of the 1-block partition of [n]."""
-    arrays = (np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n]))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
 
 
 def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:
@@ -372,9 +405,9 @@ def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:
     if x.length != n:
         raise ValueError(f"input length {x.length}, instance expects {n}")
     x_arr = x.to_array()
-    block_of, sort_order, bounds = _one_block(n)
+    ones = np.flatnonzero(x_arr)
     return encode_blocks(
-        shared, x_arr, np.nonzero(x_arr)[0], block_of, 1, sort_order, bounds
+        shared, x_arr, ones, np.array([0, ones.size]), 1, np.array([0, n])
     )
 
 

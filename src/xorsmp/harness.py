@@ -212,10 +212,20 @@ class ReplayResult:
     consistent: bool
 
 
+# header fields replay reads; _dump_trial writes them all
+_REPLAY_HEADER = (
+    "seed", "n", "predicate", "strategy", "trial", "x", "y", "output", "branch", "cost_bits",
+)
+
+
 def replay_transcript_text(text: str) -> ReplayResult:
-    """Re-run the referee on a dumped transcript and cross-check it."""
+    """Re-run the referee on a dumped transcript and cross-check it.  A
+    malformed dump raises ``ValueError``; a missing header field is named."""
     t = parse_transcript(text)
     h = t.header
+    missing = [key for key in _REPLAY_HEADER if key not in h]
+    if missing:
+        raise ValueError(f"dump header has no {', '.join(map(repr, missing))} field")
     seed, trial = int(h["seed"]), int(h["trial"])
     n = int(h["n"])
     root = CoinSource.from_seed(seed)

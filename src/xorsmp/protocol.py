@@ -112,18 +112,13 @@ class PkPartyMessages:
 def pk_party_messages(shared: PkShared, x: BitVector) -> PkPartyMessages:
     if x.length != shared.n:
         raise ValueError(f"input length {x.length}, run expects {shared.n}")
-    x_arr = x.to_array()
-    ones = np.nonzero(x_arr)[0]
+    # split the input by block once; every threshold stack reuses the split
+    x_sorted = x.to_array()[shared.sort_order]
+    hits = np.flatnonzero(x_sorted)
+    ones = shared.sort_order[hits]
+    one_bounds = np.searchsorted(hits, shared.bounds)
     msgs = tuple(
-        encode_blocks(
-            stack,
-            x_arr,
-            ones,
-            shared.partition.block_of,
-            shared.inst.k,
-            sort_order=shared.sort_order,
-            bounds=shared.bounds,
-        )
+        encode_blocks(stack, x_sorted, ones, one_bounds, shared.inst.k, shared.bounds)
         for stack in shared.stacks
     )
     return PkPartyMessages(per_threshold=msgs)
@@ -337,17 +332,12 @@ def transcript_cost(t: Transcript) -> int:
 def _pk_entries(
     party: str, prefix: str, shared: PkShared, msgs: PkPartyMessages
 ) -> List[TranscriptEntry]:
-    out = []
-    for i in range(shared.inst.k):
-        for j in range(shared.inst.c + 1):
-            out.append(
-                TranscriptEntry(
-                    party,
-                    f"{prefix}/block/{i}/hd/{j}",
-                    msgs.per_threshold[j].block_payload(i),
-                )
-            )
-    return out
+    payloads = [m.block_payloads() for m in msgs.per_threshold]
+    return [
+        TranscriptEntry(party, f"{prefix}/block/{i}/hd/{j}", payloads[j][i])
+        for i in range(shared.inst.k)
+        for j in range(shared.inst.c + 1)
+    ]
 
 
 def p_transcript_entries(
@@ -380,11 +370,19 @@ def _bits_to_hex(bits: np.ndarray) -> str:
     return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes().hex()
 
 
-def _hex_to_bits(hexstr: str, bitlen: int) -> np.ndarray:
-    if hexstr == "-" or bitlen == 0:
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
-    return np.unpackbits(raw, count=bitlen, bitorder="little")
+def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
+    """Inverse of ``_bits_to_hex``, up to unpacking; a field of the wrong
+    length raises ``ValueError``, so a cut payload cannot pass as zero bits."""
+    if bitlen < 0:
+        raise ValueError(f"negative bit length {bitlen}")
+    if bitlen == 0:
+        if hexstr != "-":
+            raise ValueError(f"an empty payload is written '-', not {hexstr!r}")
+        return b""
+    want = 2 * ((bitlen + 7) // 8)
+    if len(hexstr) != want:
+        raise ValueError(f"{len(hexstr)} hex digits for {bitlen} bits, expected {want}")
+    return bytes.fromhex(hexstr)
 
 
 def format_transcript(t: Transcript) -> str:
@@ -396,17 +394,38 @@ def format_transcript(t: Transcript) -> str:
 
 
 def parse_transcript(text: str) -> Transcript:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# xorsmp-transcript"):
+    """Inverse of ``format_transcript``.  A malformed entry line (wrong
+    field count, non-integer length, hex not of its length) raises
+    ``ValueError`` naming the line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# xorsmp-transcript"):
         raise ValueError("not a transcript dump: missing header line")
     header: Dict[str, str] = {}
-    for tok in lines[0].split("\t")[1:]:
+    for tok in lines[0][1].split("\t")[1:]:
         key, _, val = tok.partition("=")
         header[key] = val
-    entries = []
-    for ln in lines[1:]:
-        party, label, hexstr, bitlen = ln.split("\t")
-        entries.append(TranscriptEntry(party, label, _hex_to_bits(hexstr, int(bitlen))))
+    fields = []  # (party, label, first bit, bit length) of each entry
+    chunks = []
+    nbytes = 0
+    for no, ln in lines[1:]:
+        cols = ln.split("\t")
+        if len(cols) != 4:
+            raise ValueError(f"line {no}: expected 4 tab-separated fields, got {len(cols)}")
+        party, label, hexstr, bitlen = cols
+        try:
+            nbits = int(bitlen)
+            chunk = _hex_to_bytes(hexstr, nbits)
+        except ValueError as exc:
+            raise ValueError(f"line {no} ({label!r}): {exc}") from None
+        fields.append((party, label, 8 * nbytes, nbits))
+        chunks.append(chunk)
+        nbytes += len(chunk)
+    # unpack every payload at once; each entry reads its own byte-aligned run
+    bits = np.unpackbits(np.frombuffer(b"".join(chunks), dtype=np.uint8), bitorder="little")
+    entries = [
+        TranscriptEntry(party, label, bits[first : first + nbits])
+        for party, label, first, nbits in fields
+    ]
     return Transcript(header=header, entries=entries)
 
 

@@ -4,7 +4,10 @@ These deliberately re-derive everything from first principles (definition
 scans, full minimization) so the library code under test never feeds them.
 """
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from xorsmp.predicate import Predicate
 
@@ -53,3 +56,39 @@ def assert_profile_minimal(d: Predicate, r0: int, r1: int) -> None:
         assert not feasible(d, r0 - 1, r1), f"{d}: r0 shrinkable"
     if r1 > 0:
         assert not feasible(d, r0, r1 - 1), f"{d}: r1 shrinkable"
+
+
+@lru_cache(maxsize=16)
+def bch_parity_check(n_buckets: int, d: int, m: int, poly: int) -> np.ndarray:
+    """Dense (d m, n_buckets) parity-check matrix of the narrow-sense binary
+    BCH code: row i m + t, column j holds bit t of alpha^((2i+1) j).
+
+    Built from the field's definition alone: alpha is x in GF(2)[x]/(poly),
+    and its powers come from repeated multiplication by x.  Read-only.
+    """
+    order = (1 << m) - 1
+    powers = []
+    a = 1
+    for _ in range(order):
+        powers.append(a)
+        a <<= 1
+        if a >> m:
+            a ^= poly
+    powers = np.array(powers, dtype=np.int64)
+    cols = np.arange(n_buckets, dtype=np.int64)
+    shifts = np.arange(m, dtype=np.int64)[:, None]
+    h = np.concatenate(
+        [(powers[(2 * i + 1) * cols % order][None, :] >> shifts) & 1 for i in range(d)]
+    ).astype(np.uint8)
+    h.setflags(write=False)
+    return h
+
+
+def code_parity_check(code) -> np.ndarray:
+    """``bch_parity_check`` for a library code, from its field's definition."""
+    return bch_parity_check(code.n_buckets, code.d, code.field.m, code.field.poly)
+
+
+def gf2_mat_vec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec over GF(2), by integer sums of the selected columns."""
+    return (mat[:, np.asarray(vec, dtype=bool)].sum(axis=1) % 2).astype(np.uint8)

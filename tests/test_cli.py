@@ -123,23 +123,36 @@ def test_replay_cli(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def _replay_subprocess(dump):
+    env = dict(os.environ)
+    src = str(Path(xorsmp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "xorsmp", "replay", "--dump-transcripts", str(dump)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_replay_truncated_dump_exits_with_message(tmp_path):
     dump = tmp_path / "dumps"
     run_cli("run", "--n", 16, "--predicate", "eq", "--weights", "1", "--trials", 1,
             "--seed", 8, "--strategy", "syndrome", "--out", tmp_path / "r.csv",
             "--dump-transcripts", dump)
     path = dump / "trial-000000.txt"
-    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-    env = dict(os.environ)
-    src = str(Path(xorsmp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "xorsmp", "replay", "--dump-transcripts", str(dump)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    text = path.read_text()
+    path.write_text("\n".join(text.splitlines()[:-1]) + "\n")
+    proc = _replay_subprocess(dump)
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
     assert "trial-000000.txt" in proc.stderr and "'p/parity'" in proc.stderr
+    # a header without cost_bits is named too, not a KeyError
+    head, _, body = text.partition("\n")
+    head = "\t".join(t for t in head.split("\t") if not t.startswith("cost_bits="))
+    path.write_text(head + "\n" + body)
+    proc = _replay_subprocess(dump)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert f"{path}: dump header has no 'cost_bits' field" in proc.stderr
 
 
 def test_replay_requires_dir():

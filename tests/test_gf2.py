@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from xorsmp.gf2 import bch_code, field
+from xorsmp.gf2 import bch_code, field, pack_words, syndrome_bits, unpack_words
+
+from .oracles import code_parity_check, gf2_mat_vec
 
 # The (buckets, capacity) pairs the sketch strategies actually build.
 CODES = [(4, 1), (16, 2), (36, 3), (64, 4), (100, 5), (144, 6), (196, 7), (256, 8)]
@@ -10,7 +12,27 @@ CODES = [(4, 1), (16, 2), (36, 3), (64, 4), (100, 5), (144, 6), (196, 7), (256, 
 def syndrome_bits_of(code, positions):
     e = np.zeros(code.n_buckets, dtype=np.uint8)
     e[list(positions)] = 1
-    return ((code.H @ e) % 2).astype(np.uint8)
+    return gf2_mat_vec(code_parity_check(code), e)
+
+
+def packed_syndrome(code, e):
+    """The library's syndrome of e: the XOR of its packed columns at e's ones."""
+    return np.bitwise_xor.reduce(
+        code.cols[np.flatnonzero(e)], axis=0, initial=np.uint64(0)
+    )
+
+
+@pytest.mark.parametrize("b,d", CODES + [(16384, 64)])
+def test_packed_columns_match_oracle(b, d):
+    # (16384, 64) has m = 15: elements straddle the 64-bit word boundaries
+    code = bch_code(b, d)
+    assert code.cols.dtype == np.uint64
+    assert code.cols.shape == (b, -(-code.redundancy // 64))
+    assert code.redundancy == syndrome_bits(b, d)
+    h = code_parity_check(code)
+    assert (unpack_words(code.cols, code.redundancy) == h.T).all()
+    # bits past the redundancy stay zero, so words compare as integers
+    assert (pack_words(h.T) == code.cols).all()
 
 
 def test_field_tables_are_permutations():
@@ -122,10 +144,12 @@ def test_syndrome_linearity():
     for _ in range(100):
         e1 = gen.integers(0, 2, size=36).astype(np.uint8)
         e2 = gen.integers(0, 2, size=36).astype(np.uint8)
-        s1 = (code.H @ e1) % 2
-        s2 = (code.H @ e2) % 2
-        s12 = (code.H @ (e1 ^ e2)) % 2
+        s1 = packed_syndrome(code, e1)
+        s2 = packed_syndrome(code, e2)
+        s12 = packed_syndrome(code, e1 ^ e2)
         assert ((s1 ^ s2) == s12).all()
+        h = code_parity_check(code)
+        assert (unpack_words(s12, code.redundancy) == gf2_mat_vec(h, e1 ^ e2)).all()
 
 
 def test_code_guards():

@@ -10,6 +10,8 @@ alters coin labels or draw order on purpose, regenerate the files with
 and say so in the change's notes.
 """
 
+import dataclasses
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -87,6 +89,23 @@ def golden_outputs():
     out = {f"run_{s}.txt": (lambda s=s: _run_outputs(s)) for s in STRATEGIES}
     out["c5_grid.txt"] = _c5_outputs
     return out
+
+
+# One large trial (n = 4096, r0 = 64): the files above only reach n = 20, far
+# below the packed-word boundaries of the big codes.  The digest covers the
+# whole dump, every payload of both parties included, and was taken from the
+# float32-matmul sketch code that preceded the packed-word kernels.
+BIG_TRIAL = TrialConfig(4096, "random:64", [40], 1, 64_001, "syndrome")
+BIG_TRIAL_SHA256 = "8f14df4319baae5fa9c63fcdde5c07d1fbea30efdd7736c64b9e78eef8f8e3a4"
+
+
+def test_big_trial_payload_digest():
+    with tempfile.TemporaryDirectory() as tmp:
+        run_trials(dataclasses.replace(BIG_TRIAL, dump_dir=Path(tmp)))
+        text = (Path(tmp) / "trial-000000.txt").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == BIG_TRIAL_SHA256
+    # and the payloads read back into packed words replay the same run
+    assert replay_transcript_text(text).consistent
 
 
 @pytest.mark.parametrize("name", sorted(golden_outputs()))

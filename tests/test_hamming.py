@@ -1,11 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource
+from xorsmp.gf2 import unpack_words
+from xorsmp.predicate import family
+from xorsmp.protocol import PkInstance, pk_party_messages, pk_shared
+
+from .oracles import code_parity_check, gf2_mat_vec
 from xorsmp.hamming import (
     BlockMessages,
     HDParams,
@@ -93,17 +99,18 @@ def test_wire_layout_segment_sizes():
     params = HDParams(d=2, epsilon=0.05, strategy="syndrome", length=32)
     shared = hd_shared(params, ROOT.derive("wlc"))
     msg = hd_encode_shared(shared, BitVector.random(32, ROOT.derive("wl")))
-    red = params.code.redundancy
-    assert msg.syndromes.shape == (params.repetitions, 1, red)
-    assert msg.fingerprints.shape == (params.repetitions, 1, params.fingerprint_rows)
-    assert msg.bit_length == params.repetitions * (red + params.fingerprint_rows)
+    red, f = params.code.redundancy, params.fingerprint_rows
+    # packed words: ceil(bits / 64) uint64 words per repetition and block
+    assert msg.syndromes.shape == (params.repetitions, 1, -(-red // 64))
+    assert msg.fingerprints.shape == (params.repetitions, 1, -(-f // 64))
+    assert msg.bit_length == params.repetitions * (red + f)
     assert msg.bit_length == params.payload_bits
     # rep-major concatenation: [syndrome | fingerprint] per repetition
     payload = msg.block_payload(0)
-    per = red + params.fingerprint_rows
-    assert (payload[:red] == msg.syndromes[0, 0]).all()
-    assert (payload[red:per] == msg.fingerprints[0, 0]).all()
-    assert (payload[per : per + red] == msg.syndromes[1, 0]).all()
+    per = red + f
+    assert (payload[:red] == unpack_words(msg.syndromes[0, 0], red)).all()
+    assert (payload[red:per] == unpack_words(msg.fingerprints[0, 0], f)).all()
+    assert (payload[per : per + red] == unpack_words(msg.syndromes[1, 0], red)).all()
 
 
 def test_syndrome_gt_rate_above_threshold():
@@ -264,3 +271,39 @@ def test_single_instance_is_one_block_stack():
                 shared, [msg.block_payload(0)], msg.raw_bounds
             )
             assert (back.block_payload(0) == msg.block_payload(0)).all()
+
+
+@pytest.mark.parametrize("zero_input", [False, True])
+def test_stack_words_match_dense_oracle(zero_input):
+    # k = 6 blocks over n = 12 with blocks 0 and 2 empty: every threshold's
+    # words equal H . parity and fmat . parity mod 2 of each block's bucket
+    # parities (fmat . x_block for d = 0); empty blocks and an all-zero
+    # input give zero words
+    n, k = 12, 6
+    coins = ROOT.derive("stack")
+    shared = pk_shared(PkInstance.build(k, family("eq", n)), n, "syndrome", coins)
+    block_of = shared.partition.block_of
+    assert (shared.partition.block_sizes()[[0, 2]] == 0).all()
+    x = BitVector(n, 0) if zero_input else BitVector.random(n, coins.derive("x"))
+    msgs = pk_party_messages(shared, x)
+    x_arr = x.to_array()
+    for stack, msg in zip(shared.stacks, msgs.per_threshold):
+        params = stack.params
+        f = params.fingerprint_rows
+        for i in range(k):
+            x_block = x_arr * (block_of == i)
+            if params.d == 0:
+                got = unpack_words(msg.fingerprints[i], f)
+                assert (got == gf2_mat_vec(stack.fmat, x_block)).all()
+                continue
+            h = code_parity_check(params.code)
+            for r in range(params.repetitions):
+                par = np.bincount(
+                    stack.buckets[r][x_block == 1], minlength=params.bucket_count
+                ) % 2
+                got_s = unpack_words(msg.syndromes[r, i], params.code.redundancy)
+                got_f = unpack_words(msg.fingerprints[r, i], f)
+                assert (got_s == gf2_mat_vec(h, par)).all()
+                assert (got_f == gf2_mat_vec(stack.fmat[r], par)).all()
+        if zero_input:
+            assert not any(w.any() for w in (msg.syndromes, msg.fingerprints) if w is not None)

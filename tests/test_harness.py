@@ -194,3 +194,32 @@ def test_dump_with_wrong_payload_length_is_rejected(tmp_path):
     lines[i] = lines[i].rsplit("\t", 1)[0] + "\t23"
     with pytest.raises(ValueError, match="'p/hd0' payload has 23 bits, expected 24"):
         replay_transcript_text("\n".join(lines) + "\n")
+
+
+def _syndrome_dump_lines(tmp_path):
+    cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
+                      seed=5, strategy="syndrome", dump_dir=tmp_path)
+    run_trials(cfg)
+    return next(tmp_path.glob("trial-*.txt")).read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a hex field cut short used to unpack zero-padded and replay consistently
+    (lambda f: [f[0], f[1], f[2][:4], f[3]], r"4 hex digits for \d+ bits, expected"),
+    (lambda f: f + ["extra"], "expected 4 tab-separated fields, got 5"),
+    (lambda f: f[:3] + [f[3] + "x"], "invalid literal for int"),
+], ids=["short-hex", "field-count", "non-integer-length"])
+def test_malformed_dump_line_is_rejected(tmp_path, edit, message):
+    lines = _syndrome_dump_lines(tmp_path)
+    i = next(i for i, ln in enumerate(lines)
+             if ln.startswith("Alice\tp/pk/main/block/0/hd/3\t"))
+    lines[i] = "\t".join(edit(lines[i].split("\t")))
+    with pytest.raises(ValueError, match=rf"^line {i + 1}\b.*{message}"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+def test_dump_header_missing_field_is_named(tmp_path):
+    lines = _syndrome_dump_lines(tmp_path)
+    lines[0] = "\t".join(t for t in lines[0].split("\t") if not t.startswith("cost_bits="))
+    with pytest.raises(ValueError, match="dump header has no 'cost_bits' field"):
+        replay_transcript_text("\n".join(lines) + "\n")

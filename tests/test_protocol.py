@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xorsmp import gf2
 from xorsmp.bits import BitVector, complement, sample_pair_with_distance
 from xorsmp.coins import CoinSource, c_of_k
 from xorsmp.predicate import (
@@ -329,3 +330,12 @@ def test_referee_rejects_same_party_bundles():
     ba = p_party_messages(sh, x, ALICE)
     with pytest.raises(ValueError):
         p_referee(sh, ba, p_party_messages(sh, y, ALICE))
+
+
+def test_cost_query_builds_no_code(monkeypatch):
+    # the cost model reads sizes only: no BCH code (tens of MB at r0 = 100)
+    monkeypatch.setattr(gf2, "_CODES", {})
+    prof = compute_profile(family("ham:99", 4096))
+    assert prof.r0 == 100
+    assert p_total_cost(prof, 4096, "syndrome") == 1_691_118
+    assert gf2._CODES == {}
