@@ -30,7 +30,6 @@ from .protocol import (
     pk_party_messages,
     pk_referee,
     pk_shared,
-    pk_special_case_k0,
     p_party_messages,
     p_referee,
     p_shared,
@@ -69,7 +68,6 @@ __all__ = [
     "pk_shared",
     "pk_party_messages",
     "pk_referee",
-    "pk_special_case_k0",
     "p_shared",
     "p_party_messages",
     "p_referee",

@@ -2,8 +2,9 @@
 
 Subcommands: run, sweep-r, lemma-partition, hd-error, replay.  Every
 invocation is a pure function of its flags and seed: repeating one
-produces byte-identical CSV and transcript dumps.  A flat ``key = value``
-config file can stand in for flags; explicit flags win.
+produces byte-identical CSV and transcript dumps.  Each subcommand takes
+only the flags it reads, so a stray flag is a usage error.  A flat
+``key = value`` config file can stand in for flags; explicit flags win.
 """
 
 from __future__ import annotations
@@ -50,67 +51,66 @@ def _float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+# flag -> add_argument keywords; ``type`` also casts the flag's config value
+_FLAGS = {
+    "config": dict(type=Path, help="key = value file; flags override"),
+    "n": dict(type=int),
+    "predicate": dict(help="eq | ham:d | parity | random:r | file:PATH"),
+    "weights": dict(help="comma list or 'auto'"),
+    "trials": dict(type=int),
+    "seed": dict(type=int),
+    "strategy": dict(choices=["raw", "bucket", "syndrome"]),
+    "out": dict(type=Path),
+    "dump-transcripts": dict(type=Path),
+    "r-values": dict(help="comma list of r (default 4,8,16,32,64)"),
+    "k": dict(help="comma list of block counts"),
+    "d": dict(help="comma list of thresholds"),
+    "epsilon": dict(help="comma list of budgets"),
+}
+
+# subcommand -> (help, the flags it reads besides --config)
+_COMMANDS = {
+    "run": (
+        "stratified success-rate trials",
+        ("n", "predicate", "weights", "trials", "seed", "strategy", "out", "dump-transcripts"),
+    ),
+    "sweep-r": (
+        "cost versus tail length r",
+        ("n", "trials", "seed", "strategy", "out", "r-values"),
+    ),
+    "lemma-partition": ("partition lemma check", ("trials", "seed", "out", "k")),
+    "hd-error": (
+        "sketch error rates vs the exact oracle",
+        ("trials", "seed", "strategy", "out", "d", "epsilon"),
+    ),
+    "replay": ("re-run referees from transcript dumps", ("out", "dump-transcripts")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xorsmp",
         description="SMP protocol simulator for symmetric XOR functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, help="key = value file; flags override")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--predicate", default=None,
-                       help="eq | ham:d | parity | random:r | file:PATH")
-        p.add_argument("--weights", default=None, help="comma list or 'auto'")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--strategy", default=None,
-                       choices=["raw", "bucket", "syndrome"])
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--dump-transcripts", type=Path, default=None,
-                       dest="dump_transcripts")
-
-    p_run = sub.add_parser("run", help="stratified success-rate trials")
-    common(p_run)
-
-    p_sweep = sub.add_parser("sweep-r", help="cost versus tail length r")
-    common(p_sweep)
-    p_sweep.add_argument("--r-values", default=None, dest="r_values",
-                         help="comma list of r (default 4,8,16,32,64)")
-
-    p_lemma = sub.add_parser("lemma-partition", help="partition lemma check")
-    common(p_lemma)
-    p_lemma.add_argument("--k", default=None, help="comma list of block counts")
-
-    p_hd = sub.add_parser("hd-error", help="sketch error rates vs the exact oracle")
-    common(p_hd)
-    p_hd.add_argument("--d", default=None, help="comma list of thresholds")
-    p_hd.add_argument("--epsilon", default=None, help="comma list of budgets")
-
-    p_replay = sub.add_parser("replay", help="re-run referees from transcript dumps")
-    common(p_replay)
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in ("config",) + flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])  # dest: dashes become underscores
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return args
-    file_vals = _parse_config(args.config)
-    alias = {
-        "dump-transcripts": "dump_transcripts",
-        "r-values": "r_values",
-    }
-    for key, val in file_vals.items():
-        attr = alias.get(key, key)
-        if not hasattr(args, attr):
+    flags = ("config",) + _COMMANDS[args.command][1]
+    for key, val in _parse_config(args.config).items():
+        flag = key.replace("_", "-")
+        if flag not in flags:
             raise SystemExit(f"config key {key!r} unknown for this command")
+        attr = flag.replace("-", "_")
         if getattr(args, attr) is None:
-            caster = {
-                "n": int, "trials": int, "seed": int,
-                "out": Path, "dump_transcripts": Path, "config": Path,
-            }.get(attr, str)
-            setattr(args, attr, caster(val))
+            setattr(args, attr, _FLAGS[flag].get("type", str)(val))
     return args
 
 

@@ -185,16 +185,6 @@ class BchCode:
         mask = self._elem_mask
         return [(packed >> s) & mask for s in range(0, self.redundancy, self.m)]
 
-    def syndrome_elements(self, syndrome_bits: np.ndarray) -> List[int]:
-        """Unpack d field elements S_1, S_3, ..., S_(2d-1) from the bit row."""
-        bits = np.asarray(syndrome_bits, dtype=np.uint8).ravel()
-        if bits.size != self.redundancy:
-            raise ValueError(
-                f"syndrome has {bits.size} bits, expected {self.redundancy}"
-            )
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        return self.elements_from_packed(int.from_bytes(packed, "little"))
-
     @cached_property
     def _col_ints(self) -> List[int]:
         """The rows of ``cols`` as Python integers, for verifying decodes."""
@@ -238,9 +228,6 @@ class BchCode:
         if self.d < 3:
             return None
         return self._decode_general(selems)
-
-    def decode(self, syndrome_bits: np.ndarray) -> Optional[Tuple[int, ...]]:
-        return self.decode_elements(self.syndrome_elements(syndrome_bits))
 
     def _decode_pair(self, selems: List[int]) -> Optional[Tuple[int, ...]]:
         # X1 + X2 = S1, X1.X2 = (S3 + S1^3)/S1; roots of z^2 + S1 z + P.

@@ -103,7 +103,12 @@ class HDParams:
     @cached_property
     def payload_bits(self) -> int:
         """Message length in bits; identical for both parties."""
-        return self.payload_bits_for(self.length)
+        return self.stack_bits(1)
+
+    def stack_bits(self, k: int) -> int:
+        """Bits of a k-block stack over the whole input: raw sends every
+        input bit once, the others one ``payload_bits_for`` message per block."""
+        return self.length if self.strategy == "raw" else k * self.payload_bits_for(0)
 
     def payload_bits_for(self, block_len: int) -> int:
         if self.strategy == "raw":
@@ -296,10 +301,7 @@ class BlockMessages:
 
     @property
     def bit_length(self) -> int:
-        params = self.shared.params
-        if params.strategy == "raw":
-            return int(self.raw_sorted.size)
-        return self.k * params.payload_bits_for(0)
+        return self.shared.params.stack_bits(self.k)
 
 
 def _xor_by_block(vals: np.ndarray, one_bounds: np.ndarray) -> np.ndarray:

@@ -306,16 +306,15 @@ def hd_error_experiment(
     strategy: str,
     samples: int,
     seed: int,
-    n: Optional[int] = None,
 ) -> List[HdErrorResult]:
-    """Verdict error rates at the hardest weights d and d + 1, scored
-    against the exact comparison the raw strategy would make."""
+    """Verdict error rates at the hardest weights d and d + 1, on inputs of
+    length max(32, 8 d), scored against the exact comparison the raw
+    strategy would make."""
     from .hamming import HDParams, hd_decide, hd_encode_shared, hd_shared
 
     if strategy not in ("bucket", "syndrome"):
         raise ValueError("measure bucket or syndrome against the raw oracle")
-    if n is None:
-        n = max(32, 8 * max(d, 1))
+    n = max(32, 8 * max(d, 1))
     root = CoinSource.from_seed(seed)
     params = HDParams(d=d, epsilon=epsilon, strategy=strategy, length=n)
     results = []

@@ -6,11 +6,11 @@ referee reads the two message bundles plus the same public coins and
 announces one bit.  The promise protocol partitions [n] into k blocks,
 runs a stack of distance-threshold instances per block, binary-searches
 each block's distance, and applies the predicate to the total.  The full
-protocol runs the promise protocol twice, once on (x, y) for the low tail
-and once on (complement(x), y) for the high tail (whose distance is n
-minus the original), guarded by one threshold check each, and otherwise
-answers from the two parity bits, which is exact on the 2-periodic middle
-range.
+protocol handles each tail in ``TAILS`` with one construction, a threshold
+check and then the promise protocol: on (x, y) for the low tail, and on
+(complement(x), y) for the high tail, whose distance is n minus the
+original, so it applies the reflected predicate.  Otherwise it answers
+from the two parity bits, which is exact on the 2-periodic middle range.
 
 Cost accounting is bit-exact: a transcript is the ordered list of payloads
 both parties sent, and its cost is their total bit length.  Coins are free
@@ -49,23 +49,37 @@ def pk_epsilon(k: int, c: int) -> float:
     return 1.0 / (10.0 * k * max(1.0, math.log2(c))) if k >= 1 else 0.0
 
 
+def guard_params(r: int, strategy: str, n: int) -> HDParams:
+    """The threshold check "distance at most r", with error budget 1/10,
+    that guards a tail of length r."""
+    return HDParams(d=r, epsilon=0.1, strategy=strategy, length=n)
+
+
+def threshold_params(k: int, strategy: str, n: int) -> Tuple[HDParams, ...]:
+    """The stacked thresholds j = 0..c of a k-block promise run, in order,
+    each with the run's per-instance budget."""
+    c = c_of_k(k)
+    epsilon = pk_epsilon(k, c)
+    return tuple(
+        HDParams(d=j, epsilon=epsilon, strategy=strategy, length=n) for j in range(c + 1)
+    )
+
+
 @dataclass(frozen=True)
 class PkInstance:
     """Parameters of one promise-protocol run: split into k blocks, cap c,
-    per-threshold error budget epsilon, and the predicate applied to the
-    recovered total distance."""
+    and the predicate applied to the recovered total distance.  The
+    thresholds' sizes and error budget are ``threshold_params(k, ...)``."""
 
     k: int
     c: int
-    epsilon: float
     apply: Predicate
 
     @classmethod
     def build(cls, k: int, apply: Predicate) -> "PkInstance":
         if k < 1:
-            raise ValueError("promise bound must be at least 1 here; use the k=0 case")
-        c = c_of_k(k)
-        return cls(k=k, c=c, epsilon=pk_epsilon(k, c), apply=apply)
+            raise ValueError("promise bound must be at least 1; a tail of length 0 has no run")
+        return cls(k=k, c=c_of_k(k), apply=apply)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +99,8 @@ def pk_shared(
 ) -> PkShared:
     part = sample_partition(n, inst.k, coins.derive(f"pk/{side}/partition"))
     stacks = tuple(
-        hd_shared(
-            HDParams(d=j, epsilon=inst.epsilon, strategy=strategy, length=n),
-            coins.derive(f"pk/{side}/hd/{j}"),
-        )
-        for j in range(inst.c + 1)
+        hd_shared(params, coins.derive(f"pk/{side}/hd/{j}"))
+        for j, params in enumerate(threshold_params(inst.k, strategy, n))
     )
     sort_order = np.argsort(part.block_of, kind="stable")
     bounds = np.zeros(inst.k + 1, dtype=np.int64)
@@ -158,104 +169,95 @@ def pk_referee(
     )
 
 
-def pk_special_case_k0(apply: Predicate) -> int:
-    """Promise bound 0 means the inputs are equal: no messages, output D(0)."""
-    return apply(0)
-
-
 # The full protocol.
+
+
+BRANCH_LOW = "low"
+BRANCH_HIGH = "high"
+BRANCH_PARITY = "parity"
+
+
+@dataclass(frozen=True)
+class Tail:
+    """One tail of the full protocol: the threshold check labelled ``guard``
+    and the promise run labelled ``side``; the referee answers ``branch``
+    when the check passes.  A reflected tail is the low-tail construction
+    on (complement(x), y) with the reflected predicate."""
+
+    guard: str
+    side: str
+    branch: str
+    reflected: bool
+
+    def r(self, profile: Profile) -> int:
+        return profile.r1 if self.reflected else profile.r0
+
+
+TAILS = (Tail("hd0", "main", BRANCH_LOW, False), Tail("hd1", "tilde", BRANCH_HIGH, True))
 
 
 @dataclass(frozen=True, eq=False)
 class PShared:
+    """Public-coin material of the full protocol; ``guards`` and ``runs``
+    are indexed like ``TAILS``."""
+
     predicate: Predicate
     profile: Profile
     n: int
     strategy: str
-    hd0: HDShared                     # threshold r0 on (x, y)
-    hd1: HDShared                     # threshold r1 on (complement(x), y)
-    pk_main: Optional[PkShared]       # promise r0 run on (x, y), applies D
-    pk_tilde: Optional[PkShared]      # promise r1 run on (complement(x), y), applies D-tilde
+    guards: Tuple[HDShared, ...]           # threshold r on the tail's pair
+    runs: Tuple[Optional[PkShared], ...]   # promise r run on it; None when r = 0
 
 
 def p_shared(
     d: Predicate, profile: Profile, strategy: str, coins: CoinSource
 ) -> PShared:
     n = d.n
-    hd0 = hd_shared(
-        HDParams(d=profile.r0, epsilon=0.1, strategy=strategy, length=n),
-        coins.derive("p/hd0"),
-    )
-    hd1 = hd_shared(
-        HDParams(d=profile.r1, epsilon=0.1, strategy=strategy, length=n),
-        coins.derive("p/hd1"),
-    )
-    pk_main = None
-    if profile.r0 >= 1:
-        pk_main = pk_shared(
-            PkInstance.build(profile.r0, d), n, strategy, coins.derive("p"), side="main"
-        )
-    pk_tilde = None
-    if profile.r1 >= 1:
-        pk_tilde = pk_shared(
-            PkInstance.build(profile.r1, tilde(d)),
-            n,
-            strategy,
-            coins.derive("p"),
-            side="tilde",
-        )
-    return PShared(d, profile, n, strategy, hd0, hd1, pk_main, pk_tilde)
+    guards, runs = [], []
+    for tail in TAILS:
+        r = tail.r(profile)
+        guards.append(hd_shared(guard_params(r, strategy, n), coins.derive(f"p/{tail.guard}")))
+        if r == 0:
+            runs.append(None)
+            continue
+        inst = PkInstance.build(r, tilde(d) if tail.reflected else d)
+        runs.append(pk_shared(inst, n, strategy, coins.derive("p"), side=tail.side))
+    return PShared(d, profile, n, strategy, tuple(guards), tuple(runs))
 
 
 @dataclass(frozen=True, eq=False)
 class PBundle:
-    """Everything one party sends in the full protocol."""
+    """Everything one party sends in the full protocol; ``guards`` and
+    ``runs`` are indexed like ``TAILS``."""
 
     party: str
-    hd0_msg: BlockMessages            # 1-block stacks
-    hd1_msg: BlockMessages
-    pk_main_msgs: Optional[PkPartyMessages]
-    pk_tilde_msgs: Optional[PkPartyMessages]
+    guards: Tuple[BlockMessages, ...]            # 1-block stacks
+    runs: Tuple[Optional[PkPartyMessages], ...]
     parity_bit: int
 
     @property
     def cost_bits(self) -> int:
-        total = self.hd0_msg.bit_length + self.hd1_msg.bit_length + 1
-        if self.pk_main_msgs is not None:
-            total += self.pk_main_msgs.cost_bits
-        if self.pk_tilde_msgs is not None:
-            total += self.pk_tilde_msgs.cost_bits
-        return total
+        runs = sum(m.cost_bits for m in self.runs if m is not None)
+        return sum(m.bit_length for m in self.guards) + runs + 1
 
 
 def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBundle:
-    """Build one party's bundle.  The high-tail components always see the
-    complemented input on Alice's side and the plain input on Bob's, so the
-    referee effectively works on the pair (complement(x), y) there."""
+    """Build one party's bundle.  A reflected tail sees the complemented
+    input on Alice's side and the plain input on Bob's, so the referee
+    effectively works on the pair (complement(x), y) there."""
     if party not in (ALICE, BOB):
         raise ValueError(f"party must be {ALICE!r} or {BOB!r}")
     flipped = complement(own_input) if party == ALICE else own_input
+    inputs = [flipped if tail.reflected else own_input for tail in TAILS]
     return PBundle(
         party=party,
-        hd0_msg=hd_encode_shared(shared.hd0, own_input),
-        hd1_msg=hd_encode_shared(shared.hd1, flipped),
-        pk_main_msgs=(
-            pk_party_messages(shared.pk_main, own_input)
-            if shared.pk_main is not None
-            else None
-        ),
-        pk_tilde_msgs=(
-            pk_party_messages(shared.pk_tilde, flipped)
-            if shared.pk_tilde is not None
-            else None
+        guards=tuple(hd_encode_shared(g, v) for g, v in zip(shared.guards, inputs)),
+        runs=tuple(
+            None if run is None else pk_party_messages(run, v)
+            for run, v in zip(shared.runs, inputs)
         ),
         parity_bit=parity(own_input),
     )
-
-
-BRANCH_LOW = "low"
-BRANCH_HIGH = "high"
-BRANCH_PARITY = "parity"
 
 
 @dataclass(frozen=True)
@@ -269,34 +271,29 @@ def p_referee(shared: PShared, bundle_a: PBundle, bundle_b: PBundle) -> PResult:
     """Three-branch decision: low tail, high tail, then the parity answer."""
     if bundle_a.party == bundle_b.party:
         raise ValueError("need one bundle per party")
-    profile = shared.profile
-    v0 = hd_decide(shared.hd0.params, bundle_a.hd0_msg, bundle_b.hd0_msg)
-    if v0.le:
-        if shared.pk_main is None:
-            return PResult(pk_special_case_k0(shared.predicate), BRANCH_LOW, 0)
-        res = pk_referee(shared.pk_main, bundle_a.pk_main_msgs, bundle_b.pk_main_msgs)
-        return PResult(res.output, BRANCH_LOW, res.sum_h)
-    v1 = hd_decide(shared.hd1.params, bundle_a.hd1_msg, bundle_b.hd1_msg)
-    if v1.le:
-        if shared.pk_tilde is None:
-            return PResult(pk_special_case_k0(tilde(shared.predicate)), BRANCH_HIGH, 0)
-        res = pk_referee(shared.pk_tilde, bundle_a.pk_tilde_msgs, bundle_b.pk_tilde_msgs)
-        return PResult(res.output, BRANCH_HIGH, res.sum_h)
-    t = profile.t_of(bundle_a.parity_bit ^ bundle_b.parity_bit)
-    return PResult(t if t is not None else 0, BRANCH_PARITY)
+    for t, tail in enumerate(TAILS):
+        if not hd_decide(shared.guards[t].params, bundle_a.guards[t], bundle_b.guards[t]).le:
+            continue
+        run = shared.runs[t]
+        if run is None:
+            # promise bound 0: the tail's pair is equal, which for the
+            # reflected tail is distance n on (x, y)
+            return PResult(shared.predicate(shared.n if tail.reflected else 0), tail.branch, 0)
+        res = pk_referee(run, bundle_a.runs[t], bundle_b.runs[t])
+        return PResult(res.output, tail.branch, res.sum_h)
+    answer = shared.profile.t_of(bundle_a.parity_bit ^ bundle_b.parity_bit)
+    return PResult(answer if answer is not None else 0, BRANCH_PARITY)
 
 
 def p_total_cost(profile: Profile, n: int, strategy: str) -> int:
-    """Deterministic total transcript cost of the full protocol, in bits."""
+    """Deterministic total transcript cost of the full protocol, in bits,
+    from the parameters ``p_shared`` builds its instances with."""
     party = 1  # parity bit
-    for r in (profile.r0, profile.r1):
-        party += HDParams(d=r, epsilon=0.1, strategy=strategy, length=n).payload_bits
+    for tail in TAILS:
+        r = tail.r(profile)
+        party += guard_params(r, strategy, n).stack_bits(1)
         if r >= 1:
-            c = c_of_k(r)
-            eps = pk_epsilon(r, c)
-            for j in range(c + 1):
-                params = HDParams(d=j, epsilon=eps, strategy=strategy, length=n)
-                party += n if strategy == "raw" else r * params.payload_bits_for(0)
+            party += sum(params.stack_bits(r) for params in threshold_params(r, strategy, n))
     return 2 * party
 
 
@@ -346,16 +343,11 @@ def p_transcript_entries(
     entries: List[TranscriptEntry] = []
     for bundle in (bundle_a, bundle_b):
         who = bundle.party
-        entries.append(TranscriptEntry(who, "p/hd0", bundle.hd0_msg.block_payload(0)))
-        entries.append(TranscriptEntry(who, "p/hd1", bundle.hd1_msg.block_payload(0)))
-        if shared.pk_main is not None:
-            entries.extend(
-                _pk_entries(who, "p/pk/main", shared.pk_main, bundle.pk_main_msgs)
-            )
-        if shared.pk_tilde is not None:
-            entries.extend(
-                _pk_entries(who, "p/pk/tilde", shared.pk_tilde, bundle.pk_tilde_msgs)
-            )
+        for tail, msgs in zip(TAILS, bundle.guards):
+            entries.append(TranscriptEntry(who, f"p/{tail.guard}", msgs.block_payload(0)))
+        for tail, run, msgs in zip(TAILS, shared.runs, bundle.runs):
+            if run is not None:
+                entries.extend(_pk_entries(who, f"p/pk/{tail.side}", run, msgs))
         entries.append(
             TranscriptEntry(
                 who, "p/parity", np.array([bundle.parity_bit], dtype=np.uint8)
@@ -458,10 +450,8 @@ def _stack_from_payloads(
 
 
 def _pk_from_payloads(
-    shared: Optional[PkShared], by_label: Dict[str, np.ndarray], prefix: str
-) -> Optional[PkPartyMessages]:
-    if shared is None:
-        return None
+    shared: PkShared, by_label: Dict[str, np.ndarray], prefix: str
+) -> PkPartyMessages:
     return PkPartyMessages(
         per_threshold=tuple(
             _stack_from_payloads(
@@ -487,10 +477,14 @@ def bundles_from_transcript(
         by_label = {e.label: e.payload for e in t.entries if e.party == who}
         bundles[who] = PBundle(
             party=who,
-            hd0_msg=_stack_from_payloads(shared.hd0, whole, by_label, ["p/hd0"]),
-            hd1_msg=_stack_from_payloads(shared.hd1, whole, by_label, ["p/hd1"]),
-            pk_main_msgs=_pk_from_payloads(shared.pk_main, by_label, "p/pk/main"),
-            pk_tilde_msgs=_pk_from_payloads(shared.pk_tilde, by_label, "p/pk/tilde"),
+            guards=tuple(
+                _stack_from_payloads(guard, whole, by_label, [f"p/{tail.guard}"])
+                for tail, guard in zip(TAILS, shared.guards)
+            ),
+            runs=tuple(
+                None if run is None else _pk_from_payloads(run, by_label, f"p/pk/{tail.side}")
+                for tail, run in zip(TAILS, shared.runs)
+            ),
             parity_bit=int(_payload(by_label, "p/parity")[0]),
         )
     return bundles[ALICE], bundles[BOB]
@@ -535,6 +529,10 @@ __all__ = [
     "BRANCH_LOW",
     "BRANCH_HIGH",
     "BRANCH_PARITY",
+    "Tail",
+    "TAILS",
+    "guard_params",
+    "threshold_params",
     "PkInstance",
     "PkShared",
     "PkPartyMessages",
@@ -543,7 +541,6 @@ __all__ = [
     "pk_shared",
     "pk_party_messages",
     "pk_referee",
-    "pk_special_case_k0",
     "PShared",
     "PBundle",
     "PResult",

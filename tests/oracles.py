@@ -92,3 +92,11 @@ def code_parity_check(code) -> np.ndarray:
 def gf2_mat_vec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """mat @ vec over GF(2), by integer sums of the selected columns."""
     return (mat[:, np.asarray(vec, dtype=bool)].sum(axis=1) % 2).astype(np.uint8)
+
+
+def decode_bits(code, bits: np.ndarray) -> Optional[Tuple[int, ...]]:
+    """The library's decode of a syndrome given as its d m wire bits."""
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    assert bits.size == code.redundancy, f"{bits.size} syndrome bits for {code.redundancy}"
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return code.decode_elements(code.elements_from_packed(int.from_bytes(packed, "little")))

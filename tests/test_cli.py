@@ -162,6 +162,20 @@ def test_replay_requires_dir():
 
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    with pytest.raises(SystemExit):
-        run_cli("run", "--config", cfg, "--n", 8, "--predicate", "eq")
+    for line in ("bogus = 1", "command = replay", "k = 16"):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit):
+            run_cli("run", "--config", cfg, "--n", 8, "--predicate", "eq")
+
+
+def test_stray_flag_is_usage_error(capsys):
+    # each subcommand declares only the flags it reads
+    for argv in (
+        ("replay", "--dump-transcripts", "dumps", "--n", 5),
+        ("lemma-partition", "--strategy", "raw", "--predicate", "eq", "--n", 5),
+        ("hd-error", "--n", 4096),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -35,8 +35,8 @@ from xorsmp.protocol import (
     pk_party_messages,
     pk_referee,
     pk_shared,
-    pk_special_case_k0,
     run_protocol,
+    threshold_params,
     transcript_cost,
 )
 
@@ -54,7 +54,11 @@ def test_pk_epsilon_budget_identity():
     for k in (1, 2, 4, 7, 8, 16, 32, 64):
         inst = PkInstance.build(k, parity_predicate(64))
         assert inst.c == c_of_k(k)
-        total = k * max(1.0, math.log2(inst.c)) * inst.epsilon
+        params = threshold_params(k, "syndrome", 64)
+        assert [p.d for p in params] == list(range(inst.c + 1))
+        epsilon = params[0].epsilon
+        assert all(p.epsilon == epsilon for p in params)
+        total = k * max(1.0, math.log2(inst.c)) * epsilon
         assert abs(total - 0.1) < 1e-12
 
 
@@ -120,9 +124,19 @@ def test_pk_referee_is_lazy():
 
 
 def test_pk_special_case_k0():
-    assert pk_special_case_k0(eq_predicate(8)) == 1
-    assert pk_special_case_k0(ham_predicate(8, 2)) == 1
-    assert pk_special_case_k0(Predicate([1 if k == 8 else 0 for k in range(9)])) == 0
+    # a tail of length 0 has no promise run: the referee answers D(0) on the
+    # low tail and D(n) on the high one, which parity at odd n tells apart
+    n = 9
+    pred = parity_predicate(n)
+    prof = compute_profile(pred)
+    assert (prof.r0, prof.r1) == (0, 0) and pred(0) != pred(n)
+    x = BitVector.random(n, ROOT.derive("k0/x"))
+    for strategy in ("raw", "syndrome"):
+        sh = p_shared(pred, prof, strategy, ROOT.derive(f"k0/{strategy}"))
+        assert sh.runs == (None, None)
+        for y, w, branch in ((x, 0, BRANCH_LOW), (complement(x), n, BRANCH_HIGH)):
+            res = p_referee(sh, p_party_messages(sh, x, ALICE), p_party_messages(sh, y, BOB))
+            assert (res.branch, res.output, res.sum_h) == (branch, pred(w), 0)
 
 
 def test_parity_predicate_degenerate_bundle():
@@ -131,12 +145,12 @@ def test_parity_predicate_degenerate_bundle():
     pred = parity_predicate(n)
     prof = compute_profile(pred)
     sh = p_shared(pred, prof, "syndrome", ROOT.derive("deg"))
-    assert sh.pk_main is None and sh.pk_tilde is None
+    assert sh.runs == (None, None)
     x, _ = sample_pair_with_distance(n, 7, ROOT.derive("degin"))
     bundle = p_party_messages(sh, x, ALICE)
     f = math.ceil(math.log2(10)) + 4
-    assert bundle.hd0_msg.bit_length == f
-    assert bundle.hd1_msg.bit_length == f
+    assert bundle.guards[0].bit_length == f
+    assert bundle.guards[1].bit_length == f
     assert bundle.cost_bits == 2 * f + 1
     assert p_total_cost(prof, n, "syndrome") == 2 * (2 * f + 1)
 
@@ -165,20 +179,38 @@ def test_cost_decomposition():
     # total = 2 * (promise runs + threshold checks + parity bit), and the
     # arithmetic model matches the bits actually laid out
     n = 128
-    for spec, strategy in (("ham:5", "syndrome"), ("eq", "bucket"), ("random:10", "raw")):
-        pred = family(spec, n, ROOT.derive("fam/" + spec))
+    cases = [
+        (f"cost/{spec}/{strategy}", family(spec, n, ROOT.derive("fam/" + spec)), strategy, 9)
+        for spec, strategy in (("ham:5", "syndrome"), ("eq", "bucket"), ("random:10", "raw"))
+    ]
+    # both tails run: profile (3, 4), at a low, a parity and a high weight
+    two_tails = Predicate([1 if k <= 3 or k >= n - 2 else k % 2 for k in range(n + 1)])
+    pinned = {"raw": 2_818, "bucket": 27_686, "syndrome": 11_322}
+    cases += [
+        (f"cost/two-tails/{strategy}/{w}", two_tails, strategy, w)
+        for strategy in pinned
+        for w in (2, 64, n - 1)
+    ]
+    for label, pred, strategy, w in cases:
         prof = compute_profile(pred)
-        coins = ROOT.derive(f"cost/{spec}/{strategy}")
-        x, y = sample_pair_with_distance(n, 9, coins.derive("in"))
+        coins = ROOT.derive(label)
+        x, y = sample_pair_with_distance(n, w, coins.derive("in"))
         out = run_protocol(pred, prof, x, y, strategy, coins)
         assert out.cost_bits == p_total_cost(prof, n, strategy)
         entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
         t = Transcript(header={}, entries=entries)
         assert transcript_cost(t) == out.cost_bits
-        if prof.r0 >= 1:
-            sub = out.bundle_a.pk_main_msgs.cost_bits
-            assert sub == out.bundle_b.pk_main_msgs.cost_bits
-            assert out.cost_bits >= 2 * sub  # superset of the promise run
+        for r, run_a, run_b in zip((prof.r0, prof.r1), out.bundle_a.runs, out.bundle_b.runs):
+            assert (run_a is None) == (r == 0)
+            if r >= 1:
+                sub = run_a.cost_bits
+                assert sub == run_b.cost_bits
+                assert out.cost_bits >= 2 * sub  # superset of the promise run
+        if pred is two_tails:
+            assert (prof.r0, prof.r1) == (3, 4)
+            assert out.cost_bits == pinned[strategy]
+            if strategy == "raw":  # exact verdicts pick the branch of w
+                assert out.branch == {2: BRANCH_LOW, 64: BRANCH_PARITY}.get(w, BRANCH_HIGH)
 
 
 def test_transcript_cost_basics():
