@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .harness import (
     RUN_CSV_HEADER,
@@ -30,8 +30,9 @@ HD_CSV_HEADER = "d,epsilon,strategy,weight,samples,errors,rate,stderr"
 REPLAY_CSV_HEADER = "trial,output,recorded_output,truth,correct,cost_bits,consistent"
 
 
-def _parse_config(path: Path) -> Dict[str, str]:
-    values: Dict[str, str] = {}
+def _parse_config(path: Path) -> Dict[str, Tuple[int, str]]:
+    """key -> (line number, value); a later line overrides an earlier one."""
+    values: Dict[str, Tuple[int, str]] = {}
     for ln_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -39,7 +40,7 @@ def _parse_config(path: Path) -> Dict[str, str]:
         if "=" not in line:
             raise SystemExit(f"{path}:{ln_no}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        values[key.strip()] = (ln_no, val.strip())
     return values
 
 
@@ -104,13 +105,23 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.config is None:
         return args
     flags = ("config",) + _COMMANDS[args.command][1]
-    for key, val in _parse_config(args.config).items():
+    for key, (ln_no, val) in _parse_config(args.config).items():
         flag = key.replace("_", "-")
         if flag not in flags:
-            raise SystemExit(f"config key {key!r} unknown for this command")
+            raise SystemExit(f"{args.config}:{ln_no}: config key {key!r} unknown for this command")
         attr = flag.replace("-", "_")
-        if getattr(args, attr) is None:
-            setattr(args, attr, _FLAGS[flag].get("type", str)(val))
+        if getattr(args, attr) is not None:
+            continue
+        spec = _FLAGS[flag]
+        try:
+            value = spec.get("type", str)(val)
+        except ValueError as exc:
+            raise SystemExit(f"{args.config}:{ln_no}: {key}: {exc}") from None
+        if value not in spec.get("choices", (value,)):
+            raise SystemExit(
+                f"{args.config}:{ln_no}: {key}: {val!r} is not one of {', '.join(spec['choices'])}"
+            )
+        setattr(args, attr, value)
     return args
 
 
@@ -208,6 +219,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand.  Bad input (a malformed predicate file, a
+    setting outside the supported envelope) surfaces from the library as a
+    ``ValueError`` and ends in a nonzero exit with its message."""
     args = _merge_config(_build_parser().parse_args(argv))
     handler = {
         "run": cmd_run,
@@ -216,7 +230,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "hd-error": cmd_hd_error,
         "replay": cmd_replay,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:
+        raise SystemExit(f"xorsmp {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -46,6 +46,7 @@ _PRIMITIVE_POLY = {
     15: 0b1000000000000011,
     16: 0b10001000000001011,
 }
+MAX_FIELD_DEGREE = max(_PRIMITIVE_POLY)
 
 
 class Field:
@@ -327,6 +328,7 @@ def bch_code(n_buckets: int, d: int) -> BchCode:
 
 
 __all__ = [
+    "MAX_FIELD_DEGREE",
     "Field",
     "field",
     "field_degree",

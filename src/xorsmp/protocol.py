@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from .bits import BitVector, complement, parity
 from .coins import CoinSource, Partition, c_of_k, sample_partition
+from .gf2 import MAX_FIELD_DEGREE
 from .hamming import (
     BlockMessages,
     HDParams,
@@ -42,6 +43,55 @@ from .predicate import Predicate, Profile, tilde
 
 ALICE = "Alice"
 BOB = "Bob"
+
+
+T = TypeVar("T")
+
+
+class Lazy(Generic[T]):
+    """A fixed-length sequence whose item j is ``make(j)``, computed on
+    first read and kept.  A promise run's threshold stacks are held this
+    way: in SMP each one is a pure function of (own input, coins), so a
+    stack the referee never reads is only counted, never computed."""
+
+    __slots__ = ("_make", "_items")
+
+    def __init__(self, length: int, make: Callable[[int], T]):
+        self._make = make
+        self._items: List[Optional[T]] = [None] * length
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, j: int) -> T:
+        j = range(len(self._items))[j]  # bounds check; a negative j counts from the end
+        item = self._items[j]
+        if item is None:
+            item = self._items[j] = self._make(j)
+        return item
+
+    def __iter__(self) -> Iterator[T]:
+        return (self[j] for j in range(len(self._items)))
+
+
+# The largest syndrome guard whose B = 4 r^2 buckets fit the largest
+# configured field, GF(2^MAX_FIELD_DEGREE) with 2^m - 1 code positions.
+SYNDROME_R_MAX = math.isqrt(((1 << MAX_FIELD_DEGREE) - 1) // 4)
+
+
+def check_envelope(n: int, r: int, strategy: str) -> None:
+    """The supported (n, r, strategy) of the full protocol, checked before
+    anything is drawn: a tail length 0 <= r <= n and, for ``syndrome``,
+    r <= ``SYNDROME_R_MAX`` (127), since the distance-r guard hashes into
+    4 r^2 buckets, which must fit the largest configured field.  Raises
+    ``ValueError`` naming the limit; ``HDParams`` rejects unknown strategies."""
+    if not 0 <= r <= n:
+        raise ValueError(f"tail length r = {r} outside [0, n = {n}]")
+    if strategy == "syndrome" and r > SYNDROME_R_MAX:
+        raise ValueError(
+            f"syndrome supports tails up to r = {SYNDROME_R_MAX}: the guard's 4r^2 "
+            f"buckets must fit GF(2^{MAX_FIELD_DEGREE}); got r = {r}"
+        )
 
 
 def pk_epsilon(k: int, c: int) -> float:
@@ -84,12 +134,15 @@ class PkInstance:
 
 @dataclass(frozen=True, eq=False)
 class PkShared:
-    """Public-coin material for one promise-protocol run."""
+    """Public-coin material for one promise-protocol run.  The partition
+    is drawn at once; threshold j's coins are drawn from its own
+    ``pk/<side>/hd/<j>`` child when its stack is first read."""
 
     inst: PkInstance
     n: int
     partition: Partition
-    stacks: Tuple[HDShared, ...]      # thresholds j = 0..c
+    params: Tuple[HDParams, ...]      # threshold_params(k, ...), thresholds j = 0..c
+    stacks: Lazy[HDShared]            # thresholds j = 0..c
     sort_order: np.ndarray            # positions grouped by block, for raw payloads
     bounds: np.ndarray                # block i occupies sort_order[bounds[i]:bounds[i+1]]
 
@@ -98,26 +151,28 @@ def pk_shared(
     inst: PkInstance, n: int, strategy: str, coins: CoinSource, side: str = "main"
 ) -> PkShared:
     part = sample_partition(n, inst.k, coins.derive(f"pk/{side}/partition"))
-    stacks = tuple(
-        hd_shared(params, coins.derive(f"pk/{side}/hd/{j}"))
-        for j, params in enumerate(threshold_params(inst.k, strategy, n))
+    params = threshold_params(inst.k, strategy, n)
+    stacks = Lazy(
+        len(params), lambda j: hd_shared(params[j], coins.derive(f"pk/{side}/hd/{j}"))
     )
     sort_order = np.argsort(part.block_of, kind="stable")
     bounds = np.zeros(inst.k + 1, dtype=np.int64)
     np.cumsum(part.block_sizes(), out=bounds[1:])
-    return PkShared(inst, n, part, stacks, sort_order, bounds)
+    return PkShared(inst, n, part, params, stacks, sort_order, bounds)
 
 
 @dataclass(frozen=True, eq=False)
 class PkPartyMessages:
     """One party's messages for a promise-protocol run: (c + 1) stacked
-    threshold instances, each covering all k blocks."""
+    threshold instances, each covering all k blocks, each computed on first
+    read.  The cost counts every stack from the parameter plan alone."""
 
-    per_threshold: Tuple[BlockMessages, ...]
+    shared: PkShared
+    per_threshold: Lazy[BlockMessages]
 
     @property
     def cost_bits(self) -> int:
-        return sum(m.bit_length for m in self.per_threshold)
+        return sum(params.stack_bits(self.shared.inst.k) for params in self.shared.params)
 
 
 def pk_party_messages(shared: PkShared, x: BitVector) -> PkPartyMessages:
@@ -128,11 +183,13 @@ def pk_party_messages(shared: PkShared, x: BitVector) -> PkPartyMessages:
     hits = np.flatnonzero(x_sorted)
     ones = shared.sort_order[hits]
     one_bounds = np.searchsorted(hits, shared.bounds)
-    msgs = tuple(
-        encode_blocks(stack, x_sorted, ones, one_bounds, shared.inst.k, shared.bounds)
-        for stack in shared.stacks
+    msgs = Lazy(
+        len(shared.params),
+        lambda j: encode_blocks(
+            shared.stacks[j], x_sorted, ones, one_bounds, shared.inst.k, shared.bounds
+        ),
     )
-    return PkPartyMessages(per_threshold=msgs)
+    return PkPartyMessages(shared, msgs)
 
 
 @dataclass(frozen=True)
@@ -213,6 +270,7 @@ def p_shared(
     d: Predicate, profile: Profile, strategy: str, coins: CoinSource
 ) -> PShared:
     n = d.n
+    check_envelope(n, profile.r, strategy)
     guards, runs = [], []
     for tail in TAILS:
         r = tail.r(profile)
@@ -288,6 +346,7 @@ def p_referee(shared: PShared, bundle_a: PBundle, bundle_b: PBundle) -> PResult:
 def p_total_cost(profile: Profile, n: int, strategy: str) -> int:
     """Deterministic total transcript cost of the full protocol, in bits,
     from the parameters ``p_shared`` builds its instances with."""
+    check_envelope(n, profile.r, strategy)
     party = 1  # parity bit
     for tail in TAILS:
         r = tail.r(profile)
@@ -364,7 +423,9 @@ def _bits_to_hex(bits: np.ndarray) -> str:
 
 def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
     """Inverse of ``_bits_to_hex``, up to unpacking; a field of the wrong
-    length raises ``ValueError``, so a cut payload cannot pass as zero bits."""
+    length raises ``ValueError``, so a cut payload cannot pass as zero bits,
+    and so does a set bit in the last byte's padding, so that every payload
+    has one spelling."""
     if bitlen < 0:
         raise ValueError(f"negative bit length {bitlen}")
     if bitlen == 0:
@@ -374,7 +435,10 @@ def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
     want = 2 * ((bitlen + 7) // 8)
     if len(hexstr) != want:
         raise ValueError(f"{len(hexstr)} hex digits for {bitlen} bits, expected {want}")
-    return bytes.fromhex(hexstr)
+    data = bytes.fromhex(hexstr)
+    if data[-1] >> (bitlen % 8 or 8):
+        raise ValueError(f"nonzero padding bits past bit {bitlen}")
+    return data
 
 
 def format_transcript(t: Transcript) -> str:
@@ -387,8 +451,8 @@ def format_transcript(t: Transcript) -> str:
 
 def parse_transcript(text: str) -> Transcript:
     """Inverse of ``format_transcript``.  A malformed entry line (wrong
-    field count, non-integer length, hex not of its length) raises
-    ``ValueError`` naming the line."""
+    field count, non-integer length, hex not of its length, set padding
+    bits) raises ``ValueError`` naming the line."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("# xorsmp-transcript"):
         raise ValueError("not a transcript dump: missing header line")
@@ -427,15 +491,14 @@ def _payload(by_label: Dict[str, np.ndarray], label: str) -> np.ndarray:
     return by_label[label]
 
 
-def _stack_from_payloads(
-    stack: HDShared,
+def _checked_payloads(
+    params: HDParams,
     bounds: np.ndarray,
     by_label: Dict[str, np.ndarray],
     labels: List[str],
-) -> BlockMessages:
-    """One party's stacked messages rebuilt from the payloads of blocks
-    0..k-1, whose labels are given in block order."""
-    params = stack.params
+) -> List[np.ndarray]:
+    """The payloads of blocks 0..k-1 of one party's stack, whose labels are
+    given in block order, each checked to have the size ``params`` gives."""
     if params.strategy == "raw":
         sizes = np.diff(bounds)
     else:
@@ -446,22 +509,31 @@ def _stack_from_payloads(
         if payload.size != want:
             raise ValueError(f"{label!r} payload has {payload.size} bits, expected {want}")
         payloads.append(payload)
-    return BlockMessages.from_block_payloads(stack, payloads, bounds)
+    return payloads
 
 
 def _pk_from_payloads(
     shared: PkShared, by_label: Dict[str, np.ndarray], prefix: str
 ) -> PkPartyMessages:
-    return PkPartyMessages(
-        per_threshold=tuple(
-            _stack_from_payloads(
-                stack,
-                shared.bounds,
-                by_label,
-                [f"{prefix}/block/{i}/hd/{j}" for i in range(shared.inst.k)],
-            )
-            for j, stack in enumerate(shared.stacks)
+    """Every payload is checked now; a stack's coins are drawn and its
+    payloads packed when the referee first reads it."""
+    payloads = [
+        _checked_payloads(
+            params,
+            shared.bounds,
+            by_label,
+            [f"{prefix}/block/{i}/hd/{j}" for i in range(shared.inst.k)],
         )
+        for j, params in enumerate(shared.params)
+    ]
+    return PkPartyMessages(
+        shared,
+        Lazy(
+            len(payloads),
+            lambda j: BlockMessages.from_block_payloads(
+                shared.stacks[j], payloads[j], shared.bounds
+            ),
+        ),
     )
 
 
@@ -470,7 +542,8 @@ def bundles_from_transcript(
 ) -> Tuple[PBundle, PBundle]:
     """Rebuild both parties' bundles from a dumped transcript; together with
     the rederived coins this replays the referee exactly.  A missing or
-    mis-sized payload raises ``ValueError`` naming its label."""
+    mis-sized payload raises ``ValueError`` naming its label, whether or not
+    the referee reads it."""
     whole = np.array([0, shared.n])
     bundles = {}
     for who in (ALICE, BOB):
@@ -478,7 +551,11 @@ def bundles_from_transcript(
         bundles[who] = PBundle(
             party=who,
             guards=tuple(
-                _stack_from_payloads(guard, whole, by_label, [f"p/{tail.guard}"])
+                BlockMessages.from_block_payloads(
+                    guard,
+                    _checked_payloads(guard.params, whole, by_label, [f"p/{tail.guard}"]),
+                    whole,
+                )
                 for tail, guard in zip(TAILS, shared.guards)
             ),
             runs=tuple(
@@ -531,6 +608,9 @@ __all__ = [
     "BRANCH_PARITY",
     "Tail",
     "TAILS",
+    "Lazy",
+    "SYNDROME_R_MAX",
+    "check_envelope",
     "guard_params",
     "threshold_params",
     "PkInstance",

@@ -123,14 +123,24 @@ def test_replay_cli(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def _replay_subprocess(dump):
+def _cli_subprocess(*argv):
     env = dict(os.environ)
     src = str(Path(xorsmp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "xorsmp", "replay", "--dump-transcripts", str(dump)],
+        [sys.executable, "-m", "xorsmp", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _replay_subprocess(dump):
+    return _cli_subprocess("replay", "--dump-transcripts", dump)
+
+
+def _assert_clean_exit(proc, message):
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr, proc.stderr
 
 
 def test_replay_truncated_dump_exits_with_message(tmp_path):
@@ -179,3 +189,39 @@ def test_stray_flag_is_usage_error(capsys):
             run_cli(*argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bad_config_value_names_file_line_and_key(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("predicate = eq\nn = abc\n")
+    _assert_clean_exit(
+        _cli_subprocess("run", "--config", cfg),
+        f"{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
+    )
+    cfg.write_text("n = 8\npredicate = eq\n\nstrategy = fast\n")
+    _assert_clean_exit(
+        _cli_subprocess("run", "--config", cfg),
+        f"{cfg}:4: strategy: 'fast' is not one of raw, bucket, syndrome",
+    )
+
+
+def test_bad_predicate_file_exits_with_message(tmp_path):
+    pred = tmp_path / "bad.txt"
+    pred.write_text("4\n10x01\n")
+    _assert_clean_exit(
+        _cli_subprocess("run", "--n", 4, "--predicate", f"file:{pred}", "--trials", 1),
+        f"{pred}: line 2: expected exactly 5 characters from {{0,1}}, got '10x01'",
+    )
+
+
+def test_unsupported_envelope_exits_with_message():
+    limit = "syndrome supports tails up to r = 127"
+    _assert_clean_exit(
+        _cli_subprocess("sweep-r", "--n", 4096, "--r-values", 128, "--strategy", "syndrome",
+                        "--trials", 1),
+        f"{limit}: the guard's 4r^2 buckets must fit GF(2^16); got r = 128",
+    )
+    _assert_clean_exit(
+        _cli_subprocess("run", "--n", 1024, "--predicate", "ham:130", "--trials", 1),
+        f"{limit}: the guard's 4r^2 buckets must fit GF(2^16); got r = 131",
+    )

@@ -185,13 +185,32 @@ def test_truncated_dump_names_missing_label(tmp_path, cut_before, missing):
         replay_transcript_text("\n".join(lines[:cut]) + "\n")
 
 
-def test_dump_with_wrong_payload_length_is_rejected(tmp_path):
+def _raw_dump_with_short_hd0(tmp_path):
+    """The n = 24 raw dump with Alice's 24-bit p/hd0 declared as 23 bits:
+    the hex keeps its length, and bit 23 becomes a padding bit."""
     cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
                       seed=5, strategy="raw", dump_dir=tmp_path)
     run_trials(cfg)
     lines = next(tmp_path.glob("trial-*.txt")).read_text().splitlines()
     i = next(i for i, ln in enumerate(lines) if ln.startswith("Alice\tp/hd0\t"))
     lines[i] = lines[i].rsplit("\t", 1)[0] + "\t23"
+    return lines, i
+
+
+def test_dump_with_wrong_payload_length_is_rejected(tmp_path):
+    # the edit leaves bit 23 set, now in the padding, which parsing rejects
+    lines, i = _raw_dump_with_short_hd0(tmp_path)
+    assert int(lines[i].split("\t")[2][-2:], 16) >> 7 == 1
+    with pytest.raises(ValueError, match=rf"^line {i + 1} \('p/hd0'\): nonzero padding bits"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+def test_dump_with_wrong_payload_length_and_zero_padding_is_rejected(tmp_path):
+    # with the padding bit cleared the line parses, and replay names the sizes
+    lines, i = _raw_dump_with_short_hd0(tmp_path)
+    party, label, hexstr, bitlen = lines[i].split("\t")
+    hexstr = hexstr[:-2] + f"{int(hexstr[-2:], 16) & 0x7F:02x}"
+    lines[i] = "\t".join([party, label, hexstr, bitlen])
     with pytest.raises(ValueError, match="'p/hd0' payload has 23 bits, expected 24"):
         replay_transcript_text("\n".join(lines) + "\n")
 
@@ -208,7 +227,10 @@ def _syndrome_dump_lines(tmp_path):
     (lambda f: [f[0], f[1], f[2][:4], f[3]], r"4 hex digits for \d+ bits, expected"),
     (lambda f: f + ["extra"], "expected 4 tab-separated fields, got 5"),
     (lambda f: f[:3] + [f[3] + "x"], "invalid literal for int"),
-], ids=["short-hex", "field-count", "non-integer-length"])
+    # 217 bits: bit 7 of the last byte is padding, and a set one used to replay
+    (lambda f: [f[0], f[1], f[2][:-2] + f"{int(f[2][-2:], 16) | 0x80:02x}", f[3]],
+     "nonzero padding bits past bit 217"),
+], ids=["short-hex", "field-count", "non-integer-length", "padding-bit"])
 def test_malformed_dump_line_is_rejected(tmp_path, edit, message):
     lines = _syndrome_dump_lines(tmp_path)
     i = next(i for i, ln in enumerate(lines)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from xorsmp import gf2
+from xorsmp import gf2, protocol
 from xorsmp.bits import BitVector, complement, sample_pair_with_distance
 from xorsmp.coins import CoinSource, c_of_k
+from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
 from xorsmp.predicate import (
     Predicate,
     compute_profile,
@@ -213,6 +214,93 @@ def test_cost_decomposition():
                 assert out.branch == {2: BRANCH_LOW, 64: BRANCH_PARITY}.get(w, BRANCH_HIGH)
 
 
+def _record_calls(monkeypatch):
+    """Wrap ``protocol.encode_blocks`` (promise-run stacks; the guards encode
+    through ``hamming``), ``protocol.hd_shared`` and ``protocol.threshold_search``,
+    recording each encoded threshold, each coin label drawn and each
+    search's visited thresholds."""
+    seen = {"encode_blocks": [], "hd_shared": [], "threshold_search": []}
+    record = {
+        "encode_blocks": lambda args, out: args[0].params.d,
+        "hd_shared": lambda args, out: args[1].path[-1],
+        "threshold_search": lambda args, out: out[1],
+    }
+    for name, what in record.items():
+        def wrapper(*args, _name=name, _what=what, _original=getattr(protocol, name)):
+            out = _original(*args)
+            seen[_name].append(_what(args, out))
+            return out
+        monkeypatch.setattr(protocol, name, wrapper)
+    return seen
+
+
+# both tails run at n = 64: profile (3, 4)
+LAZY_N = 64
+LAZY_PRED = Predicate([1 if k <= 3 or k >= LAZY_N - 2 else k % 2 for k in range(LAZY_N + 1)])
+
+
+def test_parity_branch_encodes_no_promise_stack(monkeypatch):
+    prof = compute_profile(LAZY_PRED)
+    assert (prof.r0, prof.r1) == (3, 4)
+    seen = _record_calls(monkeypatch)
+    for strategy in ("raw", "bucket", "syndrome"):
+        for key in seen:
+            seen[key].clear()
+        coins = ROOT.derive(f"lazy/parity/{strategy}")
+        x, y = sample_pair_with_distance(LAZY_N, LAZY_N // 2, coins.derive("in"))
+        out = run_protocol(LAZY_PRED, prof, x, y, strategy, coins)
+        assert out.branch == BRANCH_PARITY
+        assert out.cost_bits == p_total_cost(prof, LAZY_N, strategy)
+        assert seen["encode_blocks"] == []
+        assert seen["hd_shared"] == ["p/hd0", "p/hd1"]  # the guards only
+
+
+def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
+    prof = compute_profile(LAZY_PRED)
+    seen = _record_calls(monkeypatch)
+    coins = ROOT.derive("lazy/low")
+    x, y = sample_pair_with_distance(LAZY_N, 2, coins.derive("in"))
+    out = run_protocol(LAZY_PRED, prof, x, y, "syndrome", coins)
+    assert out.branch == BRANCH_LOW
+    assert len(seen["threshold_search"]) == prof.r0  # one search per block
+    read = sorted(set().union(*seen["threshold_search"]))
+    c = c_of_k(prof.r0)
+    assert c not in read  # the top stack bounds the search and is never read
+    # each visited threshold is encoded once per party, and no other one
+    assert sorted(seen["encode_blocks"]) == sorted(2 * read)
+    assert seen["hd_shared"][:2] == ["p/hd0", "p/hd1"]  # drawn by p_shared, in order
+    assert sorted(seen["hd_shared"][2:]) == sorted(f"pk/main/hd/{j}" for j in read)
+    assert out.cost_bits == p_total_cost(prof, LAZY_N, "syndrome")
+    # writing a dump forces the rest: over the trial and its dump, every
+    # stack of both runs is drawn once and encoded once per party
+    entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
+    assert transcript_cost(Transcript(header={}, entries=entries)) == out.cost_bits
+    everything = [j for r in (prof.r0, prof.r1) for j in range(c_of_k(r) + 1)]
+    assert sorted(seen["encode_blocks"]) == sorted(2 * everything)
+    drawn = [f"pk/{side}/hd/{j}" for side, r in (("main", prof.r0), ("tilde", prof.r1))
+             for j in range(c_of_k(r) + 1)]
+    assert sorted(seen["hd_shared"][2:]) == sorted(drawn)
+
+
+def test_unread_stack_payload_is_still_checked(monkeypatch, tmp_path):
+    # replay draws only the coins of the stacks the referee reads, yet a
+    # payload missing from an unread stack is still named
+    cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
+                      seed=5, strategy="syndrome", dump_dir=tmp_path)
+    run_trials(cfg)
+    lines = next(tmp_path.glob("trial-*.txt")).read_text().splitlines()
+    c = c_of_k(3)
+    label = f"p/pk/main/block/0/hd/{c}"
+    seen = _record_calls(monkeypatch)
+    assert replay_transcript_text("\n".join(lines) + "\n").consistent
+    assert seen["threshold_search"]  # the low branch was taken
+    assert f"pk/main/hd/{c}" not in seen["hd_shared"]
+    cut = [ln for ln in lines if not ln.startswith(f"Alice\t{label}\t")]
+    assert len(cut) == len(lines) - 1
+    with pytest.raises(ValueError, match=f"transcript has no '{label}' payload"):
+        replay_transcript_text("\n".join(cut) + "\n")
+
+
 def test_transcript_cost_basics():
     assert transcript_cost(Transcript(header={})) == 0
     two_bits = Transcript(
@@ -362,6 +450,28 @@ def test_referee_rejects_same_party_bundles():
     ba = p_party_messages(sh, x, ALICE)
     with pytest.raises(ValueError):
         p_referee(sh, ba, p_party_messages(sh, y, ALICE))
+
+
+def test_envelope_rejects_before_allocating(monkeypatch):
+    # the r = 128 guard would hash into 4 r^2 = 2^16 buckets, past GF(2^16)
+    assert protocol.SYNDROME_R_MAX == 127
+    monkeypatch.setattr(gf2, "_CODES", {})
+    seen = _record_calls(monkeypatch)
+    pred = family("ham:127", 4096)
+    prof = compute_profile(pred)
+    assert prof.r0 == 128
+    with pytest.raises(ValueError, match="syndrome supports tails up to r = 127"):
+        p_total_cost(prof, 4096, "syndrome")
+    with pytest.raises(ValueError, match="syndrome supports tails up to r = 127"):
+        p_shared(pred, prof, "syndrome", ROOT.derive("envelope"))
+    assert gf2._CODES == {}
+    assert seen["hd_shared"] == []
+    # r = 127 is inside; bucket and raw build no field
+    assert p_total_cost(compute_profile(family("ham:126", 4096)), 4096, "syndrome") > 0
+    assert p_total_cost(prof, 4096, "bucket") > 0
+    for r in (-1, 9):
+        with pytest.raises(ValueError, match=rf"tail length r = {r} outside \[0, n = 8\]"):
+            protocol.check_envelope(8, r, "raw")
 
 
 def test_cost_query_builds_no_code(monkeypatch):

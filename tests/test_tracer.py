@@ -9,6 +9,7 @@ from pathlib import Path
 from xorsmp import protocol
 from xorsmp.bits import sample_pair_with_distance
 from xorsmp.coins import CoinSource
+from xorsmp.hamming import decide_block
 from xorsmp.predicate import Predicate, compute_profile
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -46,6 +47,14 @@ def test_tracer_installs_and_restores():
                  "pk_party_messages", "hd_encode_shared", "encode_blocks", "p_referee",
                  "hd_decide", "pk_referee", "decide_block"):
         assert f"protocol.{name}" in seen, name
-    assert tr.counts["hamming.encode_calls"] == 2 * (2 + sum(
-        len(run.stacks) for run in out.shared.runs
-    ))
+    # each party encodes its two guards, then, on first read, each threshold
+    # stack of the taken tail that the referee's search visited in some block
+    t = [tail.branch for tail in protocol.TAILS].index(out.branch)
+    run, msgs_a, msgs_b = out.shared.runs[t], out.bundle_a.runs[t], out.bundle_b.runs[t]
+    read = set()
+    for i in range(run.inst.k):
+        read.update(protocol.threshold_search(
+            run.inst.c,
+            lambda j, _i=i: decide_block(msgs_a.per_threshold[j], msgs_b.per_threshold[j], _i).le,
+        )[1])
+    assert tr.counts["hamming.encode_calls"] == 2 * (2 + len(read)) == 8
