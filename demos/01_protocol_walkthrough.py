@@ -21,6 +21,7 @@ from xorsmp.protocol import (
     p_referee,
     p_shared,
     p_transcript_entries,
+    transcript_cost,
 )
 
 n = 128
@@ -48,6 +49,6 @@ print(f"referee output: {result.output}, ground truth: {oracle(pred, x, y)}")
 
 entries = p_transcript_entries(shared, bundle_a, bundle_b)
 t = Transcript(header={}, entries=entries)
-print(f"\ntranscript: {len(entries)} entries, {t.cost_bits} bits total; first few:")
+print(f"\ntranscript: {len(entries)} entries, {transcript_cost(t)} bits total; first few:")
 for e in entries[:5]:
     print(f"  {e.party:5s} {e.label:28s} {e.bit_length:4d} bits")

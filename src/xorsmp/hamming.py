@@ -101,24 +101,36 @@ class HDParams:
         return None
 
     @cached_property
+    def segment_bits(self) -> Tuple[int, ...]:
+        """One repetition's wire segments, in order: the f fingerprint bits
+        for d = 0, the B bucket parities for bucket, the d m syndrome bits
+        and then the f fingerprint bits for syndrome, and none for raw."""
+        if self.strategy == "raw":
+            return ()
+        if self.d == 0:
+            return (self.fingerprint_rows,)
+        if self.strategy == "bucket":
+            return (self.bucket_count,)
+        return (syndrome_bits(self.bucket_count, self.d), self.fingerprint_rows)
+
+    @cached_property
     def payload_bits(self) -> int:
         """Message length in bits; identical for both parties."""
-        return self.stack_bits(1)
+        if self.strategy == "raw":
+            return self.length
+        return self.repetitions * sum(self.segment_bits)
 
     def stack_bits(self, k: int) -> int:
         """Bits of a k-block stack over the whole input: raw sends every
-        input bit once, the others one ``payload_bits_for`` message per block."""
-        return self.length if self.strategy == "raw" else k * self.payload_bits_for(0)
+        input bit once, the others one ``payload_bits`` message per block."""
+        return self.length if self.strategy == "raw" else k * self.payload_bits
 
-    def payload_bits_for(self, block_len: int) -> int:
+    def block_bits(self, bounds: np.ndarray) -> Sequence[int]:
+        """Bits of each block's message in a stack whose block i occupies
+        [bounds[i], bounds[i+1]) of the input."""
         if self.strategy == "raw":
-            return block_len
-        if self.d == 0:
-            return self.fingerprint_rows
-        if self.strategy == "bucket":
-            return self.repetitions * self.bucket_count
-        redundancy = syndrome_bits(self.bucket_count, self.d)
-        return self.repetitions * (redundancy + self.fingerprint_rows)
+            return np.diff(bounds)
+        return [self.payload_bits] * (len(bounds) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,38 +250,28 @@ def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
 class BlockMessages:
     """One party's messages for one threshold across all blocks.
 
-    Wire layout of block i (bit-exact, rep-major): syndrome repetitions are
-    [syndrome bits][fingerprint bits]; bucket repetitions are the B bucket
-    parities; raw is the block's input bits verbatim; d = 0 is the f
-    fingerprint bits.  Syndromes and fingerprints are held as packed words
-    (see ``gf2.pack_words``); only the payload conversions touch bits.
+    Wire layout of block i (bit-exact, rep-major): each repetition sends
+    the segments of ``HDParams.segment_bits`` in order; raw is the block's
+    input bits verbatim.  Segment s is held as packed words (see
+    ``gf2.pack_words``), one (R, k, ceil(bits / 64)) uint64 array in
+    ``words[s]`` (R = 1 for d = 0); only the payload conversions touch bits.
     """
 
     shared: HDShared
     k: int
-    parities: Optional[np.ndarray] = None      # (R, k, B) bits
-    syndromes: Optional[np.ndarray] = None     # (R, k, ceil(redundancy / 64)) words
-    fingerprints: Optional[np.ndarray] = None  # (R, k, ceil(f / 64)) words, (k, .) for d = 0
-    raw_sorted: Optional[np.ndarray] = None    # input bits grouped by block
-    raw_bounds: Optional[np.ndarray] = None    # block i occupies [b[i], b[i+1])
+    words: Tuple[np.ndarray, ...] = ()       # one array per segment
+    raw_sorted: Optional[np.ndarray] = None  # input bits grouped by block
+    raw_bounds: Optional[np.ndarray] = None  # block i occupies [b[i], b[i+1])
 
     def block_payloads(self) -> List[np.ndarray]:
         """Wire bits of every block, in block order, unpacked in one pass."""
         params = self.shared.params
         if params.strategy == "raw":
             return np.split(self.raw_sorted, self.raw_bounds[1:-1])
-        if params.d == 0:
-            return list(unpack_words(self.fingerprints, params.fingerprint_rows))
-        if params.strategy == "bucket":
-            rows = self.parities
-        else:
-            rows = np.concatenate(
-                [
-                    unpack_words(self.syndromes, params.code.redundancy),
-                    unpack_words(self.fingerprints, params.fingerprint_rows),
-                ],
-                axis=2,
-            )
+        rows = np.concatenate(
+            [unpack_words(w, bits) for w, bits in zip(self.words, params.segment_bits)],
+            axis=2,
+        )
         return list(rows.transpose(1, 0, 2).reshape(self.k, -1))
 
     def block_payload(self, i: int) -> np.ndarray:
@@ -280,24 +282,19 @@ class BlockMessages:
     def from_block_payloads(
         cls, shared: HDShared, payloads: Sequence[np.ndarray], bounds: np.ndarray
     ) -> "BlockMessages":
-        """Inverse of ``block_payload``: payloads[i] is block i's wire bits,
-        each already of the length ``payload_bits_for`` gives."""
+        """Inverse of ``block_payloads``: payloads[i] is block i's wire bits,
+        each already of the length ``block_bits(bounds)`` gives."""
         params = shared.params
         k = len(payloads)
         if params.strategy == "raw":
             return cls(shared, k, raw_sorted=np.concatenate(payloads), raw_bounds=bounds)
-        if params.d == 0:
-            return cls(shared, k, fingerprints=pack_words(np.stack(payloads)))
         rows = np.stack(payloads).reshape(k, params.repetitions, -1)
-        if params.strategy == "bucket":
-            return cls(shared, k, parities=np.ascontiguousarray(rows.transpose(1, 0, 2)))
-        red = params.code.redundancy
-        return cls(
-            shared,
-            k,
-            syndromes=pack_words(rows[:, :, :red]).transpose(1, 0, 2),
-            fingerprints=pack_words(rows[:, :, red:]).transpose(1, 0, 2),
-        )
+        words = []
+        start = 0
+        for bits in params.segment_bits:  # pack each segment, then put repetitions first
+            words.append(pack_words(rows[:, :, start : start + bits]).transpose(1, 0, 2))
+            start += bits
+        return cls(shared, k, words=tuple(words))
 
     @property
     def bit_length(self) -> int:
@@ -340,21 +337,24 @@ def encode_blocks(
         return BlockMessages(shared, k, raw_sorted=x_sorted, raw_bounds=bounds)
     if params.d == 0:
         fp = _xor_by_block(shared.fwords[ones], one_bounds)
-        return BlockMessages(shared, k, fingerprints=fp)
-    r_count, b_count = params.repetitions, params.bucket_count
+        return BlockMessages(shared, k, words=(fp[None],))
+    r_count = params.repetitions
     if params.strategy == "bucket":
-        rep_base = np.arange(0, r_count * k * b_count, k * b_count)[:, None]
+        # parities laid out in whole words of bits, so they pack in one call
+        width = 64 * -(-params.bucket_count // 64)
+        rep_base = np.arange(0, r_count * k * width, k * width)[:, None]
         flat = shared.buckets[:, ones] + rep_base
         if k > 1:  # offset each one by its block
-            flat += np.repeat(np.arange(0, k * b_count, b_count), np.diff(one_bounds))
-        counts = np.bincount(flat.ravel(), minlength=r_count * k * b_count)
-        par = (counts & 1).astype(np.uint8).reshape(r_count, k, b_count)
-        return BlockMessages(shared, k, parities=par)
+            flat += np.repeat(np.arange(0, k * width, width), np.diff(one_bounds))
+        counts = np.bincount(flat.ravel(), minlength=r_count * k * width)
+        par = (counts & 1).astype(np.uint8).reshape(r_count, k, width)
+        words = np.packbits(par, axis=-1, bitorder="little").view("<u8")
+        return BlockMessages(shared, k, words=(words,))
     # A bucket hit twice cancels in the XOR, so no parity vector is needed.
     hit = shared.buckets[:, ones]
     synd = _xor_by_block(params.code.cols[hit], one_bounds)
     fp = _xor_by_block(shared.fwords[np.arange(r_count)[:, None], hit], one_bounds)
-    return BlockMessages(shared, k, syndromes=synd, fingerprints=fp)
+    return BlockMessages(shared, k, words=(synd, fp))
 
 
 def decide_block(
@@ -373,15 +373,16 @@ def decide_block(
         dist = int((msgs_a.raw_sorted[lo:hi] ^ msgs_b.raw_sorted[lo:hi]).sum())
         return HDVerdict(le=dist <= params.d, estimate=dist)
     if params.d == 0:
-        same = bool((msgs_a.fingerprints[i] == msgs_b.fingerprints[i]).all())
+        same = bool((msgs_a.words[0][0, i] == msgs_b.words[0][0, i]).all())
         return HDVerdict(le=same, estimate=0 if same else 1)
     if params.strategy == "bucket":
-        diff = msgs_a.parities[:, i, :] ^ msgs_b.parities[:, i, :]
-        estimate = int(diff.sum(axis=1).max())
+        diff = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]
+        # the padding bits are zero, so the row's set bits are the parities
+        estimate = int(np.unpackbits(diff.view(np.uint8), axis=1).sum(axis=1).max())
         return HDVerdict(le=estimate <= params.d, estimate=estimate)
     code = params.code
-    diffs = msgs_a.syndromes[:, i] ^ msgs_b.syndromes[:, i]
-    fpd = msgs_a.fingerprints[:, i] ^ msgs_b.fingerprints[:, i]
+    diffs = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]
+    fpd = msgs_a.words[1][:, i] ^ msgs_b.words[1][:, i]
     if not diffs.any():
         # Every repetition decodes to the empty set; a nonzero fingerprint
         # difference then means a codeword of weight >= 2d + 1, so GT.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .predicate import (
 from .protocol import (
     Transcript,
     TrialOutcome,
+    _hex_to_bytes,
     bundles_from_transcript,
     format_transcript,
     p_referee,
@@ -218,24 +219,36 @@ _REPLAY_HEADER = (
 )
 
 
+def _header_field(h: Dict[str, str], key: str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of one header field; a ``ValueError`` names the field."""
+    try:
+        return parse(h[key])
+    except ValueError as exc:
+        raise ValueError(f"dump header field {key!r}: {exc}") from None
+
+
 def replay_transcript_text(text: str) -> ReplayResult:
     """Re-run the referee on a dumped transcript and cross-check it.  A
-    malformed dump raises ``ValueError``; a missing header field is named."""
+    malformed dump raises ``ValueError``; a missing or malformed header
+    field is named."""
     t = parse_transcript(text)
     h = t.header
     missing = [key for key in _REPLAY_HEADER if key not in h]
     if missing:
         raise ValueError(f"dump header has no {', '.join(map(repr, missing))} field")
-    seed, trial = int(h["seed"]), int(h["trial"])
-    n = int(h["n"])
+    seed, trial, n = (_header_field(h, key, int) for key in ("seed", "trial", "n"))
+
+    def input_bits(hexstr: str) -> BitVector:
+        # checked like an n-bit payload; _dump_trial writes n = 0 as an empty field
+        return BitVector(n, int.from_bytes(_hex_to_bytes(hexstr or "-", n), "little"))
+
+    x, y = (_header_field(h, key, input_bits) for key in ("x", "y"))
     root = CoinSource.from_seed(seed)
     pred, _ = resolve_predicate(h["predicate"], n, root.derive("predicate"))
     profile = compute_profile(pred)
     shared = p_shared(pred, profile, h["strategy"], root.derive(f"trial/{trial}"))
     bundle_a, bundle_b = bundles_from_transcript(shared, t)
     res = p_referee(shared, bundle_a, bundle_b)
-    x = BitVector(n, int.from_bytes(bytes.fromhex(h["x"]), "little"))
-    y = BitVector(n, int.from_bytes(bytes.fromhex(h["y"]), "little"))
     truth = oracle(pred, x, y)
     cost = transcript_cost(t)
     consistent = (

@@ -195,9 +195,7 @@ def pk_party_messages(shared: PkShared, x: BitVector) -> PkPartyMessages:
 @dataclass(frozen=True)
 class PkResult:
     output: int
-    block_distances: Tuple[int, ...]
     sum_h: int
-    verdicts_evaluated: int
 
 
 def pk_referee(
@@ -208,22 +206,14 @@ def pk_referee(
     inst = shared.inst
     if len(msgs_a.per_threshold) != inst.c + 1 or len(msgs_b.per_threshold) != inst.c + 1:
         raise ValueError("message bundle does not match the instance")
-    h: List[int] = []
-    evaluated = 0
+    h = 0
     for i in range(inst.k):
         def verdict(j: int, _i=i) -> bool:
             return decide_block(msgs_a.per_threshold[j], msgs_b.per_threshold[j], _i).le
 
-        h_i, visited = threshold_search(inst.c, verdict)
-        evaluated += len(visited)
-        h.append(h_i)
-    total = min(sum(h), inst.apply.n)
-    return PkResult(
-        output=inst.apply(total),
-        block_distances=tuple(h),
-        sum_h=total,
-        verdicts_evaluated=evaluated,
-    )
+        h += threshold_search(inst.c, verdict)[0]
+    total = min(h, inst.apply.n)
+    return PkResult(output=inst.apply(total), sum_h=total)
 
 
 # The full protocol.
@@ -375,25 +365,15 @@ class Transcript:
     header: Dict[str, str]
     entries: List[TranscriptEntry] = field(default_factory=list)
 
-    @property
-    def cost_bits(self) -> int:
-        return transcript_cost(self)
-
 
 def transcript_cost(t: Transcript) -> int:
     """Total payload bits sent by the two parties; the referee is free."""
     return sum(e.bit_length for e in t.entries)
 
 
-def _pk_entries(
-    party: str, prefix: str, shared: PkShared, msgs: PkPartyMessages
-) -> List[TranscriptEntry]:
-    payloads = [m.block_payloads() for m in msgs.per_threshold]
-    return [
-        TranscriptEntry(party, f"{prefix}/block/{i}/hd/{j}", payloads[j][i])
-        for i in range(shared.inst.k)
-        for j in range(shared.inst.c + 1)
-    ]
+def _pk_label(side: str, i: int, j: int) -> str:
+    """Transcript label of block i's message at threshold j of a promise run."""
+    return f"p/pk/{side}/block/{i}/hd/{j}"
 
 
 def p_transcript_entries(
@@ -405,8 +385,14 @@ def p_transcript_entries(
         for tail, msgs in zip(TAILS, bundle.guards):
             entries.append(TranscriptEntry(who, f"p/{tail.guard}", msgs.block_payload(0)))
         for tail, run, msgs in zip(TAILS, shared.runs, bundle.runs):
-            if run is not None:
-                entries.extend(_pk_entries(who, f"p/pk/{tail.side}", run, msgs))
+            if run is None:
+                continue
+            payloads = [m.block_payloads() for m in msgs.per_threshold]
+            entries.extend(
+                TranscriptEntry(who, _pk_label(tail.side, i, j), payloads[j][i])
+                for i in range(run.inst.k)
+                for j in range(run.inst.c + 1)
+            )
         entries.append(
             TranscriptEntry(
                 who, "p/parity", np.array([bundle.parity_bit], dtype=np.uint8)
@@ -423,9 +409,9 @@ def _bits_to_hex(bits: np.ndarray) -> str:
 
 def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
     """Inverse of ``_bits_to_hex``, up to unpacking; a field of the wrong
-    length raises ``ValueError``, so a cut payload cannot pass as zero bits,
-    and so does a set bit in the last byte's padding, so that every payload
-    has one spelling."""
+    length or with anything but hex digits raises ``ValueError``, so a cut
+    payload cannot pass as zero bits, and so does a set bit in the last
+    byte's padding, so that every payload has one spelling."""
     if bitlen < 0:
         raise ValueError(f"negative bit length {bitlen}")
     if bitlen == 0:
@@ -436,6 +422,8 @@ def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
     if len(hexstr) != want:
         raise ValueError(f"{len(hexstr)} hex digits for {bitlen} bits, expected {want}")
     data = bytes.fromhex(hexstr)
+    if 2 * len(data) != want:  # fromhex skips whitespace
+        raise ValueError(f"{hexstr!r} has characters other than hex digits")
     if data[-1] >> (bitlen % 8 or 8):
         raise ValueError(f"nonzero padding bits past bit {bitlen}")
     return data
@@ -499,12 +487,8 @@ def _checked_payloads(
 ) -> List[np.ndarray]:
     """The payloads of blocks 0..k-1 of one party's stack, whose labels are
     given in block order, each checked to have the size ``params`` gives."""
-    if params.strategy == "raw":
-        sizes = np.diff(bounds)
-    else:
-        sizes = [params.payload_bits_for(0)] * len(labels)
     payloads = []
-    for label, want in zip(labels, sizes):
+    for label, want in zip(labels, params.block_bits(bounds)):
         payload = _payload(by_label, label)
         if payload.size != want:
             raise ValueError(f"{label!r} payload has {payload.size} bits, expected {want}")
@@ -513,7 +497,7 @@ def _checked_payloads(
 
 
 def _pk_from_payloads(
-    shared: PkShared, by_label: Dict[str, np.ndarray], prefix: str
+    shared: PkShared, by_label: Dict[str, np.ndarray], side: str
 ) -> PkPartyMessages:
     """Every payload is checked now; a stack's coins are drawn and its
     payloads packed when the referee first reads it."""
@@ -522,7 +506,7 @@ def _pk_from_payloads(
             params,
             shared.bounds,
             by_label,
-            [f"{prefix}/block/{i}/hd/{j}" for i in range(shared.inst.k)],
+            [_pk_label(side, i, j) for i in range(shared.inst.k)],
         )
         for j, params in enumerate(shared.params)
     ]
@@ -559,7 +543,7 @@ def bundles_from_transcript(
                 for tail, guard in zip(TAILS, shared.guards)
             ),
             runs=tuple(
-                None if run is None else _pk_from_payloads(run, by_label, f"p/pk/{tail.side}")
+                None if run is None else _pk_from_payloads(run, by_label, tail.side)
                 for tail, run in zip(TAILS, shared.runs)
             ),
             parity_bit=int(_payload(by_label, "p/parity")[0]),

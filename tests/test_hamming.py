@@ -100,17 +100,31 @@ def test_wire_layout_segment_sizes():
     shared = hd_shared(params, ROOT.derive("wlc"))
     msg = hd_encode_shared(shared, BitVector.random(32, ROOT.derive("wl")))
     red, f = params.code.redundancy, params.fingerprint_rows
+    assert params.segment_bits == (red, f)
     # packed words: ceil(bits / 64) uint64 words per repetition and block
-    assert msg.syndromes.shape == (params.repetitions, 1, -(-red // 64))
-    assert msg.fingerprints.shape == (params.repetitions, 1, -(-f // 64))
+    synd, fp = msg.words
+    assert synd.shape == (params.repetitions, 1, -(-red // 64))
+    assert fp.shape == (params.repetitions, 1, -(-f // 64))
     assert msg.bit_length == params.repetitions * (red + f)
     assert msg.bit_length == params.payload_bits
     # rep-major concatenation: [syndrome | fingerprint] per repetition
     payload = msg.block_payload(0)
     per = red + f
-    assert (payload[:red] == unpack_words(msg.syndromes[0, 0], red)).all()
-    assert (payload[red:per] == unpack_words(msg.fingerprints[0, 0], f)).all()
-    assert (payload[per : per + red] == unpack_words(msg.syndromes[1, 0], red)).all()
+    assert (payload[:red] == unpack_words(synd[0, 0], red)).all()
+    assert (payload[red:per] == unpack_words(fp[0, 0], f)).all()
+    assert (payload[per : per + red] == unpack_words(synd[1, 0], red)).all()
+    # every strategy and d = 0: one (R, 1, ceil(bits / 64)) array per segment
+    for strategy, d in (("raw", 2), ("bucket", 0), ("bucket", 2), ("syndrome", 0)):
+        params = HDParams(d=d, epsilon=0.05, strategy=strategy, length=32)
+        msg = hd_encode_shared(
+            hd_shared(params, ROOT.derive("wlc")), BitVector.random(32, ROOT.derive("wl"))
+        )
+        assert [w.shape for w in msg.words] == [
+            (params.repetitions, 1, -(-bits // 64)) for bits in params.segment_bits
+        ]
+        assert msg.bit_length == params.payload_bits
+        if strategy != "raw":
+            assert params.payload_bits == params.repetitions * sum(params.segment_bits)
 
 
 def test_syndrome_gt_rate_above_threshold():
@@ -251,12 +265,32 @@ def test_zero_syndrome_with_fingerprint_difference_is_gt():
     params = HDParams(d=1, epsilon=0.1, strategy="syndrome", length=16)
     shared = hd_shared(params, ROOT.derive("zs"))
     m_a = hd_encode_shared(shared, BitVector.random(16, ROOT.derive("zsx")))
-    fp = m_a.fingerprints.copy()
+    synd, fp = m_a.words
+    fp = fp.copy()
     fp[0, 0, 0] ^= 1
-    m_b = BlockMessages(shared, 1, parities=m_a.parities,
-                        syndromes=m_a.syndromes.copy(), fingerprints=fp)
+    m_b = BlockMessages(shared, 1, words=(synd.copy(), fp))
     assert not hd_decide(params, m_a, m_b).le
     assert not decide_block(m_a, m_b, 0).le
+
+
+@pytest.mark.parametrize("d, w", [(1, 0), (1, 1), (2, 2), (3, 3)])
+def test_fingerprint_difference_after_decode_is_gt(d, w):
+    # one flipped fingerprint bit in repetition 0 must be caught after every
+    # decode path: w = 0 leaves the syndromes equal (the difference is then a
+    # codeword of weight >= 2d + 1), and w = 1, 2, 3 decode through the
+    # weight-1, weight-2 and Berlekamp-Massey paths
+    params = HDParams(d=d, epsilon=0.1, strategy="syndrome", length=32)
+    shared = hd_shared(params, ROOT.derive(f"zs/{d}"))
+    x, y = sample_pair_with_distance(32, w, ROOT.derive(f"zsx/{d}/{w}"))
+    m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
+    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, 0)):
+        assert v.le and v.estimate == w
+    synd, fp = m_b.words
+    fp = fp.copy()
+    fp[0, 0, 0] ^= 1
+    m_b = BlockMessages(shared, 1, words=(synd, fp))
+    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, 0)):
+        assert not v.le and v.estimate == d + 1
 
 
 def test_single_instance_is_one_block_stack():
@@ -293,7 +327,7 @@ def test_stack_words_match_dense_oracle(zero_input):
         for i in range(k):
             x_block = x_arr * (block_of == i)
             if params.d == 0:
-                got = unpack_words(msg.fingerprints[i], f)
+                got = unpack_words(msg.words[0][0, i], f)
                 assert (got == gf2_mat_vec(stack.fmat, x_block)).all()
                 continue
             h = code_parity_check(params.code)
@@ -301,9 +335,9 @@ def test_stack_words_match_dense_oracle(zero_input):
                 par = np.bincount(
                     stack.buckets[r][x_block == 1], minlength=params.bucket_count
                 ) % 2
-                got_s = unpack_words(msg.syndromes[r, i], params.code.redundancy)
-                got_f = unpack_words(msg.fingerprints[r, i], f)
+                got_s = unpack_words(msg.words[0][r, i], params.code.redundancy)
+                got_f = unpack_words(msg.words[1][r, i], f)
                 assert (got_s == gf2_mat_vec(h, par)).all()
                 assert (got_f == gf2_mat_vec(stack.fmat[r], par)).all()
         if zero_input:
-            assert not any(w.any() for w in (msg.syndromes, msg.fingerprints) if w is not None)
+            assert not any(w.any() for w in msg.words)

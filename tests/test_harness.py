@@ -230,13 +230,32 @@ def _syndrome_dump_lines(tmp_path):
     # 217 bits: bit 7 of the last byte is padding, and a set one used to replay
     (lambda f: [f[0], f[1], f[2][:-2] + f"{int(f[2][-2:], 16) | 0x80:02x}", f[3]],
      "nonzero padding bits past bit 217"),
-], ids=["short-hex", "field-count", "non-integer-length", "padding-bit"])
+    # the first byte dropped and two spaces appended keep the field's length;
+    # bytes.fromhex skips the spaces, and the bits used to run into the next entry
+    (lambda f: [f[0], f[1], f[2][2:] + "  ", f[3]], "characters other than hex digits"),
+], ids=["short-hex", "field-count", "non-integer-length", "padding-bit", "spaced-hex"])
 def test_malformed_dump_line_is_rejected(tmp_path, edit, message):
     lines = _syndrome_dump_lines(tmp_path)
     i = next(i for i, ln in enumerate(lines)
              if ln.startswith("Alice\tp/pk/main/block/0/hd/3\t"))
     lines[i] = "\t".join(edit(lines[i].split("\t")))
     with pytest.raises(ValueError, match=rf"^line {i + 1}\b.*{message}"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    # x cut to its first byte used to replay with truth 0 at distance 1
+    ("x", lambda v: v[:2], r"'x': 2 hex digits for 24 bits, expected 6"),
+    ("y", lambda v: v + "00", r"'y': 8 hex digits for 24 bits, expected 6"),
+    ("seed", lambda v: v + "x", r"'seed': invalid literal for int\(\) with base 10: '5x'"),
+], ids=["short-x", "long-y", "seed-not-int"])
+def test_dump_header_bad_field_is_named(tmp_path, key, edit, message):
+    lines = _syndrome_dump_lines(tmp_path)
+    lines[0] = "\t".join(
+        f"{key}={edit(t.split('=', 1)[1])}" if t.startswith(f"{key}=") else t
+        for t in lines[0].split("\t")
+    )
+    with pytest.raises(ValueError, match=rf"^dump header field {message}"):
         replay_transcript_text("\n".join(lines) + "\n")
 
 

@@ -114,14 +114,17 @@ def test_pk_raw_is_exact_within_cap():
             assert res.output == pred(w)
 
 
-def test_pk_referee_is_lazy():
+def test_pk_referee_is_lazy(monkeypatch):
     n, k = 128, 8
     inst = PkInstance.build(k, parity_predicate(n))
     coins = ROOT.derive("lazy")
     x, y = sample_pair_with_distance(n, 5, coins.derive("in"))
     sh = pk_shared(inst, n, "syndrome", coins)
-    res = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
-    assert res.verdicts_evaluated <= k * math.ceil(math.log2(inst.c + 1))
+    calls = []
+    decide = protocol.decide_block
+    monkeypatch.setattr(protocol, "decide_block", lambda *a: calls.append(a[2]) or decide(*a))
+    pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
+    assert 0 < len(calls) <= k * math.ceil(math.log2(inst.c + 1))
 
 
 def test_pk_special_case_k0():
