@@ -26,7 +26,6 @@ from .predicate import (
     violations,
 )
 from .protocol import (
-    PkInstance,
     pk_party_messages,
     pk_referee,
     pk_shared,
@@ -64,7 +63,6 @@ __all__ = [
     "tilde",
     "oracle",
     "family",
-    "PkInstance",
     "pk_shared",
     "pk_party_messages",
     "pk_referee",

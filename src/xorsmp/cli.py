@@ -69,24 +69,6 @@ _FLAGS = {
     "epsilon": dict(help="comma list of budgets"),
 }
 
-# subcommand -> (help, the flags it reads besides --config)
-_COMMANDS = {
-    "run": (
-        "stratified success-rate trials",
-        ("n", "predicate", "weights", "trials", "seed", "strategy", "out", "dump-transcripts"),
-    ),
-    "sweep-r": (
-        "cost versus tail length r",
-        ("n", "trials", "seed", "strategy", "out", "r-values"),
-    ),
-    "lemma-partition": ("partition lemma check", ("trials", "seed", "out", "k")),
-    "hd-error": (
-        "sketch error rates vs the exact oracle",
-        ("trials", "seed", "strategy", "out", "d", "epsilon"),
-    ),
-    "replay": ("re-run referees from transcript dumps", ("out", "dump-transcripts")),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -94,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="SMP protocol simulator for symmetric XOR functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in ("config",) + flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])  # dest: dashes become underscores
@@ -218,20 +200,35 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
+# subcommand -> (help, the flags it reads besides --config, handler)
+_COMMANDS = {
+    "run": (
+        "stratified success-rate trials",
+        ("n", "predicate", "weights", "trials", "seed", "strategy", "out", "dump-transcripts"),
+        cmd_run,
+    ),
+    "sweep-r": (
+        "cost versus tail length r",
+        ("n", "trials", "seed", "strategy", "out", "r-values"),
+        cmd_sweep,
+    ),
+    "lemma-partition": ("partition lemma check", ("trials", "seed", "out", "k"), cmd_lemma),
+    "hd-error": (
+        "sketch error rates vs the exact oracle",
+        ("trials", "seed", "strategy", "out", "d", "epsilon"),
+        cmd_hd_error,
+    ),
+    "replay": ("re-run referees from transcript dumps", ("out", "dump-transcripts"), cmd_replay),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand.  Bad input (a malformed predicate file, a
     setting outside the supported envelope) surfaces from the library as a
     ``ValueError`` and ends in a nonzero exit with its message."""
     args = _merge_config(_build_parser().parse_args(argv))
-    handler = {
-        "run": cmd_run,
-        "sweep-r": cmd_sweep,
-        "lemma-partition": cmd_lemma,
-        "hd-error": cmd_hd_error,
-        "replay": cmd_replay,
-    }[args.command]
     try:
-        return handler(args)
+        return _COMMANDS[args.command][2](args)
     except ValueError as exc:
         raise SystemExit(f"xorsmp {args.command}: {exc}") from None
 

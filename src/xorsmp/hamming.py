@@ -378,7 +378,7 @@ def decide_block(
     if params.strategy == "bucket":
         diff = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]
         # the padding bits are zero, so the row's set bits are the parities
-        estimate = int(np.unpackbits(diff.view(np.uint8), axis=1).sum(axis=1).max())
+        estimate = int(np.bitwise_count(diff).sum(axis=1).max())
         return HDVerdict(le=estimate <= params.d, estimate=estimate)
     code = params.code
     diffs = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]

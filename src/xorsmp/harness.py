@@ -54,7 +54,7 @@ def resolve_predicate(spec: str, n: int, coins: CoinSource) -> Tuple[Predicate, 
         path = Path(spec[5:])
         try:
             pred = parse_predicate(path.read_text())
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         return pred, "values:" + "".join(str(v) for v in pred.values)
     if spec.startswith("values:"):
@@ -236,7 +236,9 @@ def replay_transcript_text(text: str) -> ReplayResult:
     missing = [key for key in _REPLAY_HEADER if key not in h]
     if missing:
         raise ValueError(f"dump header has no {', '.join(map(repr, missing))} field")
-    seed, trial, n = (_header_field(h, key, int) for key in ("seed", "trial", "n"))
+    seed, trial, n, output, cost_bits = (
+        _header_field(h, key, int) for key in ("seed", "trial", "n", "output", "cost_bits")
+    )
 
     def input_bits(hexstr: str) -> BitVector:
         # checked like an n-bit payload; _dump_trial writes n = 0 as an empty field
@@ -251,15 +253,11 @@ def replay_transcript_text(text: str) -> ReplayResult:
     res = p_referee(shared, bundle_a, bundle_b)
     truth = oracle(pred, x, y)
     cost = transcript_cost(t)
-    consistent = (
-        res.output == int(h["output"])
-        and cost == int(h["cost_bits"])
-        and res.branch == h["branch"]
-    )
+    consistent = res.output == output and cost == cost_bits and res.branch == h["branch"]
     return ReplayResult(
         trial=trial,
         output=res.output,
-        recorded_output=int(h["output"]),
+        recorded_output=output,
         truth=truth,
         correct=int(res.output == truth),
         cost_bits=cost,

@@ -19,9 +19,10 @@ both parties sent, and its cost is their total bit length.  Coins are free
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -94,51 +95,34 @@ def check_envelope(n: int, r: int, strategy: str) -> None:
         )
 
 
-def pk_epsilon(k: int, c: int) -> float:
-    """Per-instance error budget 1/(10 k log2(c)), guarded below c = 2."""
-    return 1.0 / (10.0 * k * max(1.0, math.log2(c))) if k >= 1 else 0.0
-
-
+@functools.cache
 def guard_params(r: int, strategy: str, n: int) -> HDParams:
     """The threshold check "distance at most r", with error budget 1/10,
-    that guards a tail of length r."""
+    that guards a tail of length r.  Built once per (r, strategy, n)."""
     return HDParams(d=r, epsilon=0.1, strategy=strategy, length=n)
 
 
+@functools.cache
 def threshold_params(k: int, strategy: str, n: int) -> Tuple[HDParams, ...]:
     """The stacked thresholds j = 0..c of a k-block promise run, in order,
-    each with the run's per-instance budget."""
+    each with the per-instance budget 1/(10 k log2(c)), guarded below c = 2.
+    Built once per (k, strategy, n); ``c_of_k`` rejects k < 1."""
     c = c_of_k(k)
-    epsilon = pk_epsilon(k, c)
+    epsilon = 1.0 / (10.0 * k * max(1.0, math.log2(c)))
     return tuple(
         HDParams(d=j, epsilon=epsilon, strategy=strategy, length=n) for j in range(c + 1)
     )
 
 
-@dataclass(frozen=True)
-class PkInstance:
-    """Parameters of one promise-protocol run: split into k blocks, cap c,
-    and the predicate applied to the recovered total distance.  The
-    thresholds' sizes and error budget are ``threshold_params(k, ...)``."""
-
-    k: int
-    c: int
-    apply: Predicate
-
-    @classmethod
-    def build(cls, k: int, apply: Predicate) -> "PkInstance":
-        if k < 1:
-            raise ValueError("promise bound must be at least 1; a tail of length 0 has no run")
-        return cls(k=k, c=c_of_k(k), apply=apply)
-
-
 @dataclass(frozen=True, eq=False)
 class PkShared:
-    """Public-coin material for one promise-protocol run.  The partition
-    is drawn at once; threshold j's coins are drawn from its own
+    """One promise-protocol run: split [n] into k blocks, run thresholds
+    j = 0..c on every block, and apply ``apply`` to the clamped total.  The
+    partition is drawn at once; threshold j's coins are drawn from its own
     ``pk/<side>/hd/<j>`` child when its stack is first read."""
 
-    inst: PkInstance
+    k: int
+    apply: Predicate
     n: int
     partition: Partition
     params: Tuple[HDParams, ...]      # threshold_params(k, ...), thresholds j = 0..c
@@ -146,36 +130,34 @@ class PkShared:
     sort_order: np.ndarray            # positions grouped by block, for raw payloads
     bounds: np.ndarray                # block i occupies sort_order[bounds[i]:bounds[i+1]]
 
+    @property
+    def c(self) -> int:
+        return len(self.params) - 1
+
+    @property
+    def party_bits(self) -> int:
+        """Bits each party sends for the run: every stack, counted from the
+        plan alone, whether or not it is ever computed."""
+        return sum(params.stack_bits(self.k) for params in self.params)
+
 
 def pk_shared(
-    inst: PkInstance, n: int, strategy: str, coins: CoinSource, side: str = "main"
+    k: int, apply: Predicate, n: int, strategy: str, coins: CoinSource, side: str = "main"
 ) -> PkShared:
-    part = sample_partition(n, inst.k, coins.derive(f"pk/{side}/partition"))
-    params = threshold_params(inst.k, strategy, n)
+    params = threshold_params(k, strategy, n)
+    part = sample_partition(n, k, coins.derive(f"pk/{side}/partition"))
     stacks = Lazy(
         len(params), lambda j: hd_shared(params[j], coins.derive(f"pk/{side}/hd/{j}"))
     )
     sort_order = np.argsort(part.block_of, kind="stable")
-    bounds = np.zeros(inst.k + 1, dtype=np.int64)
+    bounds = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(part.block_sizes(), out=bounds[1:])
-    return PkShared(inst, n, part, params, stacks, sort_order, bounds)
+    return PkShared(k, apply, n, part, params, stacks, sort_order, bounds)
 
 
-@dataclass(frozen=True, eq=False)
-class PkPartyMessages:
-    """One party's messages for a promise-protocol run: (c + 1) stacked
-    threshold instances, each covering all k blocks, each computed on first
-    read.  The cost counts every stack from the parameter plan alone."""
-
-    shared: PkShared
-    per_threshold: Lazy[BlockMessages]
-
-    @property
-    def cost_bits(self) -> int:
-        return sum(params.stack_bits(self.shared.inst.k) for params in self.shared.params)
-
-
-def pk_party_messages(shared: PkShared, x: BitVector) -> PkPartyMessages:
+def pk_party_messages(shared: PkShared, x: BitVector) -> Lazy[BlockMessages]:
+    """One party's (c + 1) threshold stacks, each covering all k blocks and
+    each encoded on first read."""
     if x.length != shared.n:
         raise ValueError(f"input length {x.length}, run expects {shared.n}")
     # split the input by block once; every threshold stack reuses the split
@@ -183,13 +165,12 @@ def pk_party_messages(shared: PkShared, x: BitVector) -> PkPartyMessages:
     hits = np.flatnonzero(x_sorted)
     ones = shared.sort_order[hits]
     one_bounds = np.searchsorted(hits, shared.bounds)
-    msgs = Lazy(
+    return Lazy(
         len(shared.params),
         lambda j: encode_blocks(
-            shared.stacks[j], x_sorted, ones, one_bounds, shared.inst.k, shared.bounds
+            shared.stacks[j], x_sorted, ones, one_bounds, shared.k, shared.bounds
         ),
     )
-    return PkPartyMessages(shared, msgs)
 
 
 @dataclass(frozen=True)
@@ -199,21 +180,20 @@ class PkResult:
 
 
 def pk_referee(
-    shared: PkShared, msgs_a: PkPartyMessages, msgs_b: PkPartyMessages
+    shared: PkShared, msgs_a: Lazy[BlockMessages], msgs_b: Lazy[BlockMessages]
 ) -> PkResult:
     """Recover each block's distance by lazy binary search and apply the
     predicate to the clamped total."""
-    inst = shared.inst
-    if len(msgs_a.per_threshold) != inst.c + 1 or len(msgs_b.per_threshold) != inst.c + 1:
+    if len(msgs_a) != len(shared.params) or len(msgs_b) != len(shared.params):
         raise ValueError("message bundle does not match the instance")
     h = 0
-    for i in range(inst.k):
+    for i in range(shared.k):
         def verdict(j: int, _i=i) -> bool:
-            return decide_block(msgs_a.per_threshold[j], msgs_b.per_threshold[j], _i).le
+            return decide_block(msgs_a[j], msgs_b[j], _i).le
 
-        h += threshold_search(inst.c, verdict)[0]
-    total = min(h, inst.apply.n)
-    return PkResult(output=inst.apply(total), sum_h=total)
+        h += threshold_search(shared.c, verdict)[0]
+    total = min(h, shared.apply.n)
+    return PkResult(output=shared.apply(total), sum_h=total)
 
 
 # The full protocol.
@@ -251,7 +231,6 @@ class PShared:
     predicate: Predicate
     profile: Profile
     n: int
-    strategy: str
     guards: Tuple[HDShared, ...]           # threshold r on the tail's pair
     runs: Tuple[Optional[PkShared], ...]   # promise r run on it; None when r = 0
 
@@ -268,9 +247,9 @@ def p_shared(
         if r == 0:
             runs.append(None)
             continue
-        inst = PkInstance.build(r, tilde(d) if tail.reflected else d)
-        runs.append(pk_shared(inst, n, strategy, coins.derive("p"), side=tail.side))
-    return PShared(d, profile, n, strategy, tuple(guards), tuple(runs))
+        apply = tilde(d) if tail.reflected else d
+        runs.append(pk_shared(r, apply, n, strategy, coins.derive("p"), side=tail.side))
+    return PShared(d, profile, n, tuple(guards), tuple(runs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +258,14 @@ class PBundle:
     ``runs`` are indexed like ``TAILS``."""
 
     party: str
-    guards: Tuple[BlockMessages, ...]            # 1-block stacks
-    runs: Tuple[Optional[PkPartyMessages], ...]
+    shared: PShared
+    guards: Tuple[BlockMessages, ...]                 # 1-block stacks
+    runs: Tuple[Optional[Lazy[BlockMessages]], ...]   # threshold stacks j = 0..c
     parity_bit: int
 
     @property
     def cost_bits(self) -> int:
-        runs = sum(m.cost_bits for m in self.runs if m is not None)
+        runs = sum(run.party_bits for run in self.shared.runs if run is not None)
         return sum(m.bit_length for m in self.guards) + runs + 1
 
 
@@ -299,6 +279,7 @@ def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBund
     inputs = [flipped if tail.reflected else own_input for tail in TAILS]
     return PBundle(
         party=party,
+        shared=shared,
         guards=tuple(hd_encode_shared(g, v) for g, v in zip(shared.guards, inputs)),
         runs=tuple(
             None if run is None else pk_party_messages(run, v)
@@ -387,11 +368,11 @@ def p_transcript_entries(
         for tail, run, msgs in zip(TAILS, shared.runs, bundle.runs):
             if run is None:
                 continue
-            payloads = [m.block_payloads() for m in msgs.per_threshold]
+            payloads = [m.block_payloads() for m in msgs]
             entries.extend(
                 TranscriptEntry(who, _pk_label(tail.side, i, j), payloads[j][i])
-                for i in range(run.inst.k)
-                for j in range(run.inst.c + 1)
+                for i in range(run.k)
+                for j in range(len(payloads))
             )
         entries.append(
             TranscriptEntry(
@@ -430,8 +411,8 @@ def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
 
 
 def format_transcript(t: Transcript) -> str:
-    head = "\t".join(f"{k}={v}" for k, v in t.header.items())
-    lines = [f"# xorsmp-transcript v1\t{head}"]
+    head = "".join(f"\t{k}={v}" for k, v in t.header.items())
+    lines = [f"# xorsmp-transcript v1{head}"]
     for e in t.entries:
         lines.append(f"{e.party}\t{e.label}\t{_bits_to_hex(e.payload)}\t{e.bit_length}")
     return "\n".join(lines) + "\n"
@@ -473,23 +454,15 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(header=header, entries=entries)
 
 
-def _payload(by_label: Dict[str, np.ndarray], label: str) -> np.ndarray:
-    if label not in by_label:
-        raise ValueError(f"transcript has no {label!r} payload")
-    return by_label[label]
-
-
 def _checked_payloads(
-    params: HDParams,
-    bounds: np.ndarray,
-    by_label: Dict[str, np.ndarray],
-    labels: List[str],
+    sizes: Sequence[int], by_label: Dict[str, np.ndarray], labels: List[str]
 ) -> List[np.ndarray]:
-    """The payloads of blocks 0..k-1 of one party's stack, whose labels are
-    given in block order, each checked to have the size ``params`` gives."""
+    """The payloads with the given labels, each checked to have its size."""
     payloads = []
-    for label, want in zip(labels, params.block_bits(bounds)):
-        payload = _payload(by_label, label)
+    for label, want in zip(labels, sizes):
+        if label not in by_label:
+            raise ValueError(f"transcript has no {label!r} payload")
+        payload = by_label[label]
         if payload.size != want:
             raise ValueError(f"{label!r} payload has {payload.size} bits, expected {want}")
         payloads.append(payload)
@@ -498,26 +471,20 @@ def _checked_payloads(
 
 def _pk_from_payloads(
     shared: PkShared, by_label: Dict[str, np.ndarray], side: str
-) -> PkPartyMessages:
+) -> Lazy[BlockMessages]:
     """Every payload is checked now; a stack's coins are drawn and its
     payloads packed when the referee first reads it."""
     payloads = [
         _checked_payloads(
-            params,
-            shared.bounds,
+            params.block_bits(shared.bounds),
             by_label,
-            [_pk_label(side, i, j) for i in range(shared.inst.k)],
+            [_pk_label(side, i, j) for i in range(shared.k)],
         )
         for j, params in enumerate(shared.params)
     ]
-    return PkPartyMessages(
-        shared,
-        Lazy(
-            len(payloads),
-            lambda j: BlockMessages.from_block_payloads(
-                shared.stacks[j], payloads[j], shared.bounds
-            ),
-        ),
+    return Lazy(
+        len(payloads),
+        lambda j: BlockMessages.from_block_payloads(shared.stacks[j], payloads[j], shared.bounds),
     )
 
 
@@ -534,10 +501,13 @@ def bundles_from_transcript(
         by_label = {e.label: e.payload for e in t.entries if e.party == who}
         bundles[who] = PBundle(
             party=who,
+            shared=shared,
             guards=tuple(
                 BlockMessages.from_block_payloads(
                     guard,
-                    _checked_payloads(guard.params, whole, by_label, [f"p/{tail.guard}"]),
+                    _checked_payloads(
+                        guard.params.block_bits(whole), by_label, [f"p/{tail.guard}"]
+                    ),
                     whole,
                 )
                 for tail, guard in zip(TAILS, shared.guards)
@@ -546,7 +516,7 @@ def bundles_from_transcript(
                 None if run is None else _pk_from_payloads(run, by_label, tail.side)
                 for tail, run in zip(TAILS, shared.runs)
             ),
-            parity_bit=int(_payload(by_label, "p/parity")[0]),
+            parity_bit=int(_checked_payloads([1], by_label, ["p/parity"])[0][0]),
         )
     return bundles[ALICE], bundles[BOB]
 
@@ -597,11 +567,8 @@ __all__ = [
     "check_envelope",
     "guard_params",
     "threshold_params",
-    "PkInstance",
     "PkShared",
-    "PkPartyMessages",
     "PkResult",
-    "pk_epsilon",
     "pk_shared",
     "pk_party_messages",
     "pk_referee",

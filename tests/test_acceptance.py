@@ -24,7 +24,6 @@ from xorsmp.harness import (
 from xorsmp.predicate import Predicate, compute_profile, family, oracle, parity_predicate
 from xorsmp.protocol import (
     BRANCH_PARITY,
-    PkInstance,
     pk_party_messages,
     pk_referee,
     pk_shared,
@@ -119,13 +118,12 @@ def test_criterion_3_promise_protocol():
     gate = 0.9 - margin(0.9, trials)
     rates = {}
     for k in (8, 16, 32):
-        inst = PkInstance.build(k, pred)
         root = CoinSource.from_seed(3000 + k)
         good = 0
         for t in range(trials):
             coins = root.derive(f"trial/{t}")
             x, y = sample_pair_with_distance(n, k, coins.derive("input"))
-            shared = pk_shared(inst, n, "syndrome", coins)
+            shared = pk_shared(k, pred, n, "syndrome", coins)
             res = pk_referee(
                 shared, pk_party_messages(shared, x), pk_party_messages(shared, y)
             )

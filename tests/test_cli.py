@@ -165,6 +165,21 @@ def test_replay_truncated_dump_exits_with_message(tmp_path):
     assert f"{path}: dump header has no 'cost_bits' field" in proc.stderr
 
 
+def test_replay_bad_parity_entry_exits_with_message(tmp_path):
+    dump = tmp_path / "dumps"
+    run_cli("run", "--n", 24, "--predicate", "ham:2", "--weights", "1", "--trials", 1,
+            "--seed", 5, "--strategy", "syndrome", "--out", tmp_path / "r.csv",
+            "--dump-transcripts", dump)
+    path = dump / "trial-000000.txt"
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("Alice\tp/parity\t"))
+    lines[i] = "Alice\tp/parity\t-\t0"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_clean_exit(
+        _replay_subprocess(dump), f"{path}: 'p/parity' payload has 0 bits, expected 1"
+    )
+
+
 def test_replay_requires_dir():
     with pytest.raises(SystemExit):
         run_cli("replay")
@@ -211,6 +226,11 @@ def test_bad_predicate_file_exits_with_message(tmp_path):
     _assert_clean_exit(
         _cli_subprocess("run", "--n", 4, "--predicate", f"file:{pred}", "--trials", 1),
         f"{pred}: line 2: expected exactly 5 characters from {{0,1}}, got '10x01'",
+    )
+    missing = tmp_path / "missing.txt"
+    _assert_clean_exit(
+        _cli_subprocess("run", "--n", 4, "--predicate", f"file:{missing}", "--trials", 1),
+        f"{missing}: [Errno 2] No such file or directory",
     )
 
 

@@ -1,0 +1,115 @@
+"""Property tests on the text formats: transcript dumps and predicate
+files.  Malformed input must end in a ``ValueError`` (which the CLI turns
+into a one-line message), never in another exception from deep inside."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
+from xorsmp.predicate import Predicate, parse_predicate
+from xorsmp.protocol import (
+    Transcript,
+    TranscriptEntry,
+    _bits_to_hex,
+    format_transcript,
+    parse_transcript,
+)
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# every character str.splitlines() breaks a line at
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+FIELD = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS + "\t"),
+    max_size=12,
+)
+LINE = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS), max_size=40
+)
+BITS = st.lists(st.integers(0, 1), max_size=200).map(lambda b: np.array(b, dtype=np.uint8))
+
+
+@FUZZ
+@given(
+    header=st.dictionaries(FIELD.filter(lambda k: "=" not in k), FIELD, max_size=4),
+    entries=st.lists(st.builds(TranscriptEntry, FIELD, FIELD, BITS), max_size=6),
+)
+def test_transcript_text_roundtrips(header, entries):
+    back = parse_transcript(format_transcript(Transcript(header, entries)))
+    assert back.header == header
+    assert len(back.entries) == len(entries)
+    for got, want in zip(back.entries, entries):
+        assert (got.party, got.label) == (want.party, want.label)
+        assert np.array_equal(got.payload, want.payload)
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    """One real dump per strategy; the low branch reads promise-run stacks."""
+    texts = []
+    for strategy in ("raw", "bucket", "syndrome"):
+        out = tmp_path_factory.mktemp(strategy)
+        run_trials(TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
+                               seed=5, strategy=strategy, dump_dir=out))
+        texts.append(next(out.glob("trial-*.txt")).read_text())
+    return texts
+
+
+@FUZZ
+@given(data=st.data())
+def test_single_line_edit_replays_or_raises_value_error(dumps, data):
+    lines = data.draw(st.sampled_from(dumps)).splitlines()
+    # every kind of line (header, guard, promise-run block, parity) is as
+    # likely to be edited, however many lines of each a dump has
+    kinds = {}
+    for i, ln in enumerate(lines):
+        kinds.setdefault(re.sub(r"\d+", "#", ln.split("\t")[1]) if i else "header", []).append(i)
+    i = data.draw(st.sampled_from(sorted(kinds)).flatmap(lambda k: st.sampled_from(kinds[k])),
+                  label="line")
+    kind = data.draw(st.sampled_from(["delete", "line", "payload", "field", "hex"]), label="edit")
+    if kind == "delete":
+        del lines[i]
+    elif kind == "line":
+        lines[i] = data.draw(LINE)
+    elif kind == "payload":  # a well-formed payload of any size, so the line parses
+        bits = data.draw(st.lists(st.integers(0, 1), max_size=300), label="payload")
+        party_label = lines[i].split("\t")[:2]
+        lines[i] = "\t".join(party_label + [_bits_to_hex(np.array(bits)), str(len(bits))])
+    else:
+        fields = lines[i].split("\t")
+        f = data.draw(st.integers(0, len(fields) - 1), label="field")
+        if kind == "hex":  # one character of the field becomes a hex digit or '-'
+            pos = data.draw(st.integers(0, len(fields[f])), label="position")
+            char = data.draw(st.sampled_from("0123456789abcdef-"))
+            fields[f] = fields[f][:pos] + char + fields[f][pos + 1 :]
+        else:  # a header field may keep its key
+            key, eq, _ = fields[f].partition("=")
+            keep = data.draw(st.booleans(), label="keep key")
+            fields[f] = (key + eq if keep else "") + data.draw(FIELD)
+        lines[i] = "\t".join(fields)
+    try:
+        replay_transcript_text("\n".join(lines) + "\n")
+    except ValueError:
+        pass
+
+
+PREDICATE_TEXT = st.one_of(
+    st.text(),
+    st.builds(lambda n, row, tail: f"{n}\n{row}\n{tail}",
+              st.text("0123456789- +", max_size=4), st.text("01 \t2", max_size=12),
+              st.sampled_from(["", "\n", " \n", "x\n"])),
+)
+
+
+@FUZZ
+@given(PREDICATE_TEXT)
+def test_parse_predicate_raises_only_value_error(text):
+    try:
+        pred = parse_predicate(text)
+    except ValueError:
+        return
+    assert isinstance(pred, Predicate)

@@ -9,7 +9,7 @@ from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource
 from xorsmp.gf2 import unpack_words
 from xorsmp.predicate import family
-from xorsmp.protocol import PkInstance, pk_party_messages, pk_shared
+from xorsmp.protocol import pk_party_messages, pk_shared
 
 from .oracles import code_parity_check, gf2_mat_vec
 from xorsmp.hamming import (
@@ -315,13 +315,13 @@ def test_stack_words_match_dense_oracle(zero_input):
     # input give zero words
     n, k = 12, 6
     coins = ROOT.derive("stack")
-    shared = pk_shared(PkInstance.build(k, family("eq", n)), n, "syndrome", coins)
+    shared = pk_shared(k, family("eq", n), n, "syndrome", coins)
     block_of = shared.partition.block_of
     assert (shared.partition.block_sizes()[[0, 2]] == 0).all()
     x = BitVector(n, 0) if zero_input else BitVector.random(n, coins.derive("x"))
     msgs = pk_party_messages(shared, x)
     x_arr = x.to_array()
-    for stack, msg in zip(shared.stacks, msgs.per_threshold):
+    for stack, msg in zip(shared.stacks, msgs):
         params = stack.params
         f = params.fingerprint_rows
         for i in range(k):

@@ -222,24 +222,33 @@ def _syndrome_dump_lines(tmp_path):
     return next(tmp_path.glob("trial-*.txt")).read_text().splitlines()
 
 
-@pytest.mark.parametrize("edit, message", [
+PK3 = "p/pk/main/block/0/hd/3"
+
+
+@pytest.mark.parametrize("label, edit, message", [
     # a hex field cut short used to unpack zero-padded and replay consistently
-    (lambda f: [f[0], f[1], f[2][:4], f[3]], r"4 hex digits for \d+ bits, expected"),
-    (lambda f: f + ["extra"], "expected 4 tab-separated fields, got 5"),
-    (lambda f: f[:3] + [f[3] + "x"], "invalid literal for int"),
+    (PK3, lambda f: [f[0], f[1], f[2][:4], f[3]], r"4 hex digits for \d+ bits, expected"),
+    (PK3, lambda f: f + ["extra"], "expected 4 tab-separated fields, got 5"),
+    (PK3, lambda f: f[:3] + [f[3] + "x"], "invalid literal for int"),
     # 217 bits: bit 7 of the last byte is padding, and a set one used to replay
-    (lambda f: [f[0], f[1], f[2][:-2] + f"{int(f[2][-2:], 16) | 0x80:02x}", f[3]],
+    (PK3, lambda f: [f[0], f[1], f[2][:-2] + f"{int(f[2][-2:], 16) | 0x80:02x}", f[3]],
      "nonzero padding bits past bit 217"),
     # the first byte dropped and two spaces appended keep the field's length;
     # bytes.fromhex skips the spaces, and the bits used to run into the next entry
-    (lambda f: [f[0], f[1], f[2][2:] + "  ", f[3]], "characters other than hex digits"),
-], ids=["short-hex", "field-count", "non-integer-length", "padding-bit", "spaced-hex"])
-def test_malformed_dump_line_is_rejected(tmp_path, edit, message):
+    (PK3, lambda f: [f[0], f[1], f[2][2:] + "  ", f[3]], "characters other than hex digits"),
+    # a parity entry parses at any size; replay checks it like every payload
+    # (0 bits used to raise IndexError, and 2 bits were accepted)
+    ("p/parity", lambda f: [f[0], f[1], "-", "0"], "'p/parity' payload has 0 bits, expected 1"),
+    ("p/parity", lambda f: [f[0], f[1], "01", "2"], "'p/parity' payload has 2 bits, expected 1"),
+], ids=["short-hex", "field-count", "non-integer-length", "padding-bit", "spaced-hex",
+        "parity-0-bits", "parity-2-bits"])
+def test_malformed_dump_line_is_rejected(tmp_path, label, edit, message):
     lines = _syndrome_dump_lines(tmp_path)
-    i = next(i for i, ln in enumerate(lines)
-             if ln.startswith("Alice\tp/pk/main/block/0/hd/3\t"))
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"Alice\t{label}\t"))
     lines[i] = "\t".join(edit(lines[i].split("\t")))
-    with pytest.raises(ValueError, match=rf"^line {i + 1}\b.*{message}"):
+    # a line that does not parse is named by number, a mis-sized payload by label
+    where = rf"line {i + 1}\b.*" if label == PK3 else ""
+    with pytest.raises(ValueError, match=rf"^{where}{message}"):
         replay_transcript_text("\n".join(lines) + "\n")
 
 
@@ -248,7 +257,10 @@ def test_malformed_dump_line_is_rejected(tmp_path, edit, message):
     ("x", lambda v: v[:2], r"'x': 2 hex digits for 24 bits, expected 6"),
     ("y", lambda v: v + "00", r"'y': 8 hex digits for 24 bits, expected 6"),
     ("seed", lambda v: v + "x", r"'seed': invalid literal for int\(\) with base 10: '5x'"),
-], ids=["short-x", "long-y", "seed-not-int"])
+    ("output", lambda v: "", r"'output': invalid literal for int\(\) with base 10: ''"),
+    ("cost_bits", lambda v: "abc",
+     r"'cost_bits': invalid literal for int\(\) with base 10: 'abc'"),
+], ids=["short-x", "long-y", "seed-not-int", "output-empty", "cost-bits-not-int"])
 def test_dump_header_bad_field_is_named(tmp_path, key, edit, message):
     lines = _syndrome_dump_lines(tmp_path)
     lines[0] = "\t".join(

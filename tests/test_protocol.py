@@ -6,6 +6,7 @@ import pytest
 from xorsmp import gf2, protocol
 from xorsmp.bits import BitVector, complement, sample_pair_with_distance
 from xorsmp.coins import CoinSource, c_of_k
+from xorsmp.hamming import HDParams
 from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
 from xorsmp.predicate import (
     Predicate,
@@ -22,7 +23,6 @@ from xorsmp.protocol import (
     BRANCH_HIGH,
     BRANCH_LOW,
     BRANCH_PARITY,
-    PkInstance,
     Transcript,
     TranscriptEntry,
     bundles_from_transcript,
@@ -53,46 +53,44 @@ def all_pairs(n):
 def test_pk_epsilon_budget_identity():
     # per-instance budget makes the union bound land exactly on 1/10
     for k in (1, 2, 4, 7, 8, 16, 32, 64):
-        inst = PkInstance.build(k, parity_predicate(64))
-        assert inst.c == c_of_k(k)
+        sh = pk_shared(k, parity_predicate(64), 64, "syndrome", ROOT.derive(f"eps/{k}"))
+        assert sh.c == c_of_k(k)
         params = threshold_params(k, "syndrome", 64)
-        assert [p.d for p in params] == list(range(inst.c + 1))
+        assert sh.params is params
+        assert [p.d for p in params] == list(range(sh.c + 1))
         epsilon = params[0].epsilon
         assert all(p.epsilon == epsilon for p in params)
-        total = k * max(1.0, math.log2(inst.c)) * epsilon
+        total = k * max(1.0, math.log2(sh.c)) * epsilon
         assert abs(total - 0.1) < 1e-12
 
 
 def test_pk_degenerate_k1():
-    inst = PkInstance.build(1, eq_predicate(8))
-    assert inst.c == 1
-    sh = pk_shared(inst, 8, "syndrome", ROOT.derive("k1"))
+    sh = pk_shared(1, eq_predicate(8), 8, "syndrome", ROOT.derive("k1"))
+    assert sh.c == 1
     assert len(sh.stacks) == 2  # thresholds 0 and 1
     assert sh.partition.block_of.tolist() == [0] * 8
 
 
 def test_pk_message_count_and_symmetry():
     n, k = 64, 4
-    inst = PkInstance.build(k, ham_predicate(n, 3))
-    sh = pk_shared(inst, n, "syndrome", ROOT.derive("cnt"))
+    sh = pk_shared(k, ham_predicate(n, 3), n, "syndrome", ROOT.derive("cnt"))
     x, y = sample_pair_with_distance(n, 3, ROOT.derive("cnt/in"))
     ma, mb = pk_party_messages(sh, x), pk_party_messages(sh, y)
-    assert len(ma.per_threshold) == inst.c + 1
-    for j in range(inst.c + 1):
+    assert len(ma) == sh.c + 1
+    for j in range(sh.c + 1):
         for i in range(k):
-            pa = ma.per_threshold[j].block_payload(i)
-            pb = mb.per_threshold[j].block_payload(i)
+            pa = ma[j].block_payload(i)
+            pb = mb[j].block_payload(i)
             assert pa.size == pb.size  # identical layout on both sides
     # one entry per (block, threshold) pair per party
-    entries_per_party = inst.k * (inst.c + 1)
+    entries_per_party = sh.k * (sh.c + 1)
     assert sum(1 for _ in range(entries_per_party)) == entries_per_party
 
 
 def test_pk_equal_inputs_yield_d0():
     for spec in ("eq", "parity", "ham:3"):
         pred = family(spec, 32)
-        inst = PkInstance.build(4, pred)
-        sh = pk_shared(inst, 32, "syndrome", ROOT.derive(f"d0/{spec}"))
+        sh = pk_shared(4, pred, 32, "syndrome", ROOT.derive(f"d0/{spec}"))
         x, _ = sample_pair_with_distance(32, 0, ROOT.derive(f"d0in/{spec}"))
         res = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, x))
         assert res.output == pred(0)
@@ -103,12 +101,11 @@ def test_pk_raw_is_exact_within_cap():
     # raw verdicts are exact, and k <= 8 keeps every block under the cap
     n, k = 10, 5
     pred = parity_predicate(n)
-    inst = PkInstance.build(k, pred)
     for w in range(k + 1):
         for i in range(30):
             coins = ROOT.derive(f"rawpk/{w}/{i}")
             x, y = sample_pair_with_distance(n, w, coins.derive("in"))
-            sh = pk_shared(inst, n, "raw", coins)
+            sh = pk_shared(k, pred, n, "raw", coins)
             res = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
             assert res.sum_h == w
             assert res.output == pred(w)
@@ -116,15 +113,14 @@ def test_pk_raw_is_exact_within_cap():
 
 def test_pk_referee_is_lazy(monkeypatch):
     n, k = 128, 8
-    inst = PkInstance.build(k, parity_predicate(n))
     coins = ROOT.derive("lazy")
     x, y = sample_pair_with_distance(n, 5, coins.derive("in"))
-    sh = pk_shared(inst, n, "syndrome", coins)
+    sh = pk_shared(k, parity_predicate(n), n, "syndrome", coins)
     calls = []
     decide = protocol.decide_block
     monkeypatch.setattr(protocol, "decide_block", lambda *a: calls.append(a[2]) or decide(*a))
     pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
-    assert 0 < len(calls) <= k * math.ceil(math.log2(inst.c + 1))
+    assert 0 < len(calls) <= k * math.ceil(math.log2(sh.c + 1))
 
 
 def test_pk_special_case_k0():
@@ -204,11 +200,12 @@ def test_cost_decomposition():
         entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
         t = Transcript(header={}, entries=entries)
         assert transcript_cost(t) == out.cost_bits
-        for r, run_a, run_b in zip((prof.r0, prof.r1), out.bundle_a.runs, out.bundle_b.runs):
-            assert (run_a is None) == (r == 0)
+        runs = zip((prof.r0, prof.r1), out.shared.runs, out.bundle_a.runs, out.bundle_b.runs)
+        for r, run, run_a, run_b in runs:
+            assert (run is None) == (run_a is None) == (r == 0)
             if r >= 1:
-                sub = run_a.cost_bits
-                assert sub == run_b.cost_bits
+                sub = run.party_bits
+                assert sub == sum(m.bit_length for m in run_a) == sum(m.bit_length for m in run_b)
                 assert out.cost_bits >= 2 * sub  # superset of the promise run
         if pred is two_tails:
             assert (prof.r0, prof.r1) == (3, 4)
@@ -240,6 +237,24 @@ def _record_calls(monkeypatch):
 # both tails run at n = 64: profile (3, 4)
 LAZY_N = 64
 LAZY_PRED = Predicate([1 if k <= 3 or k >= LAZY_N - 2 else k % 2 for k in range(LAZY_N + 1)])
+
+
+def test_parameter_plan_is_built_once(monkeypatch):
+    # the plan is a pure function of (r, strategy, n): every trial and the
+    # cost model read the same HDParams, built on the first call
+    prof = compute_profile(LAZY_PRED)
+    sh = p_shared(LAZY_PRED, prof, "syndrome", ROOT.derive("plan/0"))
+    assert sh.runs[0].params is threshold_params(prof.r0, "syndrome", LAZY_N)
+    assert sh.guards[1].params is protocol.guard_params(prof.r1, "syndrome", LAZY_N)
+    built = []
+    check = HDParams.__post_init__
+    monkeypatch.setattr(HDParams, "__post_init__", lambda self: built.append(self) or check(self))
+    coins = ROOT.derive("plan/1")
+    x, y = sample_pair_with_distance(LAZY_N, 2, coins.derive("in"))
+    out = run_protocol(LAZY_PRED, prof, x, y, "syndrome", coins)
+    assert out.cost_bits == p_total_cost(prof, LAZY_N, "syndrome")
+    assert all(a.params is b.params for a, b in zip(out.shared.runs, sh.runs))
+    assert built == []
 
 
 def test_parity_branch_encodes_no_promise_stack(monkeypatch):

@@ -52,9 +52,9 @@ def test_tracer_installs_and_restores():
     t = [tail.branch for tail in protocol.TAILS].index(out.branch)
     run, msgs_a, msgs_b = out.shared.runs[t], out.bundle_a.runs[t], out.bundle_b.runs[t]
     read = set()
-    for i in range(run.inst.k):
+    for i in range(run.k):
         read.update(protocol.threshold_search(
-            run.inst.c,
-            lambda j, _i=i: decide_block(msgs_a.per_threshold[j], msgs_b.per_threshold[j], _i).le,
+            run.c,
+            lambda j, _i=i: decide_block(msgs_a[j], msgs_b[j], _i).le,
         )[1])
     assert tr.counts["hamming.encode_calls"] == 2 * (2 + len(read)) == 8
