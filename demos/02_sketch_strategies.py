@@ -40,7 +40,7 @@ params = HDParams(d=2, epsilon=0.05, strategy="syndrome", length=32)
 coins = root.derive("lin")
 shared = hd_shared(params, coins)
 x, y = sample_pair_with_distance(32, 9, coins.derive("in"))
-mx = hd_encode_shared(shared, x).block_payload(0)
-my = hd_encode_shared(shared, y).block_payload(0)
-mxy = hd_encode_shared(shared, x ^ y).block_payload(0)
+mx = hd_encode_shared(shared, x).block_payloads()[0]
+my = hd_encode_shared(shared, y).block_payloads()[0]
+mxy = hd_encode_shared(shared, x ^ y).block_payloads()[0]
 print(f"\nencode(x) XOR encode(y) == encode(x XOR y): {bool(((mx ^ my) == mxy).all())}")

@@ -31,9 +31,14 @@ REPLAY_CSV_HEADER = "trial,output,recorded_output,truth,correct,cost_bits,consis
 
 
 def _parse_config(path: Path) -> Dict[str, Tuple[int, str]]:
-    """key -> (line number, value); a later line overrides an earlier one."""
+    """key -> (line number, value); a later line overrides an earlier one.
+    A file that cannot be read or is not UTF-8 exits with its name."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"{path}: {exc}") from None
     values: Dict[str, Tuple[int, str]] = {}
-    for ln_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for ln_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -184,9 +189,12 @@ def cmd_hd_error(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     if args.dump_transcripts is None:
         raise SystemExit("--dump-transcripts directory is required for replay")
+    paths = sorted(args.dump_transcripts.glob("trial-*.txt"))
+    if not paths:
+        raise SystemExit(f"{args.dump_transcripts}: no trial-*.txt dumps to replay")
     lines = [REPLAY_CSV_HEADER]
     bad = 0
-    for path in sorted(Path(args.dump_transcripts).glob("trial-*.txt")):
+    for path in paths:
         try:
             res = replay_transcript_text(path.read_text())
         except ValueError as exc:

@@ -274,10 +274,6 @@ class BlockMessages:
         )
         return list(rows.transpose(1, 0, 2).reshape(self.k, -1))
 
-    def block_payload(self, i: int) -> np.ndarray:
-        """Wire bits of block i; a single instance's message is block 0."""
-        return self.block_payloads()[i]
-
     @classmethod
     def from_block_payloads(
         cls, shared: HDShared, payloads: Sequence[np.ndarray], bounds: np.ndarray

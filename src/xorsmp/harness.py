@@ -36,6 +36,7 @@ from .protocol import (
     format_transcript,
     p_referee,
     p_shared,
+    p_total_cost,
     p_transcript_entries,
     parse_transcript,
     run_protocol,
@@ -172,6 +173,14 @@ def run_trials(cfg: TrialConfig) -> Tuple[List[CellStats], List[str]]:
     return cells, rows
 
 
+# the header fields of a dump, in the order _dump_trial writes them; replay
+# requires every one
+DUMP_HEADER = (
+    "seed", "n", "predicate", "strategy", "trial", "weight",
+    "x", "y", "output", "branch", "cost_bits",
+)
+
+
 def _dump_trial(
     cfg: TrialConfig,
     pred_name: str,
@@ -182,20 +191,13 @@ def _dump_trial(
     outcome: TrialOutcome,
 ) -> None:
     nbytes = (x.length + 7) // 8
+    values = (
+        cfg.seed, x.length, pred_name, cfg.strategy, t, w,
+        x.value.to_bytes(nbytes, "little").hex(), y.value.to_bytes(nbytes, "little").hex(),
+        outcome.output, outcome.branch, outcome.cost_bits,
+    )
     transcript = Transcript(
-        header={
-            "seed": str(cfg.seed),
-            "n": str(x.length),
-            "predicate": pred_name,
-            "strategy": cfg.strategy,
-            "trial": str(t),
-            "weight": str(w),
-            "x": x.value.to_bytes(nbytes, "little").hex(),
-            "y": y.value.to_bytes(nbytes, "little").hex(),
-            "output": str(outcome.output),
-            "branch": outcome.branch,
-            "cost_bits": str(outcome.cost_bits),
-        },
+        header=dict(zip(DUMP_HEADER, map(str, values), strict=True)),
         entries=p_transcript_entries(outcome.shared, outcome.bundle_a, outcome.bundle_b),
     )
     path = cfg.dump_dir / f"trial-{t:06d}.txt"
@@ -213,12 +215,6 @@ class ReplayResult:
     consistent: bool
 
 
-# header fields replay reads; _dump_trial writes them all
-_REPLAY_HEADER = (
-    "seed", "n", "predicate", "strategy", "trial", "x", "y", "output", "branch", "cost_bits",
-)
-
-
 def _header_field(h: Dict[str, str], key: str, parse: Callable[[str], Any]) -> Any:
     """``parse`` of one header field; a ``ValueError`` names the field."""
     try:
@@ -230,14 +226,16 @@ def _header_field(h: Dict[str, str], key: str, parse: Callable[[str], Any]) -> A
 def replay_transcript_text(text: str) -> ReplayResult:
     """Re-run the referee on a dumped transcript and cross-check it.  A
     malformed dump raises ``ValueError``; a missing or malformed header
-    field is named."""
+    field is named.  The header's predicate is a family name or inline
+    ``values:``, as ``_dump_trial`` writes it; replay reads no file."""
     t = parse_transcript(text)
     h = t.header
-    missing = [key for key in _REPLAY_HEADER if key not in h]
+    missing = [key for key in DUMP_HEADER if key not in h]
     if missing:
         raise ValueError(f"dump header has no {', '.join(map(repr, missing))} field")
-    seed, trial, n, output, cost_bits = (
-        _header_field(h, key, int) for key in ("seed", "trial", "n", "output", "cost_bits")
+    seed, trial, n, _, output, cost_bits = (
+        _header_field(h, key, int)
+        for key in ("seed", "trial", "n", "weight", "output", "cost_bits")
     )
 
     def input_bits(hexstr: str) -> BitVector:
@@ -246,7 +244,13 @@ def replay_transcript_text(text: str) -> ReplayResult:
 
     x, y = (_header_field(h, key, input_bits) for key in ("x", "y"))
     root = CoinSource.from_seed(seed)
-    pred, _ = resolve_predicate(h["predicate"], n, root.derive("predicate"))
+
+    def dumped_predicate(spec: str) -> Predicate:
+        if spec.strip().startswith("file:"):
+            raise ValueError("a dump names a family or inlines values:, never file:")
+        return resolve_predicate(spec, n, root.derive("predicate"))[0]
+
+    pred = _header_field(h, "predicate", dumped_predicate)
     profile = compute_profile(pred)
     shared = p_shared(pred, profile, h["strategy"], root.derive(f"trial/{trial}"))
     bundle_a, bundle_b = bundles_from_transcript(shared, t)
@@ -386,7 +390,9 @@ def sweep_r(
     r_values: Sequence[int], n: int, strategy: str, trials: int, seed: int
 ) -> List[SweepRow]:
     """Mean transcript cost per tail length r, over random predicates with
-    profile (r, 0), plus the cost/normalizer ratio."""
+    profile (r, 0), plus the cost/normalizer ratio.  Message sizes do not
+    depend on the inputs, so each trial is priced from the parameter plan
+    (``p_total_cost``); no input is drawn and no protocol is run."""
     root = CoinSource.from_seed(seed)
     rows = []
     for r in r_values:
@@ -396,11 +402,7 @@ def sweep_r(
         for t in range(trials):
             coins = root.derive(f"sweep/{r}/trial/{t}")
             pred, _ = resolve_predicate(f"random:{r}", n, coins.derive("predicate"))
-            profile = compute_profile(pred)
-            w = int(coins.derive("weight").generator().integers(0, n + 1))
-            x, y = sample_pair_with_distance(n, w, coins.derive("input"))
-            outcome = run_protocol(pred, profile, x, y, strategy, coins)
-            total += outcome.cost_bits
+            total += p_total_cost(compute_profile(pred), n, strategy)
         mean_cost = total / trials
         norm = cost_normalizer(r)
         rows.append(
@@ -422,6 +424,7 @@ __all__ = [
     "CellStats",
     "RUN_CSV_HEADER",
     "SWEEP_CSV_HEADER",
+    "DUMP_HEADER",
     "resolve_predicate",
     "auto_weights",
     "run_trials",

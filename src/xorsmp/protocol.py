@@ -20,9 +20,10 @@ both parties sent, and its cost is their total bit length.  Coins are free
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -352,32 +353,41 @@ def transcript_cost(t: Transcript) -> int:
     return sum(e.bit_length for e in t.entries)
 
 
-def _pk_label(side: str, i: int, j: int) -> str:
-    """Transcript label of block i's message at threshold j of a promise run."""
-    return f"p/pk/{side}/block/{i}/hd/{j}"
+@functools.cache
+def _run_labels(side: str, k: int, c: int) -> Tuple[str, ...]:
+    """Labels of a k-block promise run's entries, block by block."""
+    return tuple(f"p/pk/{side}/block/{i}/hd/{j}" for i in range(k) for j in range(c + 1))
+
+
+def p_layout(shared: PShared) -> List[Tuple[str, int]]:
+    """One party's transcript entries in wire order, as (label, bits): the
+    guards ``p/hd0`` and ``p/hd1``, then each promise run block by block
+    (block i's thresholds j = 0..c are consecutive), then ``p/parity``.
+    Both parties send this layout, Alice first; the dump writer and the
+    replay reader both walk it."""
+    layout = [(f"p/{t.guard}", g.params.stack_bits(1)) for t, g in zip(TAILS, shared.guards)]
+    for tail, run in zip(TAILS, shared.runs):
+        if run is not None:
+            sizes = zip(*(params.block_bits(run.bounds) for params in run.params))
+            layout.extend(zip(_run_labels(tail.side, run.k, run.c), itertools.chain(*sizes)))
+    layout.append(("p/parity", 1))
+    return layout
 
 
 def p_transcript_entries(
     shared: PShared, bundle_a: PBundle, bundle_b: PBundle
 ) -> List[TranscriptEntry]:
+    layout = p_layout(shared)
     entries: List[TranscriptEntry] = []
     for bundle in (bundle_a, bundle_b):
-        who = bundle.party
-        for tail, msgs in zip(TAILS, bundle.guards):
-            entries.append(TranscriptEntry(who, f"p/{tail.guard}", msgs.block_payload(0)))
-        for tail, run, msgs in zip(TAILS, shared.runs, bundle.runs):
-            if run is None:
-                continue
-            payloads = [m.block_payloads() for m in msgs]
-            entries.extend(
-                TranscriptEntry(who, _pk_label(tail.side, i, j), payloads[j][i])
-                for i in range(run.k)
-                for j in range(len(payloads))
-            )
-        entries.append(
-            TranscriptEntry(
-                who, "p/parity", np.array([bundle.parity_bit], dtype=np.uint8)
-            )
+        payloads = [msgs.block_payloads()[0] for msgs in bundle.guards]
+        for msgs in bundle.runs:
+            if msgs is not None:
+                payloads.extend(itertools.chain(*zip(*(m.block_payloads() for m in msgs))))
+        payloads.append(np.array([bundle.parity_bit], dtype=np.uint8))
+        entries.extend(
+            TranscriptEntry(bundle.party, label, payload)
+            for (label, _), payload in zip(layout, payloads, strict=True)
         )
     return entries
 
@@ -454,37 +464,15 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(header=header, entries=entries)
 
 
-def _checked_payloads(
-    sizes: Sequence[int], by_label: Dict[str, np.ndarray], labels: List[str]
-) -> List[np.ndarray]:
-    """The payloads with the given labels, each checked to have its size."""
-    payloads = []
-    for label, want in zip(labels, sizes):
-        if label not in by_label:
-            raise ValueError(f"transcript has no {label!r} payload")
-        payload = by_label[label]
-        if payload.size != want:
-            raise ValueError(f"{label!r} payload has {payload.size} bits, expected {want}")
-        payloads.append(payload)
-    return payloads
-
-
-def _pk_from_payloads(
-    shared: PkShared, by_label: Dict[str, np.ndarray], side: str
-) -> Lazy[BlockMessages]:
-    """Every payload is checked now; a stack's coins are drawn and its
-    payloads packed when the referee first reads it."""
-    payloads = [
-        _checked_payloads(
-            params.block_bits(shared.bounds),
-            by_label,
-            [_pk_label(side, i, j) for i in range(shared.k)],
-        )
-        for j, params in enumerate(shared.params)
-    ]
+def _run_stacks(run: PkShared, payloads: Iterator[np.ndarray]) -> Lazy[BlockMessages]:
+    """A party's threshold stacks from the run's next k (c + 1) payloads in
+    wire order, where threshold j is every (c + 1)-th from j; a stack's coins
+    are drawn and its payloads packed when the referee first reads it."""
+    step = len(run.params)
+    span = list(itertools.islice(payloads, run.k * step))
     return Lazy(
-        len(payloads),
-        lambda j: BlockMessages.from_block_payloads(shared.stacks[j], payloads[j], shared.bounds),
+        step,
+        lambda j: BlockMessages.from_block_payloads(run.stacks[j], span[j::step], run.bounds),
     )
 
 
@@ -492,33 +480,34 @@ def bundles_from_transcript(
     shared: PShared, t: Transcript
 ) -> Tuple[PBundle, PBundle]:
     """Rebuild both parties' bundles from a dumped transcript; together with
-    the rederived coins this replays the referee exactly.  A missing or
-    mis-sized payload raises ``ValueError`` naming its label, whether or not
-    the referee reads it."""
+    the rederived coins this replays the referee exactly.  The entries must
+    be ``p_layout``'s, Alice's and then Bob's: the first one out of place
+    (wrong party or label, missing or extra) or of the wrong size raises
+    ``ValueError`` naming the label expected there, whether or not the
+    referee reads it."""
+    layout = p_layout(shared)
+    want = [(who, label, bits) for who in (ALICE, BOB) for label, bits in layout]
+    for pos, ((who, label, bits), e) in enumerate(zip(want, t.entries), start=1):
+        if e.party != who or e.label != label:
+            raise ValueError(f"entry {pos}: expected {who} {label!r}, found {e.party} {e.label!r}")
+        if e.bit_length != bits:
+            raise ValueError(f"{label!r} payload has {e.bit_length} bits, expected {bits}")
+    if len(t.entries) < len(want):
+        who, label, _ = want[len(t.entries)]
+        raise ValueError(f"transcript ends before {who} {label!r}")
+    if len(t.entries) > len(want):
+        raise ValueError(f"entry {len(want) + 1}: expected the end after {BOB} 'p/parity'")
     whole = np.array([0, shared.n])
-    bundles = {}
-    for who in (ALICE, BOB):
-        by_label = {e.label: e.payload for e in t.entries if e.party == who}
-        bundles[who] = PBundle(
-            party=who,
-            shared=shared,
-            guards=tuple(
-                BlockMessages.from_block_payloads(
-                    guard,
-                    _checked_payloads(
-                        guard.params.block_bits(whole), by_label, [f"p/{tail.guard}"]
-                    ),
-                    whole,
-                )
-                for tail, guard in zip(TAILS, shared.guards)
-            ),
-            runs=tuple(
-                None if run is None else _pk_from_payloads(run, by_label, tail.side)
-                for tail, run in zip(TAILS, shared.runs)
-            ),
-            parity_bit=int(_checked_payloads([1], by_label, ["p/parity"])[0][0]),
+    bundles = []
+    for who, start in ((ALICE, 0), (BOB, len(layout))):
+        payloads = (e.payload for e in t.entries[start : start + len(layout)])
+        guards = tuple(
+            BlockMessages.from_block_payloads(guard, [next(payloads)], whole)
+            for guard in shared.guards
         )
-    return bundles[ALICE], bundles[BOB]
+        runs = tuple(None if run is None else _run_stacks(run, payloads) for run in shared.runs)
+        bundles.append(PBundle(who, shared, guards, runs, int(next(payloads)[0])))
+    return bundles[0], bundles[1]
 
 
 @dataclass(frozen=True)
@@ -582,6 +571,7 @@ __all__ = [
     "Transcript",
     "TranscriptEntry",
     "transcript_cost",
+    "p_layout",
     "p_transcript_entries",
     "format_transcript",
     "parse_transcript",

@@ -185,6 +185,31 @@ def test_replay_requires_dir():
         run_cli("replay")
 
 
+def test_replay_without_dumps_exits_with_message(tmp_path):
+    # a mistyped directory used to print the CSV header alone and exit 0
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not a dump\n")
+    for where in (tmp_path / "missing", empty):
+        _assert_clean_exit(
+            _replay_subprocess(where), f"{where}: no trial-*.txt dumps to replay"
+        )
+
+
+def test_unreadable_config_exits_with_message(tmp_path):
+    # a missing file and a non-UTF-8 one used to end in a traceback
+    missing = tmp_path / "missing.cfg"
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("predicate = eq\n# r\u00e9glage\n".encode("latin-1"))
+    for cfg, message in (
+        (missing, "[Errno 2] No such file or directory"),
+        (latin1, "'utf-8' codec can't decode byte 0xe9"),
+    ):
+        proc = _cli_subprocess("run", "--config", cfg, "--n", 8)
+        _assert_clean_exit(proc, f"{cfg}: {message}")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     for line in ("bogus = 1", "command = replay", "k = 16"):

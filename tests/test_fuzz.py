@@ -1,6 +1,8 @@
-"""Property tests on the text formats: transcript dumps and predicate
-files.  Malformed input must end in a ``ValueError`` (which the CLI turns
-into a one-line message), never in another exception from deep inside."""
+"""Property tests on the text formats: transcript dumps, predicate files
+and config files.  A malformed dump or predicate file must end in a
+``ValueError`` (which the CLI turns into a one-line message), and a
+malformed config file in that one-line exit, never in another exception
+from deep inside."""
 
 import re
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorsmp import cli
 from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
 from xorsmp.predicate import Predicate, parse_predicate
 from xorsmp.protocol import (
@@ -113,3 +116,41 @@ def test_parse_predicate_raises_only_value_error(text):
     except ValueError:
         return
     assert isinstance(pred, Predicate)
+
+
+# config keys as flags and as identifiers, plus keys no subcommand reads
+CONFIG_KEYS = sorted({k for f in cli._FLAGS for k in (f, f.replace("-", "_"))}) + [
+    "", "bogus", "command",
+]
+CONFIG_LINE = st.one_of(
+    LINE,
+    st.builds(
+        lambda key, sep, val: f"{key}{sep}{val}",
+        st.sampled_from(CONFIG_KEYS),
+        st.sampled_from(["=", " = ", "==", " "]),
+        st.one_of(FIELD, st.sampled_from(["8", "-3", "1e3", "eq", "raw", "fast", "auto", "0,1"])),
+    ),
+)
+CONFIG_BYTES = st.one_of(
+    st.lists(CONFIG_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode()),
+    st.binary(max_size=40),  # mostly not UTF-8
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "fuzz.cfg"
+
+
+@FUZZ
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), data=CONFIG_BYTES)
+def test_config_merges_or_exits_with_message(config_path, command, data):
+    config_path.write_bytes(data)
+    args = cli._build_parser().parse_args([command, "--config", str(config_path)])
+    try:
+        merged = cli._merge_config(args)
+    except SystemExit as exc:
+        assert isinstance(exc.code, str) and exc.code.startswith(f"{config_path}:")
+        assert len(exc.code.splitlines()) == 1, exc.code
+        return
+    assert merged.config == config_path

@@ -46,7 +46,7 @@ def test_param_derivations():
 def test_raw_payload_is_verbatim():
     params = HDParams(d=2, epsilon=0.1, strategy="raw", length=4)
     msg = hd_encode_shared(hd_shared(params, ROOT.derive("raw")), BitVector.from_bits("1010"))
-    assert msg.block_payload(0).tolist() == [1, 0, 1, 0]
+    assert msg.block_payloads()[0].tolist() == [1, 0, 1, 0]
 
 
 def test_raw_is_exact_oracle():
@@ -81,9 +81,9 @@ def test_gf2_linearity_of_messages(seedish, strategy, d):
     shared = hd_shared(params, coins.derive("hd"))
     x = BitVector.random(n, coins.derive("x"))
     y = BitVector.random(n, coins.derive("y"))
-    mx = hd_encode_shared(shared, x).block_payload(0)
-    my = hd_encode_shared(shared, y).block_payload(0)
-    mxy = hd_encode_shared(shared, x ^ y).block_payload(0)
+    mx = hd_encode_shared(shared, x).block_payloads()[0]
+    my = hd_encode_shared(shared, y).block_payloads()[0]
+    mxy = hd_encode_shared(shared, x ^ y).block_payloads()[0]
     assert ((mx ^ my) == mxy).all()
 
 
@@ -108,7 +108,7 @@ def test_wire_layout_segment_sizes():
     assert msg.bit_length == params.repetitions * (red + f)
     assert msg.bit_length == params.payload_bits
     # rep-major concatenation: [syndrome | fingerprint] per repetition
-    payload = msg.block_payload(0)
+    payload = msg.block_payloads()[0]
     per = red + f
     assert (payload[:red] == unpack_words(synd[0, 0], red)).all()
     assert (payload[red:per] == unpack_words(fp[0, 0], f)).all()
@@ -302,9 +302,9 @@ def test_single_instance_is_one_block_stack():
             msg = hd_encode_shared(shared, BitVector.random(40, ROOT.derive("one")))
             assert msg.k == 1 and msg.bit_length == params.payload_bits
             back = BlockMessages.from_block_payloads(
-                shared, [msg.block_payload(0)], msg.raw_bounds
+                shared, [msg.block_payloads()[0]], msg.raw_bounds
             )
-            assert (back.block_payload(0) == msg.block_payload(0)).all()
+            assert (back.block_payloads()[0] == msg.block_payloads()[0]).all()
 
 
 @pytest.mark.parametrize("zero_input", [False, True])

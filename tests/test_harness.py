@@ -1,7 +1,10 @@
+import builtins
+import io
 import math
 
 import pytest
 
+from xorsmp import gf2
 from xorsmp.coins import CoinSource
 from xorsmp.harness import (
     TrialConfig,
@@ -138,6 +141,18 @@ def test_sweep_deterministic():
     assert [r.csv() for r in a] == [r.csv() for r in b]
 
 
+def test_sweep_prices_from_the_plan(monkeypatch):
+    # each trial is priced by p_total_cost: no input drawn, no protocol run,
+    # so the r = 127 guard's BCH code is never built
+    monkeypatch.setattr(gf2, "_CODES", {})
+    rows = sweep_r([64, 127], 4096, "syndrome", trials=3, seed=7)
+    assert gf2._CODES == {}
+    assert [row.csv() for row in rows] == [
+        "64,4096,syndrome,3,1.06508e+06,5347.85,199.16",
+        "127,4096,syndrome,3,2.31126e+06,15454.5,149.553",
+    ]
+
+
 def test_dump_and_replay_consistency(tmp_path):
     cfg = TrialConfig(n=24, predicate_spec="ham:2", weights="auto", trials=6,
                       seed=13, strategy="syndrome", dump_dir=tmp_path)
@@ -172,7 +187,7 @@ def test_replay_detects_tampering(tmp_path):
 @pytest.mark.parametrize("cut_before, missing", [
     ("p/parity", r"'p/parity'"),
     ("p/hd1", r"'p/hd1'"),
-    ("p/pk/main/block/0/hd/1", r"'p/pk/main/block/1/hd/0'"),
+    ("p/pk/main/block/0/hd/1", r"'p/pk/main/block/0/hd/1'"),
 ])
 def test_truncated_dump_names_missing_label(tmp_path, cut_before, missing):
     cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
@@ -276,3 +291,60 @@ def test_dump_header_missing_field_is_named(tmp_path):
     lines[0] = "\t".join(t for t in lines[0].split("\t") if not t.startswith("cost_bits="))
     with pytest.raises(ValueError, match="dump header has no 'cost_bits' field"):
         replay_transcript_text("\n".join(lines) + "\n")
+
+
+def _swapped(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _bob_first(lines):
+    first_bob = next(i for i, ln in enumerate(lines) if ln.startswith("Bob\t"))
+    return lines[:1] + lines[first_bob:] + lines[1:first_bob]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # two payloads of the same size trade places
+    (lambda ls: _swapped(ls, 4, 8),
+     r"^entry 4: expected Alice 'p/pk/main/block/0/hd/1', found Alice 'p/pk/main/block/1/hd/1'$"),
+    (_bob_first,
+     r"^entry 1: expected Alice 'p/hd0', found Bob 'p/hd0'$"),
+    (lambda ls: ls[:3] + ls[2:],
+     r"^entry 3: expected Alice 'p/pk/main/block/0/hd/0', found Alice 'p/hd1'$"),
+    (lambda ls: ls[:2] + ["Alice\tp/extra\t01\t1"] + ls[2:],
+     r"^entry 2: expected Alice 'p/hd1', found Alice 'p/extra'$"),
+    (lambda ls: ls + [ls[-1]],
+     r"^entry 31: expected the end after Bob 'p/parity'$"),
+], ids=["alice-swap", "bob-first", "duplicate", "extra", "extra-at-end"])
+def test_out_of_layout_entry_names_expected_label(tmp_path, edit, message):
+    # replay used to look entries up by label: it replayed the first two
+    # consistently and caught the others only as a cost mismatch
+    lines = _syndrome_dump_lines(tmp_path)
+    assert lines[1].startswith("Alice\tp/hd0\t") and lines[2].startswith("Alice\tp/hd1\t")
+    assert lines[8].startswith("Alice\tp/pk/main/block/1/hd/1\t")  # c + 1 = 4 thresholds
+    with pytest.raises(ValueError, match=message):
+        replay_transcript_text("\n".join(edit(lines)) + "\n")
+
+
+def test_replay_opens_no_predicate_file(tmp_path, monkeypatch):
+    # _dump_trial inlines a predicate file as values:, so a dump that names
+    # a file is rejected, and the file is never opened
+    lines = _syndrome_dump_lines(tmp_path)
+    pred_file = tmp_path / "pred.txt"
+    pred_file.write_text(format_predicate(family("ham:2", 24)))
+    lines[0] = "\t".join(
+        f"predicate=file:{pred_file}" if t.startswith("predicate=") else t
+        for t in lines[0].split("\t")
+    )
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    real_open = io.open
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    with pytest.raises(ValueError, match=r"^dump header field 'predicate': .*never file:"):
+        replay_transcript_text("\n".join(lines) + "\n")
+    assert opened == []

@@ -78,9 +78,9 @@ def test_pk_message_count_and_symmetry():
     ma, mb = pk_party_messages(sh, x), pk_party_messages(sh, y)
     assert len(ma) == sh.c + 1
     for j in range(sh.c + 1):
-        for i in range(k):
-            pa = ma[j].block_payload(i)
-            pb = mb[j].block_payload(i)
+        pas, pbs = ma[j].block_payloads(), mb[j].block_payloads()
+        assert len(pas) == len(pbs) == k
+        for pa, pb in zip(pas, pbs):
             assert pa.size == pb.size  # identical layout on both sides
     # one entry per (block, threshold) pair per party
     entries_per_party = sh.k * (sh.c + 1)
@@ -315,7 +315,7 @@ def test_unread_stack_payload_is_still_checked(monkeypatch, tmp_path):
     assert f"pk/main/hd/{c}" not in seen["hd_shared"]
     cut = [ln for ln in lines if not ln.startswith(f"Alice\t{label}\t")]
     assert len(cut) == len(lines) - 1
-    with pytest.raises(ValueError, match=f"transcript has no '{label}' payload"):
+    with pytest.raises(ValueError, match=f"expected Alice '{label}'"):
         replay_transcript_text("\n".join(cut) + "\n")
 
 
