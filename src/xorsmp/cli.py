@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from .hamming import STRATEGIES
 from .harness import (
     RUN_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -65,7 +66,7 @@ _FLAGS = {
     "weights": dict(help="comma list or 'auto'"),
     "trials": dict(type=int),
     "seed": dict(type=int),
-    "strategy": dict(choices=["raw", "bucket", "syndrome"]),
+    "strategy": dict(choices=STRATEGIES),
     "out": dict(type=Path),
     "dump-transcripts": dict(type=Path),
     "r-values": dict(help="comma list of r (default 4,8,16,32,64)"),
@@ -232,12 +233,12 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand.  Bad input (a malformed predicate file, a
-    setting outside the supported envelope) surfaces from the library as a
-    ``ValueError`` and ends in a nonzero exit with its message."""
+    setting outside the supported envelope, an unwritable path) raises a
+    ``ValueError`` or ``OSError``, which exits nonzero with its message."""
     args = _merge_config(_build_parser().parse_args(argv))
     try:
         return _COMMANDS[args.command][2](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"xorsmp {args.command}: {exc}") from None
 
 

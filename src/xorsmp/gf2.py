@@ -113,8 +113,8 @@ def field_degree(n_buckets: int) -> int:
 
 
 def syndrome_bits(n_buckets: int, d: int) -> int:
-    """Wire length d * m of a syndrome, without building the code."""
-    return d * field_degree(n_buckets)
+    """Wire length d * m of a syndrome (0 at d = 0), without building the code."""
+    return d * field_degree(n_buckets) if d else 0
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ of the sender's input, so the XOR of the two messages equals the same
 function of x XOR y; all decisions are made on that difference.  Syndromes
 and fingerprints are computed as GF(2) operations: each is the XOR of
 packed uint64 columns gathered at the sender's ones (a bucket's BCH
-column, a bucket's or position's fingerprint column), taken per block.  Both
+column, a bucket's fingerprint column), taken per block.  Both
 strategies only ever under-count distances (hash collisions cancel
 parities in pairs), which makes the verdict one-sided: a true distance at
 most d is never reported as GT unless a fingerprint or decode anomaly
@@ -48,9 +48,10 @@ class HDParams:
     Derived sizes are fixed functions of (d, epsilon, strategy, length):
     B = max(16, 4d^2) buckets; bucket repetitions R = ceil(4 ln(1/eps));
     syndrome repetitions R = ceil(log2(1/eps)) + 1 with
-    f = ceil(log2(R/eps)) + 4 fingerprint rows.  d = 0 degenerates to a
-    pure equality fingerprint of f = ceil(log2(1/eps)) + 4 rows over the
-    raw input.  Derived sizes are computed once per instance, on first use.
+    f = ceil(log2(R/eps)) + 4 fingerprint rows.  d = 0, under either
+    strategy, is the syndrome sketch at capacity 0: each position is its
+    own bucket, R = 1, the syndrome is empty and the f rows fingerprint the
+    input itself.  Derived sizes are computed once per instance, on first use.
     """
 
     d: int
@@ -73,7 +74,7 @@ class HDParams:
         # spread over so few buckets), blowing the error budget for inputs
         # two above the threshold.
         if self.d == 0:
-            return 1
+            return self.length
         return max(16, 4 * self.d * self.d)
 
     @cached_property
@@ -86,11 +87,7 @@ class HDParams:
 
     @cached_property
     def fingerprint_rows(self) -> int:
-        if self.strategy == "raw":
-            return 0
-        if self.d == 0:
-            return math.ceil(math.log2(1.0 / self.epsilon)) + 4
-        if self.strategy == "bucket":
+        if self.strategy == "raw" or (self.strategy == "bucket" and self.d):
             return 0
         return math.ceil(math.log2(self.repetitions / self.epsilon)) + 4
 
@@ -101,15 +98,18 @@ class HDParams:
         return None
 
     @cached_property
+    def syndrome_cols(self) -> np.ndarray:
+        """Each bucket's packed syndrome column: no words at capacity 0."""
+        return self.code.cols if self.code else np.zeros((self.bucket_count, 0), np.uint64)
+
+    @cached_property
     def segment_bits(self) -> Tuple[int, ...]:
-        """One repetition's wire segments, in order: the f fingerprint bits
-        for d = 0, the B bucket parities for bucket, the d m syndrome bits
-        and then the f fingerprint bits for syndrome, and none for raw."""
+        """One repetition's wire segments, in order: the d m syndrome bits
+        and then the f fingerprint bits for syndrome and for d = 0 (an
+        empty syndrome), the B bucket parities for bucket, none for raw."""
         if self.strategy == "raw":
             return ()
-        if self.d == 0:
-            return (self.fingerprint_rows,)
-        if self.strategy == "bucket":
+        if not self.fingerprint_rows:
             return (self.bucket_count,)
         return (syndrome_bits(self.bucket_count, self.d), self.fingerprint_rows)
 
@@ -137,10 +137,11 @@ class HDParams:
 class HDShared:
     """Public-coin material for one instance: both parties hold the same copy.
 
-    ``buckets`` maps (repetition, position) -> bucket; ``fmat`` holds the
-    fingerprint matrix, (R, f, B) for syndrome or (f, length) for the d = 0
-    equality test.  Drawn in a fixed order from one derived stream so that
-    independent derivations by each party agree bit for bit.
+    ``buckets`` maps (repetition, position) -> bucket, None at d = 0 where
+    each position is its own bucket; ``fmat`` holds the (R, f, B)
+    fingerprint matrix, None when f = 0.  Drawn in a fixed order from one
+    derived stream so that independent derivations by each party agree bit
+    for bit.
     """
 
     params: HDParams
@@ -149,9 +150,9 @@ class HDShared:
 
     @cached_property
     def fwords(self) -> np.ndarray:
-        """``fmat`` packed per column: (R, B, w) words for syndrome, (length,
-        w) for d = 0, w = ceil(f / 64).  Packed on the first encode, so a
-        referee that only replays never pays for it."""
+        """``fmat`` packed per column: (R, B, w) words, w = ceil(f / 64).
+        Packed on the first encode, so a referee that only replays never
+        pays for it."""
         return _pack_columns(self.fmat)
 
 
@@ -160,19 +161,13 @@ def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
     if params.strategy == "raw":
         return HDShared(params, None, None)
     gen = coins.generator()
-    if params.d == 0:
-        fmat = _draw_bits(gen, (params.fingerprint_rows, params.length))
-        return HDShared(params, None, fmat)
-    buckets = gen.integers(
-        0, params.bucket_count, size=(params.repetitions, params.length),
-        dtype=np.int64,
-    )
-    fmat = None
-    if params.strategy == "syndrome":
-        fmat = _draw_bits(
-            gen,
-            (params.repetitions, params.fingerprint_rows, params.bucket_count),
-        )
+    buckets = fmat = None
+    if params.d:
+        size = (params.repetitions, params.length)
+        buckets = gen.integers(0, params.bucket_count, size=size, dtype=np.int64)
+    if params.fingerprint_rows:
+        shape = (params.repetitions, params.fingerprint_rows, params.bucket_count)
+        fmat = _draw_bits(gen, shape)
     return HDShared(params, buckets, fmat)
 
 
@@ -254,7 +249,7 @@ class BlockMessages:
     the segments of ``HDParams.segment_bits`` in order; raw is the block's
     input bits verbatim.  Segment s is held as packed words (see
     ``gf2.pack_words``), one (R, k, ceil(bits / 64)) uint64 array in
-    ``words[s]`` (R = 1 for d = 0); only the payload conversions touch bits.
+    ``words[s]``; only the payload conversions touch bits.
     """
 
     shared: HDShared
@@ -301,15 +296,17 @@ def _xor_by_block(vals: np.ndarray, one_bounds: np.ndarray) -> np.ndarray:
     """XOR of the word rows vals[..., j, :] over the ones j of each block,
     block i owning j in [one_bounds[i], one_bounds[i+1]); empty blocks
     give zero words."""
+    shape = vals.shape[:-2] + (one_bounds.size - 1, vals.shape[-1])
+    if not vals.size:  # no ones, or no words (an empty syndrome)
+        return np.zeros(shape, dtype=vals.dtype)
     if one_bounds.size == 2:  # a single block: one plain reduction
         return np.bitwise_xor.reduce(vals, axis=-2, keepdims=True)
     starts = one_bounds[:-1]
     filled = starts < one_bounds[1:]
     if filled.all():
         return np.bitwise_xor.reduceat(vals, starts, axis=-2)
-    out = np.zeros(vals.shape[:-2] + (starts.size, vals.shape[-1]), dtype=vals.dtype)
-    if filled.any():
-        out[..., filled, :] = np.bitwise_xor.reduceat(vals, starts[filled], axis=-2)
+    out = np.zeros(shape, dtype=vals.dtype)
+    out[..., filled, :] = np.bitwise_xor.reduceat(vals, starts[filled], axis=-2)
     return out
 
 
@@ -331,11 +328,8 @@ def encode_blocks(
     params = shared.params
     if params.strategy == "raw":
         return BlockMessages(shared, k, raw_sorted=x_sorted, raw_bounds=bounds)
-    if params.d == 0:
-        fp = _xor_by_block(shared.fwords[ones], one_bounds)
-        return BlockMessages(shared, k, words=(fp[None],))
     r_count = params.repetitions
-    if params.strategy == "bucket":
+    if not params.fingerprint_rows:  # bucket parities
         # parities laid out in whole words of bits, so they pack in one call
         width = 64 * -(-params.bucket_count // 64)
         rep_base = np.arange(0, r_count * k * width, k * width)[:, None]
@@ -347,8 +341,9 @@ def encode_blocks(
         words = np.packbits(par, axis=-1, bitorder="little").view("<u8")
         return BlockMessages(shared, k, words=(words,))
     # A bucket hit twice cancels in the XOR, so no parity vector is needed.
-    hit = shared.buckets[:, ones]
-    synd = _xor_by_block(params.code.cols[hit], one_bounds)
+    hit = ones[None] if shared.buckets is None else shared.buckets[:, ones]
+    # take gathers rows several times faster than indexing with [hit]
+    synd = _xor_by_block(params.syndrome_cols.take(hit, axis=0), one_bounds)
     fp = _xor_by_block(shared.fwords[np.arange(r_count)[:, None], hit], one_bounds)
     return BlockMessages(shared, k, words=(synd, fp))
 
@@ -368,10 +363,7 @@ def decide_block(
         lo, hi = msgs_a.raw_bounds[i], msgs_a.raw_bounds[i + 1]
         dist = int((msgs_a.raw_sorted[lo:hi] ^ msgs_b.raw_sorted[lo:hi]).sum())
         return HDVerdict(le=dist <= params.d, estimate=dist)
-    if params.d == 0:
-        same = bool((msgs_a.words[0][0, i] == msgs_b.words[0][0, i]).all())
-        return HDVerdict(le=same, estimate=0 if same else 1)
-    if params.strategy == "bucket":
+    if not params.fingerprint_rows:  # bucket parities
         diff = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]
         # the padding bits are zero, so the row's set bits are the parities
         estimate = int(np.bitwise_count(diff).sum(axis=1).max())
@@ -379,10 +371,11 @@ def decide_block(
     code = params.code
     diffs = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]
     fpd = msgs_a.words[1][:, i] ^ msgs_b.words[1][:, i]
-    if not diffs.any():
+    if not np.count_nonzero(diffs):  # cheaper than .any() on a few words
         # Every repetition decodes to the empty set; a nonzero fingerprint
-        # difference then means a codeword of weight >= 2d + 1, so GT.
-        if fpd.any():
+        # difference then means a codeword of weight >= 2d + 1, so GT.  At
+        # d = 0 the syndrome is empty and this is the equality test.
+        if np.count_nonzero(fpd):
             return HDVerdict(le=False, estimate=params.d + 1)
         return HDVerdict(le=True, estimate=0)
     fpd_bits = unpack_words(fpd, params.fingerprint_rows)

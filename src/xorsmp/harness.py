@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bits import BitVector, sample_pair_with_distance
+from .bits import BitVector, hamming_distance, sample_pair_with_distance
 from .coins import CoinSource, c_of_k
 from .predicate import (
     Predicate,
@@ -233,7 +233,7 @@ def replay_transcript_text(text: str) -> ReplayResult:
     missing = [key for key in DUMP_HEADER if key not in h]
     if missing:
         raise ValueError(f"dump header has no {', '.join(map(repr, missing))} field")
-    seed, trial, n, _, output, cost_bits = (
+    seed, trial, n, weight, output, cost_bits = (
         _header_field(h, key, int)
         for key in ("seed", "trial", "n", "weight", "output", "cost_bits")
     )
@@ -243,6 +243,9 @@ def replay_transcript_text(text: str) -> ReplayResult:
         return BitVector(n, int.from_bytes(_hex_to_bytes(hexstr or "-", n), "little"))
 
     x, y = (_header_field(h, key, input_bits) for key in ("x", "y"))
+    dist = hamming_distance(x, y)
+    if weight != dist:
+        raise ValueError(f"dump header field 'weight': {weight}, but |x XOR y| = {dist}")
     root = CoinSource.from_seed(seed)
 
     def dumped_predicate(spec: str) -> Predicate:

@@ -196,6 +196,25 @@ def test_replay_without_dumps_exits_with_message(tmp_path):
         )
 
 
+def _small_run(*extra):
+    return ("run", "--n", 8, "--predicate", "eq", "--weights", "1", "--trials", 1, *extra)
+
+
+@pytest.mark.parametrize("argv_and_path", [
+    lambda t: (_small_run("--out", t / "afile" / "x.csv"), t / "afile"),
+    lambda t: (_small_run("--dump-transcripts", t / "afile"), t / "afile"),
+    lambda t: (("replay", "--dump-transcripts", t), t / "trial-000000.txt"),
+], ids=["out-under-file", "dump-dir-is-file", "dump-is-dir"])
+def test_os_error_exits_with_message(tmp_path, argv_and_path):
+    # each used to end in a FileExistsError or IsADirectoryError traceback
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "trial-000000.txt").mkdir()
+    argv, path = argv_and_path(tmp_path)
+    proc = _cli_subprocess(*argv)
+    _assert_clean_exit(proc, str(path))
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_unreadable_config_exits_with_message(tmp_path):
     # a missing file and a non-UTF-8 one used to end in a traceback
     missing = tmp_path / "missing.cfg"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource
+from xorsmp import gf2
 from xorsmp.gf2 import unpack_words
 from xorsmp.predicate import family
 from xorsmp.protocol import pk_party_messages, pk_shared
@@ -15,6 +16,7 @@ from .oracles import code_parity_check, gf2_mat_vec
 from xorsmp.hamming import (
     BlockMessages,
     HDParams,
+    HDVerdict,
     decide_block,
     hd_decide,
     hd_encode_shared,
@@ -34,9 +36,29 @@ def test_param_derivations():
     assert p.fingerprint_rows == math.ceil(math.log2(p.repetitions * 100)) + 4
     b = HDParams(d=4, epsilon=0.01, strategy="bucket", length=100)
     assert b.repetitions == math.ceil(4 * math.log(100))
-    z = HDParams(d=0, epsilon=0.1, strategy="syndrome", length=100)
-    assert z.fingerprint_rows == math.ceil(math.log2(10)) + 4
-    assert z.payload_bits == z.fingerprint_rows
+    # d = 0 is the capacity-0 syndrome sketch under both strategies: each
+    # position its own bucket, an empty syndrome, then the fingerprint
+    for strategy in ("bucket", "syndrome"):
+        z = HDParams(d=0, epsilon=0.1, strategy=strategy, length=100)
+        f = math.ceil(math.log2(10)) + 4
+        assert z.fingerprint_rows == f
+        assert z.segment_bits == (0, f)
+        assert z.bucket_count == 100
+        assert z.payload_bits == f
+    # past the largest field, d = 0 still encodes and decides, and builds
+    # no GF(2^m) field and no code
+    fields, codes = dict(gf2._FIELDS), dict(gf2._CODES)
+    n = 2**16 + 1
+    for strategy in ("bucket", "syndrome"):
+        z = HDParams(d=0, epsilon=0.1, strategy=strategy, length=n)
+        shared = hd_shared(z, ROOT.derive(f"big0/{strategy}"))
+        x = BitVector.random(n, ROOT.derive("big0x"))
+        m_x = hd_encode_shared(shared, x)
+        assert m_x.block_payloads()[0].size == z.payload_bits
+        for y, verdict in ((x, HDVerdict(le=True, estimate=0)),
+                           (x ^ BitVector(n, 1), HDVerdict(le=False, estimate=1))):
+            assert hd_decide(z, m_x, hd_encode_shared(shared, y)) == verdict
+    assert gf2._FIELDS == fields and gf2._CODES == codes
     with pytest.raises(ValueError):
         HDParams(d=1, epsilon=0.0, strategy="bucket", length=8)
     with pytest.raises(ValueError):
@@ -311,7 +333,7 @@ def test_single_instance_is_one_block_stack():
 def test_stack_words_match_dense_oracle(zero_input):
     # k = 6 blocks over n = 12 with blocks 0 and 2 empty: every threshold's
     # words equal H . parity and fmat . parity mod 2 of each block's bucket
-    # parities (fmat . x_block for d = 0); empty blocks and an all-zero
+    # parities (fmat[0] . x_block for d = 0); empty blocks and an all-zero
     # input give zero words
     n, k = 12, 6
     coins = ROOT.derive("stack")
@@ -327,8 +349,8 @@ def test_stack_words_match_dense_oracle(zero_input):
         for i in range(k):
             x_block = x_arr * (block_of == i)
             if params.d == 0:
-                got = unpack_words(msg.words[0][0, i], f)
-                assert (got == gf2_mat_vec(stack.fmat, x_block)).all()
+                got = unpack_words(msg.words[1][0, i], f)
+                assert (got == gf2_mat_vec(stack.fmat[0], x_block)).all()
                 continue
             h = code_parity_check(params.code)
             for r in range(params.repetitions):

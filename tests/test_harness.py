@@ -275,7 +275,10 @@ def test_malformed_dump_line_is_rejected(tmp_path, label, edit, message):
     ("output", lambda v: "", r"'output': invalid literal for int\(\) with base 10: ''"),
     ("cost_bits", lambda v: "abc",
      r"'cost_bits': invalid literal for int\(\) with base 10: 'abc'"),
-], ids=["short-x", "long-y", "seed-not-int", "output-empty", "cost-bits-not-int"])
+    # a weight that is not |x XOR y| used to replay consistently
+    ("weight", lambda v: "7", r"'weight': 7, but \|x XOR y\| = 1$"),
+], ids=["short-x", "long-y", "seed-not-int", "output-empty", "cost-bits-not-int",
+        "weight-not-distance"])
 def test_dump_header_bad_field_is_named(tmp_path, key, edit, message):
     lines = _syndrome_dump_lines(tmp_path)
     lines[0] = "\t".join(
