@@ -138,22 +138,16 @@ class HDShared:
     """Public-coin material for one instance: both parties hold the same copy.
 
     ``buckets`` maps (repetition, position) -> bucket, None at d = 0 where
-    each position is its own bucket; ``fmat`` holds the (R, f, B)
-    fingerprint matrix, None when f = 0.  Drawn in a fixed order from one
-    derived stream so that independent derivations by each party agree bit
-    for bit.
+    each position is its own bucket.  ``fmat`` is the fingerprint matrix as
+    packed columns, None when f = 0: (R, B, w) uint64 words, w = ceil(f / 64),
+    where bit t % 64 of word t // 64 of column b is row t and the bits at or
+    past f are zero.  Drawn in a fixed order from one derived stream so that
+    independent derivations by each party agree bit for bit.
     """
 
     params: HDParams
     buckets: Optional[np.ndarray]
     fmat: Optional[np.ndarray]
-
-    @cached_property
-    def fwords(self) -> np.ndarray:
-        """``fmat`` packed per column: (R, B, w) words, w = ceil(f / 64).
-        Packed on the first encode, so a referee that only replays never
-        pays for it."""
-        return _pack_columns(self.fmat)
 
 
 def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
@@ -165,52 +159,18 @@ def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
     if params.d:
         size = (params.repetitions, params.length)
         buckets = gen.integers(0, params.bucket_count, size=size, dtype=np.int64)
-    if params.fingerprint_rows:
-        shape = (params.repetitions, params.fingerprint_rows, params.bucket_count)
-        fmat = _draw_bits(gen, shape)
+    f = params.fingerprint_rows
+    if f:
+        size = (params.repetitions, params.bucket_count, -(-f // 64))
+        fmat = gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
+        fmat[..., -1] &= np.uint64((1 << ((f - 1) % 64 + 1)) - 1)
     return HDShared(params, buckets, fmat)
-
-
-def _draw_bits(gen: np.random.Generator, shape) -> np.ndarray:
-    n = int(np.prod(shape))
-    raw = gen.integers(0, 256, size=(n + 7) // 8, dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").reshape(shape)
-
-
-_SHIFT8 = np.arange(8, dtype=np.uint8)[:, None]
-
-
-def _pack_columns(bits: np.ndarray) -> np.ndarray:
-    """(..., f, B) bits -> (..., B, ceil(f / 64)) words: bit t of column b
-    is bit t % 64 of word t // 64.  Built one byte of rows at a time, since
-    packing along a non-last axis is far slower."""
-    f, b = bits.shape[-2:]
-    out = np.zeros(bits.shape[:-2] + (b, 8 * -(-f // 64)), dtype=np.uint8)
-    for t in range(0, f, 8):
-        rows = bits[..., t : t + 8, :]
-        out[..., t >> 3] = np.bitwise_or.reduce(rows << _SHIFT8[: rows.shape[-2]], axis=-2)
-    return out.view("<u8")
 
 
 @dataclass(frozen=True)
 class HDVerdict:
     le: bool               # the protocol's claim: distance <= d
     estimate: int          # best distance estimate backing the claim
-
-
-def _fingerprint_matches(
-    fmat_rep: np.ndarray, positions: Tuple[int, ...], fpd: np.ndarray
-) -> bool:
-    w = len(positions)
-    if w == 0:
-        return not fpd.any()
-    if w == 1:
-        return bool((fmat_rep[:, positions[0]] == fpd).all())
-    if w == 2:
-        col = fmat_rep[:, positions[0]] ^ fmat_rep[:, positions[1]]
-    else:
-        col = np.bitwise_xor.reduce(fmat_rep[:, list(positions)], axis=1)
-    return bool((col == fpd).all())
 
 
 def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
@@ -344,7 +304,9 @@ def encode_blocks(
     hit = ones[None] if shared.buckets is None else shared.buckets[:, ones]
     # take gathers rows several times faster than indexing with [hit]
     synd = _xor_by_block(params.syndrome_cols.take(hit, axis=0), one_bounds)
-    fp = _xor_by_block(shared.fwords[np.arange(r_count)[:, None], hit], one_bounds)
+    cols = shared.fmat.reshape(-1, shared.fmat.shape[-1])  # (R B, w): rep r starts at r B
+    rep_base = np.arange(0, r_count * params.bucket_count, params.bucket_count)[:, None]
+    fp = _xor_by_block(cols.take(hit + rep_base, axis=0), one_bounds)
     return BlockMessages(shared, k, words=(synd, fp))
 
 
@@ -378,14 +340,19 @@ def decide_block(
         if np.count_nonzero(fpd):
             return HDVerdict(le=False, estimate=params.d + 1)
         return HDVerdict(le=True, estimate=0)
-    fpd_bits = unpack_words(fpd, params.fingerprint_rows)
     packed = diffs.astype("<u8", copy=False).tobytes()
     width = len(packed) // params.repetitions
     estimate = 0
     for rep in range(params.repetitions):
         word = int.from_bytes(packed[rep * width : (rep + 1) * width], "little")
         hit = code.decode_elements(code.elements_from_packed(word)) if word else ()
-        if hit is None or not _fingerprint_matches(shared.fmat[rep], hit, fpd_bits[rep]):
+        if hit is None:
+            return HDVerdict(le=False, estimate=params.d + 1)
+        # the decoded buckets' columns XOR to the fingerprint difference;
+        # no hit gives zero words
+        cols = shared.fmat[rep]
+        fp = cols[hit[0]] if len(hit) == 1 else np.bitwise_xor.reduce(cols[list(hit)])
+        if fp.tobytes() != fpd[rep].tobytes():
             return HDVerdict(le=False, estimate=params.d + 1)
         estimate = max(estimate, len(hit))
     return HDVerdict(le=True, estimate=estimate)

@@ -80,6 +80,11 @@ def auto_weights(profile: Profile, n: int) -> List[int]:
     return sorted(w for w in cand if 0 <= w <= n)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least one trial per cell")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     n: int
@@ -91,8 +96,7 @@ class TrialConfig:
     dump_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial per cell")
+        _check_trials(self.trials)
 
 
 @dataclass
@@ -332,6 +336,7 @@ def hd_error_experiment(
 
     if strategy not in ("bucket", "syndrome"):
         raise ValueError("measure bucket or syndrome against the raw oracle")
+    _check_trials(samples)
     n = max(32, 8 * max(d, 1))
     root = CoinSource.from_seed(seed)
     params = HDParams(d=d, epsilon=epsilon, strategy=strategy, length=n)
@@ -396,6 +401,7 @@ def sweep_r(
     profile (r, 0), plus the cost/normalizer ratio.  Message sizes do not
     depend on the inputs, so each trial is priced from the parameter plan
     (``p_total_cost``); no input is drawn and no protocol is run."""
+    _check_trials(trials)
     root = CoinSource.from_seed(seed)
     rows = []
     for r in r_values:

@@ -124,6 +124,8 @@ def eq_predicate(n: int) -> Predicate:
 
 def ham_predicate(n: int, d: int) -> Predicate:
     """Threshold predicate: 1 iff the distance is at most d."""
+    if d < 0:
+        raise ValueError(f"threshold d < 0 (d = {d})")
     if d + 1 > n / 2:
         raise ValueError(f"threshold {d} leaves the r <= n/2 regime at n={n}")
     return Predicate([1 if k <= d else 0 for k in range(n + 1)])

@@ -229,6 +229,22 @@ def test_unreadable_config_exits_with_message(tmp_path):
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--n", 8, "--predicate", "eq"),
+        ("hd-error", "--d", 1, "--epsilon", 0.1),
+        ("sweep-r", "--n", 64, "--r-values", 4),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_trials_exits_with_message(argv):
+    # hd-error and sweep-r used to divide by zero trials
+    proc = _cli_subprocess(*argv, "--trials", 0)
+    _assert_clean_exit(proc, "need at least one trial per cell")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     for line in ("bogus = 1", "command = replay", "k = 16"):

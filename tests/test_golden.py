@@ -3,10 +3,12 @@ their replays, and the C5 sketch-grid verdicts.
 
 Equal seeds must give identical bytes, so any refactor of the sketch,
 protocol or coin code has to leave these files untouched.  When a change
-alters coin labels or draw order on purpose, regenerate the files with
+alters coin labels, draw order or coin format on purpose, regenerate the
+files with
 
     PYTHONPATH=src python -m tests.test_golden --write
 
+which also prints the big-trial digest to paste into ``BIG_TRIAL_SHA256``,
 and say so in the change's notes.
 """
 
@@ -93,16 +95,21 @@ def golden_outputs():
 
 # One large trial (n = 4096, r0 = 64): the files above only reach n = 20, far
 # below the packed-word boundaries of the big codes.  The digest covers the
-# whole dump, every payload of both parties included, and was taken from the
-# float32-matmul sketch code that preceded the packed-word kernels.
+# whole dump, every payload of both parties included, so it pins the coins
+# (fingerprint columns drawn as packed words) and every syndrome, fingerprint
+# and parity bit of both parties at that size.  ``--write`` prints it.
 BIG_TRIAL = TrialConfig(4096, "random:64", [40], 1, 64_001, "syndrome")
-BIG_TRIAL_SHA256 = "8f14df4319baae5fa9c63fcdde5c07d1fbea30efdd7736c64b9e78eef8f8e3a4"
+BIG_TRIAL_SHA256 = "c05ebb5ff64ab30369a180af8e5aab4f310143058e80d5e3bfa9d217136d7a5a"
+
+
+def big_trial_dump() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        run_trials(dataclasses.replace(BIG_TRIAL, dump_dir=Path(tmp)))
+        return (Path(tmp) / "trial-000000.txt").read_text()
 
 
 def test_big_trial_payload_digest():
-    with tempfile.TemporaryDirectory() as tmp:
-        run_trials(dataclasses.replace(BIG_TRIAL, dump_dir=Path(tmp)))
-        text = (Path(tmp) / "trial-000000.txt").read_text()
+    text = big_trial_dump()
     assert hashlib.sha256(text.encode()).hexdigest() == BIG_TRIAL_SHA256
     # and the payloads read back into packed words replay the same run
     assert replay_transcript_text(text).consistent
@@ -121,3 +128,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, make in golden_outputs().items():
         (GOLDEN / name).write_bytes(make().encode())
+    digest = hashlib.sha256(big_trial_dump().encode()).hexdigest()
+    print(f'BIG_TRIAL_SHA256 = "{digest}"')

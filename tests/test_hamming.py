@@ -332,9 +332,10 @@ def test_single_instance_is_one_block_stack():
 @pytest.mark.parametrize("zero_input", [False, True])
 def test_stack_words_match_dense_oracle(zero_input):
     # k = 6 blocks over n = 12 with blocks 0 and 2 empty: every threshold's
-    # words equal H . parity and fmat . parity mod 2 of each block's bucket
-    # parities (fmat[0] . x_block for d = 0); empty blocks and an all-zero
-    # input give zero words
+    # words equal H . parity and F . parity mod 2 of each block's bucket
+    # parities (F . x_block for d = 0), F being the (f, B) bit matrix whose
+    # packed columns are fmat[r]; empty blocks and an all-zero input give
+    # zero words
     n, k = 12, 6
     coins = ROOT.derive("stack")
     shared = pk_shared(k, family("eq", n), n, "syndrome", coins)
@@ -350,7 +351,7 @@ def test_stack_words_match_dense_oracle(zero_input):
             x_block = x_arr * (block_of == i)
             if params.d == 0:
                 got = unpack_words(msg.words[1][0, i], f)
-                assert (got == gf2_mat_vec(stack.fmat[0], x_block)).all()
+                assert (got == gf2_mat_vec(unpack_words(stack.fmat[0], f).T, x_block)).all()
                 continue
             h = code_parity_check(params.code)
             for r in range(params.repetitions):
@@ -360,6 +361,33 @@ def test_stack_words_match_dense_oracle(zero_input):
                 got_s = unpack_words(msg.words[0][r, i], params.code.redundancy)
                 got_f = unpack_words(msg.words[1][r, i], f)
                 assert (got_s == gf2_mat_vec(h, par)).all()
-                assert (got_f == gf2_mat_vec(stack.fmat[r], par)).all()
+                assert (got_f == gf2_mat_vec(unpack_words(stack.fmat[r], f).T, par)).all()
         if zero_input:
             assert not any(w.any() for w in msg.words)
+
+
+@pytest.mark.parametrize("d, epsilon, f", [(0, 0.1, 8), (2, 0.1, 10), (2, 1e-18, 70)])
+def test_fingerprint_columns_are_masked_words(d, epsilon, f):
+    # fmat packs each f-row column into ceil(f / 64) words with every bit at
+    # or past f zero; otherwise a fingerprint checked against the words the
+    # referee rebuilds from f wire bits (a replay) would disagree with the
+    # live run
+    n = 64
+    params = HDParams(d=d, epsilon=epsilon, strategy="syndrome", length=n)
+    assert params.fingerprint_rows == f
+    shared = hd_shared(params, ROOT.derive(f"mask/{d}/{f}"))
+    w = -(-f // 64)
+    assert shared.fmat.shape == (params.repetitions, params.bucket_count, w)
+    bits = unpack_words(shared.fmat, 64 * w)
+    assert not bits[..., f:].any() and bits[..., :f].any()
+    whole = np.array([0, n])
+    for weight in (d, d + 1):
+        x, y = sample_pair_with_distance(n, weight, ROOT.derive(f"maskx/{d}/{weight}"))
+        m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
+        live = hd_decide(params, m_a, m_b)
+        assert live.le == (weight <= d)
+        r_a, r_b = (
+            BlockMessages.from_block_payloads(shared, m.block_payloads(), whole)
+            for m in (m_a, m_b)
+        )
+        assert hd_decide(params, r_a, r_b) == live

@@ -170,6 +170,8 @@ def test_family_regime_guards():
         family("random:5", 8, ROOT)
     with pytest.raises(ValueError):
         family("ham:4", 8)
+    with pytest.raises(ValueError, match=r"d < 0 \(d = -1\)"):
+        family("ham:-1", 8)
     with pytest.raises(ValueError):
         family("nope", 8)
 
