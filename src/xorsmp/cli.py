@@ -17,18 +17,18 @@ from typing import Dict, List, Optional, Tuple
 from .hamming import STRATEGIES
 from .harness import (
     RUN_CSV_HEADER,
-    SWEEP_CSV_HEADER,
+    HdErrorResult,
+    LemmaResult,
+    ReplayResult,
+    SweepRow,
     TrialConfig,
+    csv_lines,
     hd_error_experiment,
     lemma_partition_experiment,
     replay_transcript_text,
     run_trials,
     sweep_r,
 )
-
-LEMMA_CSV_HEADER = "k,c,samples,failures,empirical,bound,stderr"
-HD_CSV_HEADER = "d,epsilon,strategy,weight,samples,errors,rate,stderr"
-REPLAY_CSV_HEADER = "trial,output,recorded_output,truth,correct,cost_bits,consistent"
 
 
 def _parse_config(path: Path) -> Dict[str, Tuple[int, str]]:
@@ -149,24 +149,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _require(args, n=4096, trials=8, seed=0, strategy="syndrome")
+    _require(args, n=4096, strategy="syndrome")
     r_values = _int_list(args.r_values or "4,8,16,32,64")
-    rows = sweep_r(r_values, args.n, args.strategy, args.trials, args.seed)
-    _emit(args.out, [SWEEP_CSV_HEADER] + [row.csv() for row in rows])
+    _emit(args.out, csv_lines(SweepRow, sweep_r(r_values, args.n, args.strategy)))
     return 0
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
     _require(args, trials=10000, seed=0)
     ks = _int_list(args.k or "16,64,256")
-    lines = [LEMMA_CSV_HEADER]
-    for k in ks:
-        res = lemma_partition_experiment(k, args.trials, args.seed)
-        lines.append(
-            f"{res.k},{res.c},{res.samples},{res.failures},"
-            f"{res.empirical:.6g},{res.bound:.6g},{res.stderr:.6g}"
-        )
-    _emit(args.out, lines)
+    results = [lemma_partition_experiment(k, args.trials, args.seed) for k in ks]
+    _emit(args.out, csv_lines(LemmaResult, results))
     return 0
 
 
@@ -174,16 +167,13 @@ def cmd_hd_error(args: argparse.Namespace) -> int:
     _require(args, trials=10000, seed=0, strategy="syndrome")
     ds = _int_list(args.d or "0,1,2,4,8")
     epsilons = _float_list(args.epsilon or "0.1,0.01")
-    lines = [HD_CSV_HEADER]
-    for d in ds:
-        for eps in epsilons:
-            for res in hd_error_experiment(d, eps, args.strategy, args.trials,
-                                           args.seed):
-                lines.append(
-                    f"{res.d},{res.epsilon:.6g},{res.strategy},{res.weight},"
-                    f"{res.samples},{res.errors},{res.rate:.6g},{res.stderr:.6g}"
-                )
-    _emit(args.out, lines)
+    results = [
+        res
+        for d in ds
+        for eps in epsilons
+        for res in hd_error_experiment(d, eps, args.strategy, args.trials, args.seed)
+    ]
+    _emit(args.out, csv_lines(HdErrorResult, results))
     return 0
 
 
@@ -193,20 +183,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     paths = sorted(args.dump_transcripts.glob("trial-*.txt"))
     if not paths:
         raise SystemExit(f"{args.dump_transcripts}: no trial-*.txt dumps to replay")
-    lines = [REPLAY_CSV_HEADER]
-    bad = 0
+    results = []
     for path in paths:
         try:
-            res = replay_transcript_text(path.read_text())
+            results.append(replay_transcript_text(path.read_text()))
         except ValueError as exc:
             raise SystemExit(f"{path}: {exc}") from None
-        bad += 0 if res.consistent else 1
-        lines.append(
-            f"{res.trial},{res.output},{res.recorded_output},{res.truth},"
-            f"{res.correct},{res.cost_bits},{int(res.consistent)}"
-        )
-    _emit(args.out, lines)
-    return 1 if bad else 0
+    _emit(args.out, csv_lines(ReplayResult, results))
+    return 0 if all(res.consistent for res in results) else 1
 
 
 # subcommand -> (help, the flags it reads besides --config, handler)
@@ -218,7 +202,7 @@ _COMMANDS = {
     ),
     "sweep-r": (
         "cost versus tail length r",
-        ("n", "trials", "seed", "strategy", "out", "r-values"),
+        ("n", "strategy", "out", "r-values"),
         cmd_sweep,
     ),
     "lemma-partition": ("partition lemma check", ("trials", "seed", "out", "k"), cmd_lemma),

@@ -305,7 +305,7 @@ def encode_blocks(
     # take gathers rows several times faster than indexing with [hit]
     synd = _xor_by_block(params.syndrome_cols.take(hit, axis=0), one_bounds)
     cols = shared.fmat.reshape(-1, shared.fmat.shape[-1])  # (R B, w): rep r starts at r B
-    rep_base = np.arange(0, r_count * params.bucket_count, params.bucket_count)[:, None]
+    rep_base = np.arange(r_count)[:, None] * params.bucket_count
     fp = _xor_by_block(cols.take(hit + rep_base, axis=0), one_bounds)
     return BlockMessages(shared, k, words=(synd, fp))
 

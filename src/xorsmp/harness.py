@@ -12,9 +12,9 @@ claims into deterministic checks with a controlled flake rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .predicate import (
     family,
     oracle,
     parse_predicate,
+    random_predicate,
 )
 from .protocol import (
     Transcript,
@@ -45,10 +46,12 @@ from .protocol import (
 
 
 def resolve_predicate(spec: str, n: int, coins: CoinSource) -> Tuple[Predicate, str]:
-    """Turn a CLI predicate spec into a predicate plus a replayable name.
+    """Turn a CLI predicate spec into an n-bit predicate plus a replayable
+    name.
 
     File-backed predicates are inlined as ``values:<bits>`` so that dumps
-    remain replayable without the original file.
+    remain replayable without the original file.  A file or inline
+    predicate of another length than n is rejected.
     """
     spec = spec.strip()
     if spec.startswith("file:"):
@@ -57,13 +60,17 @@ def resolve_predicate(spec: str, n: int, coins: CoinSource) -> Tuple[Predicate, 
             pred = parse_predicate(path.read_text())
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return pred, "values:" + "".join(str(v) for v in pred.values)
-    if spec.startswith("values:"):
+        name = "values:" + "".join(str(v) for v in pred.values)
+    elif spec.startswith("values:"):
         row = spec[7:]
         if not row or row.strip("01"):
             raise ValueError(f"bad inline predicate {spec!r}")
-        return Predicate([int(ch) for ch in row]), spec
-    return family(spec, n, coins), spec.lower()
+        pred, name = Predicate([int(ch) for ch in row]), spec
+    else:
+        return family(spec, n, coins), spec.lower()
+    if pred.n != n:
+        raise ValueError(f"predicate {spec!r} has n = {pred.n}, not n = {n}")
+    return pred, name
 
 
 def auto_weights(profile: Profile, n: int) -> List[int]:
@@ -367,24 +374,15 @@ def hd_error_experiment(
     return results
 
 
-SWEEP_CSV_HEADER = "r,n,strategy,trials,mean_cost_bits,normalizer,ratio"
-
-
 @dataclass(frozen=True)
 class SweepRow:
     r: int
     n: int
     strategy: str
-    trials: int
-    mean_cost_bits: float
+    cost_bits: int
+    trivial_bits: int  # each party sends its input: 2n
     normalizer: float
     ratio: float
-
-    def csv(self) -> str:
-        return (
-            f"{self.r},{self.n},{self.strategy},{self.trials},"
-            f"{self.mean_cost_bits:.6g},{self.normalizer:.6g},{self.ratio:.6g}"
-        )
 
 
 def cost_normalizer(r: int) -> float:
@@ -394,45 +392,44 @@ def cost_normalizer(r: int) -> float:
     return r * math.log2(r) ** 3 / math.log2(math.log2(r))
 
 
-def sweep_r(
-    r_values: Sequence[int], n: int, strategy: str, trials: int, seed: int
-) -> List[SweepRow]:
-    """Mean transcript cost per tail length r, over random predicates with
-    profile (r, 0), plus the cost/normalizer ratio.  Message sizes do not
-    depend on the inputs, so each trial is priced from the parameter plan
-    (``p_total_cost``); no input is drawn and no protocol is run."""
-    _check_trials(trials)
-    root = CoinSource.from_seed(seed)
+def sweep_r(r_values: Sequence[int], n: int, strategy: str) -> List[SweepRow]:
+    """Transcript cost per tail length r, beside the trivial 2n and the
+    cost/normalizer ratio.  Cost depends only on the profile, so each r is
+    priced once (``p_total_cost``) from the profile (r, 0) of one random
+    predicate; no input is drawn and no protocol is run."""
+    coins = CoinSource.from_seed(0).derive("sweep")
     rows = []
     for r in r_values:
-        if r > n / 2:
-            raise ValueError(f"r={r} exceeds n/2 for n={n}")
-        total = 0
-        for t in range(trials):
-            coins = root.derive(f"sweep/{r}/trial/{t}")
-            pred, _ = resolve_predicate(f"random:{r}", n, coins.derive("predicate"))
-            total += p_total_cost(compute_profile(pred), n, strategy)
-        mean_cost = total / trials
+        if not 0 <= r <= n / 2:
+            raise ValueError(f"r = {r} outside [0, n/2] for n = {n}")
+        profile = compute_profile(random_predicate(n, r, coins.derive(f"r/{r}")))
+        cost = p_total_cost(profile, n, strategy)
         norm = cost_normalizer(r)
-        rows.append(
-            SweepRow(
-                r=r,
-                n=n,
-                strategy=strategy,
-                trials=trials,
-                mean_cost_bits=mean_cost,
-                normalizer=norm,
-                ratio=mean_cost / norm,
-            )
-        )
+        rows.append(SweepRow(r, n, strategy, cost, 2 * n, norm, cost / norm))
     return rows
+
+
+def _csv_cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def csv_lines(record_type: type, records: Iterable[Any]) -> List[str]:
+    """A header of the dataclass's field names, then one line per record:
+    floats as ``.6g``, bools as 0/1, anything else as ``str``."""
+    names = [f.name for f in fields(record_type)]
+    return [",".join(names)] + [
+        ",".join(_csv_cell(getattr(rec, name)) for name in names) for rec in records
+    ]
 
 
 __all__ = [
     "TrialConfig",
     "CellStats",
     "RUN_CSV_HEADER",
-    "SWEEP_CSV_HEADER",
     "DUMP_HEADER",
     "resolve_predicate",
     "auto_weights",
@@ -446,4 +443,5 @@ __all__ = [
     "SweepRow",
     "cost_normalizer",
     "sweep_r",
+    "csv_lines",
 ]

@@ -156,6 +156,8 @@ def random_predicate(n: int, r_target: int, coins: CoinSource) -> Predicate:
 
 def family(name: str, n: int, coins: Optional[CoinSource] = None) -> Predicate:
     """Build a predicate from a family spec: eq, ham:<d>, parity, random:<r>."""
+    if n < 0:
+        raise ValueError(f"input length n = {n} is negative")
     spec = name.strip().lower()
     if spec == "eq":
         return eq_predicate(n)

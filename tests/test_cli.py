@@ -7,7 +7,7 @@ import pytest
 
 import xorsmp
 from xorsmp.cli import main
-from xorsmp.harness import RUN_CSV_HEADER, SWEEP_CSV_HEADER
+from xorsmp.harness import RUN_CSV_HEADER
 
 
 def run_cli(*args):
@@ -81,13 +81,87 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_sweep_r_cli(tmp_path):
     out = tmp_path / "sweep.csv"
-    rc = run_cli("sweep-r", "--n", 128, "--r-values", "4,8", "--trials", 2,
-                 "--seed", 7, "--strategy", "syndrome", "--out", out)
+    rc = run_cli("sweep-r", "--n", 128, "--r-values", "4,8",
+                 "--strategy", "syndrome", "--out", out)
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == SWEEP_CSV_HEADER
+    assert lines[0] == "r,n,strategy,cost_bits,trivial_bits,normalizer,ratio"
     assert len(lines) == 3
-    assert lines[1].startswith("4,128,syndrome,2,")
+    assert lines[1].startswith("4,128,syndrome,7974,256,")
+
+
+def test_sweep_r_outside_half_n_exits_with_message():
+    # r = -1 used to print a row priced as a periodic predicate
+    for r in (-1, 33):
+        proc = _cli_subprocess("sweep-r", "--n", 64, f"--r-values={r}")
+        _assert_clean_exit(proc, f"xorsmp sweep-r: r = {r} outside [0, n/2] for n = 64")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stdout == ""
+
+
+# lines the CSV writers printed before they shared one formatter
+PINNED_CSV = [
+    (("lemma-partition", "--k", "4,16", "--trials", 1000, "--seed", 1), [
+        "k,c,samples,failures,empirical,bound,stderr",
+        "4,4,1000,18,0.018,0.853096,0.00420428",
+        "16,8,1000,0,0,0.00284286,0",
+    ]),
+    (("hd-error", "--d", "0,1", "--epsilon", 0.5, "--trials", 40, "--seed", 2,
+      "--strategy", "bucket"), [
+        "d,epsilon,strategy,weight,samples,errors,rate,stderr",
+        "0,0.5,bucket,0,40,0,0,0",
+        "0,0.5,bucket,1,40,1,0.025,0.0246855",
+        "1,0.5,bucket,1,40,0,0,0",
+        "1,0.5,bucket,2,40,0,0,0",
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_CSV, ids=["lemma-partition", "hd-error"])
+def test_csv_lines_are_pinned(tmp_path, argv, expected):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 0
+    assert out.read_text() == "\n".join(expected) + "\n"
+
+
+def test_replay_csv_lines_are_pinned(tmp_path):
+    dump = tmp_path / "dumps"
+    run_cli("run", "--n", 16, "--predicate", "ham:1", "--weights", "1,3", "--trials", 1,
+            "--seed", 8, "--strategy", "syndrome", "--out", tmp_path / "r.csv",
+            "--dump-transcripts", dump)
+    out = tmp_path / "replay.csv"
+    assert run_cli("replay", "--dump-transcripts", dump, "--out", out) == 0
+    assert out.read_text() == (
+        "trial,output,recorded_output,truth,correct,cost_bits,consistent\n"
+        "0,1,1,1,1,1142,1\n"
+        "1,0,0,0,1,1142,1\n"
+    )
+
+
+@pytest.mark.parametrize("strategy, cost", [("raw", 2), ("bucket", 34), ("syndrome", 34)])
+def test_empty_inputs_run_and_replay(tmp_path, strategy, cost):
+    # at n = 0 the fingerprint offsets used to divide by zero buckets
+    for spec, output in (("eq", 1), ("parity", 0)):
+        out, dump = tmp_path / f"{spec}.csv", tmp_path / spec
+        assert run_cli("run", "--n", 0, "--predicate", spec, "--trials", 1,
+                       "--strategy", strategy, "--out", out, "--dump-transcripts", dump) == 0
+        assert out.read_text().splitlines()[1:] == [
+            f"0,0,{spec},0,0,0,{output},{output},1,{cost},0"
+        ]
+        replayed = tmp_path / f"{spec}-replay.csv"
+        assert run_cli("replay", "--dump-transcripts", dump, "--out", replayed) == 0
+        assert replayed.read_text().splitlines()[1:] == [f"0,{output},{output},{output},1,{cost},1"]
+
+
+@pytest.mark.parametrize("n, spec, message", [
+    (-5, "eq", "xorsmp run: input length n = -5 is negative"),
+    (10, "values:0101", "xorsmp run: predicate 'values:0101' has n = 3, not n = 10"),
+], ids=["negative-n", "length-mismatch"])
+def test_bad_input_length_exits_with_message(n, spec, message):
+    # n = -5 used to build the n = 0 predicate; values:0101 used to run at n = 3
+    proc = _cli_subprocess("run", "--n", n, "--predicate", spec, "--trials", 1)
+    _assert_clean_exit(proc, message)
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_lemma_partition_cli(tmp_path):
@@ -234,12 +308,11 @@ def test_unreadable_config_exits_with_message(tmp_path):
     [
         ("run", "--n", 8, "--predicate", "eq"),
         ("hd-error", "--d", 1, "--epsilon", 0.1),
-        ("sweep-r", "--n", 64, "--r-values", 4),
     ],
     ids=lambda argv: argv[0],
 )
 def test_zero_trials_exits_with_message(argv):
-    # hd-error and sweep-r used to divide by zero trials
+    # hd-error used to divide by zero trials
     proc = _cli_subprocess(*argv, "--trials", 0)
     _assert_clean_exit(proc, "need at least one trial per cell")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
@@ -259,6 +332,8 @@ def test_stray_flag_is_usage_error(capsys):
         ("replay", "--dump-transcripts", "dumps", "--n", 5),
         ("lemma-partition", "--strategy", "raw", "--predicate", "eq", "--n", 5),
         ("hd-error", "--n", 4096),
+        ("sweep-r", "--trials", 3),
+        ("sweep-r", "--seed", 1),
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
@@ -297,8 +372,7 @@ def test_bad_predicate_file_exits_with_message(tmp_path):
 def test_unsupported_envelope_exits_with_message():
     limit = "syndrome supports tails up to r = 127"
     _assert_clean_exit(
-        _cli_subprocess("sweep-r", "--n", 4096, "--r-values", 128, "--strategy", "syndrome",
-                        "--trials", 1),
+        _cli_subprocess("sweep-r", "--n", 4096, "--r-values", 128, "--strategy", "syndrome"),
         f"{limit}: the guard's 4r^2 buckets must fit GF(2^16); got r = 128",
     )
     _assert_clean_exit(

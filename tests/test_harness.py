@@ -1,6 +1,7 @@
 import builtins
 import io
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -9,7 +10,9 @@ from xorsmp.coins import CoinSource
 from xorsmp.harness import (
     TrialConfig,
     auto_weights,
+    SweepRow,
     cost_normalizer,
+    csv_lines,
     hd_error_experiment,
     lemma_partition_experiment,
     replay_transcript_text,
@@ -18,6 +21,7 @@ from xorsmp.harness import (
     sweep_r,
 )
 from xorsmp.predicate import compute_profile, family, format_predicate
+from xorsmp.protocol import p_total_cost
 
 
 def test_auto_weights_eq():
@@ -33,11 +37,21 @@ def test_auto_weights_parity():
 def test_resolve_predicate_file_and_inline(tmp_path):
     p = tmp_path / "pred.txt"
     p.write_text(format_predicate(family("ham:2", 8)))
-    pred, name = resolve_predicate(f"file:{p}", 0, CoinSource.from_seed(0))
+    pred, name = resolve_predicate(f"file:{p}", 8, CoinSource.from_seed(0))
     assert pred == family("ham:2", 8)
     assert name == "values:111000000"
-    again, _ = resolve_predicate(name, 0, CoinSource.from_seed(0))
+    again, _ = resolve_predicate(name, 8, CoinSource.from_seed(0))
     assert again == pred
+
+
+def test_resolve_predicate_rejects_another_length(tmp_path):
+    # a predicate of another length used to run at its own n
+    p = tmp_path / "pred.txt"
+    p.write_text(format_predicate(family("ham:2", 8)))
+    with pytest.raises(ValueError, match=r"^predicate 'values:0101' has n = 3, not n = 10$"):
+        resolve_predicate("values:0101", 10, CoinSource.from_seed(0))
+    with pytest.raises(ValueError, match=r"has n = 8, not n = 9$"):
+        resolve_predicate(f"file:{p}", 9, CoinSource.from_seed(0))
 
 
 def test_resolve_predicate_file_error_names_line(tmp_path):
@@ -117,12 +131,12 @@ def test_hd_error_rejects_raw():
 
 
 def test_sweep_cost_monotone_and_strategies_separate():
-    rows_syn = sweep_r([4, 8, 16, 32], 256, "syndrome", trials=2, seed=1)
-    costs_syn = [r.mean_cost_bits for r in rows_syn]
+    rows_syn = sweep_r([4, 8, 16, 32], 256, "syndrome")
+    costs_syn = [r.cost_bits for r in rows_syn]
     assert costs_syn == sorted(costs_syn) and len(set(costs_syn)) == 4
-    rows_buc = sweep_r([4, 8, 16, 32], 256, "bucket", trials=2, seed=1)
+    rows_buc = sweep_r([4, 8, 16, 32], 256, "bucket")
     # bucket's quadratic regime pulls away from syndrome as r grows
-    gaps = [b.mean_cost_bits / s.mean_cost_bits
+    gaps = [b.cost_bits / s.cost_bits
             for b, s in zip(rows_buc, rows_syn)]
     assert all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:]))
     assert gaps[-1] > 2.0
@@ -131,26 +145,55 @@ def test_sweep_cost_monotone_and_strategies_separate():
 def test_sweep_normalizer():
     assert cost_normalizer(16) == pytest.approx(16 * 4.0**3 / 2.0)
     assert math.isnan(cost_normalizer(2))
-    with pytest.raises(ValueError):
-        sweep_r([200], 256, "syndrome", trials=1, seed=0)
+    # r = -1 used to be priced as a periodic predicate: cost 34, ratio nan
+    for r in (200, -1):
+        with pytest.raises(ValueError, match=rf"^r = {r} outside \[0, n/2\] for n = 256$"):
+            sweep_r([r], 256, "syndrome")
 
 
 def test_sweep_deterministic():
-    a = sweep_r([4, 8], 128, "syndrome", trials=3, seed=11)
-    b = sweep_r([4, 8], 128, "syndrome", trials=3, seed=11)
-    assert [r.csv() for r in a] == [r.csv() for r in b]
+    a = sweep_r([4, 8], 128, "syndrome")
+    b = sweep_r([4, 8], 128, "syndrome")
+    assert csv_lines(SweepRow, a) == csv_lines(SweepRow, b)
 
 
 def test_sweep_prices_from_the_plan(monkeypatch):
-    # each trial is priced by p_total_cost: no input drawn, no protocol run,
+    # each r is priced by p_total_cost: no input drawn, no protocol run,
     # so the r = 127 guard's BCH code is never built
     monkeypatch.setattr(gf2, "_CODES", {})
-    rows = sweep_r([64, 127], 4096, "syndrome", trials=3, seed=7)
+    rows = sweep_r([64, 127], 4096, "syndrome")
     assert gf2._CODES == {}
-    assert [row.csv() for row in rows] == [
-        "64,4096,syndrome,3,1.06508e+06,5347.85,199.16",
-        "127,4096,syndrome,3,2.31126e+06,15454.5,149.553",
+    assert csv_lines(SweepRow, rows)[1:] == [
+        "64,4096,syndrome,1065078,8192,5347.85,199.16",
+        "127,4096,syndrome,2311264,8192,15454.5,149.553",
     ]
+
+
+def test_sweep_prices_the_profile_of_each_r():
+    # any predicate of profile (r, 0) costs the same: the dropped trial loop
+    # averaged equal numbers
+    for row in sweep_r([0, 1, 5, 8], 16, "bucket"):
+        for seed in range(3):
+            prof = compute_profile(family(f"random:{row.r}", 16, CoinSource.from_seed(seed)))
+            assert (prof.r0, prof.r1) == (row.r, 0)
+            assert row.cost_bits == p_total_cost(prof, 16, "bucket")
+        assert row.trivial_bits == 32
+
+
+def test_csv_lines_formats_each_field_type():
+    @dataclass
+    class Record:
+        name: str
+        count: int
+        share: float
+        flag: bool
+
+    assert csv_lines(Record, [Record("a", 3, 1 / 3, True), Record("b", -1, 2e6, False)]) == [
+        "name,count,share,flag",
+        "a,3,0.333333,1",
+        "b,-1,2e+06,0",
+    ]
+    assert csv_lines(Record, []) == ["name,count,share,flag"]
 
 
 def test_dump_and_replay_consistency(tmp_path):
@@ -351,3 +394,17 @@ def test_replay_opens_no_predicate_file(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=r"^dump header field 'predicate': .*never file:"):
         replay_transcript_text("\n".join(lines) + "\n")
     assert opened == []
+
+
+def test_replay_rejects_predicate_of_another_length(tmp_path):
+    # a 33-entry predicate in an n = 24 dump used to run the referee at
+    # n = 32, stopped only by the oracle's input-length check
+    lines = _syndrome_dump_lines(tmp_path)
+    lines[0] = "\t".join(
+        "predicate=values:" + "1" * 33 if t.startswith("predicate=") else t
+        for t in lines[0].split("\t")
+    )
+    with pytest.raises(
+        ValueError, match=r"^dump header field 'predicate': predicate 'values:1{33}' has n = 32, not n = 24$"
+    ):
+        replay_transcript_text("\n".join(lines) + "\n")

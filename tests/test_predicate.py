@@ -176,6 +176,13 @@ def test_family_regime_guards():
         family("nope", 8)
 
 
+def test_family_rejects_negative_n():
+    # eq at n = -5 used to build the n = 0 predicate
+    for spec in ("eq", "parity", "ham:0", "random:0"):
+        with pytest.raises(ValueError, match=r"^input length n = -5 is negative$"):
+            family(spec, -5, ROOT)
+
+
 def test_predicate_validation():
     with pytest.raises(ValueError):
         Predicate([0, 2, 1])
