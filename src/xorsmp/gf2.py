@@ -9,8 +9,12 @@ uint64 words, so a syndrome is the XOR of the columns of the odd buckets;
 no matrix over GF(2) is ever formed.  Decoding recovers the up-to-d odd
 buckets from the d transmitted syndrome elements (the even ones follow by
 squaring).  Weight 0, 1 and 2 patterns, which dominate the protocol
-workload, are decoded in O(1) from the tables below; Berlekamp-Massey plus
-a vectorized root search over the code's positions handles the rest.
+workload, are decoded in O(1) from the tables below.  The rest go through
+Berlekamp's binary form of Berlekamp-Massey, which steps only the odd
+syndromes (S_2j = S_j^2 zeroes every other discrepancy) and keeps the
+locator as logs, then a Chien search over the code's positions that reads
+each locator term at every position as one strided slice of a table of
+inverse powers.
 
 Every successful decode is verified against the full transmitted syndrome
 before being returned, so a returned vector always reproduces the input
@@ -23,6 +27,7 @@ j % 64 of word j // 64, which is the row's wire order.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -58,8 +63,11 @@ class Field:
         self.m = m
         self.order = (1 << m) - 1
         self.poly = _PRIMITIVE_POLY[m]
-        exp = [0] * (2 * self.order)
-        log = [0] * (1 << m)
+        # log 0 is a sentinel above every sum of two true logs, and exp reads 0
+        # from 2 order up, so exp[log a + log b] = a b with zero factors too
+        self.log_zero = 2 * self.order
+        exp = [0] * (4 * self.order + 1)
+        log = [self.log_zero] * (1 << m)
         x = 1
         for i in range(self.order):
             exp[i] = x
@@ -71,14 +79,15 @@ class Field:
             raise ValueError(f"polynomial {self.poly:#x} is not primitive for m={m}")
         for i in range(self.order, 2 * self.order):
             exp[i] = exp[i - self.order]
-        self.exp = exp
-        self.log = log
-        self.exp_np = np.array(exp, dtype=np.int32)  # doubled: skip mod on gathers
+        # Typed tables (exp in 2 bytes, as m <= 16; log in 4) keep the
+        # decoder's table reads in cache, where a list's entries would point
+        # at scattered int objects
+        self.exp = array("H", exp)
+        self.log = array("I", log)
+        self.exp_np = np.array(exp[: self.order], dtype=np.uint16)  # alpha^i, i < order
         self._qsolve: Optional[Dict[int, int]] = None
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
@@ -160,7 +169,6 @@ class BchCode:
         self.redundancy = d * m
         self.cols = self._columns()
         self._elem_mask = (1 << m) - 1
-        self._chien: Dict[int, np.ndarray] = {}
 
     def _columns(self) -> np.ndarray:
         """(n_buckets, ceil(d m / 64)) words; row j packs the wire bits of
@@ -202,14 +210,14 @@ class BchCode:
             acc ^= cols[p]
         return self.elements_from_packed(acc) == selems
 
-    def _chien_exponents(self, j: int) -> np.ndarray:
-        """(-j p) mod order for every position p, cached per locator power j.
-        Kept as intp: numpy gathers through int32 indices about 1.5x slower."""
-        tbl = self._chien.get(j)
-        if tbl is None:
-            tbl = -j * np.arange(self.n_buckets, dtype=np.intp) % self.field.order
-            self._chien[j] = tbl
-        return tbl
+    @cached_property
+    def _inverse_powers(self) -> np.ndarray:
+        """alpha^-k for k in [0, order + d n_buckets): the term Lambda_j
+        alpha^(-j p) of a root search is entry order - log Lambda_j + j p,
+        so its values at every position p are one stride-j slice."""
+        fld = self.field
+        period = fld.exp_np[-np.arange(fld.order) % fld.order]
+        return np.resize(period, fld.order + self.d * self.n_buckets)
 
     def decode_elements(self, selems: List[int]) -> Optional[Tuple[int, ...]]:
         """Positions of a weight <= d error matching the syndrome, or None."""
@@ -254,67 +262,69 @@ class BchCode:
 
     def _decode_general(self, selems: List[int]) -> Optional[Tuple[int, ...]]:
         fld = self.field
-        syn = [0] * (2 * self.d)  # syn[i] = S_(i+1)
-        for i, s in enumerate(selems):
-            syn[2 * i] = s
-        for j in range(2, 2 * self.d + 1, 2):  # S_(2j) = S_j squared
-            half = syn[j // 2 - 1]
-            if half:
-                syn[j - 1] = fld.exp[(2 * fld.log[half]) % fld.order]
-        lam = _berlekamp_massey(fld, syn)
+        lam = _berlekamp_massey(fld, selems)
         deg = len(lam) - 1
         if deg < 1 or deg > self.d:
             return None
         # Chien search over the code's positions: Lambda(alpha^-p) = 0 iff p
         # is an error position.  Lambda has at most deg roots, so deg roots
         # in [0, n_buckets) means it splits there into distinct factors.
-        acc = np.zeros(self.n_buckets, dtype=np.int32)
-        for j, coeff in enumerate(lam):
-            if coeff:
-                acc ^= fld.exp_np[fld.log[coeff] + self._chien_exponents(j)]
+        # lam[0] = 1 starts every position at one.
+        inv, b = self._inverse_powers, self.n_buckets
+        acc = np.ones(b, dtype=inv.dtype)
+        for j in range(1, deg + 1):
+            if lam[j]:
+                start = fld.order - fld.log[lam[j]]
+                acc ^= inv[start : start + j * b : j]
         positions = tuple(np.flatnonzero(acc == 0).tolist())
         if len(positions) != deg:
             return None
         return positions if self._verify(positions, selems) else None
 
 
-def _berlekamp_massey(fld: Field, syn: List[int]) -> List[int]:
-    """Minimal LFSR connection polynomial for the syndrome sequence."""
-    exp, log, order = fld.exp, fld.log, fld.order
-    cur = [1]
-    prev = [1]
-    shift = 1
-    prev_delta = 1
-    length = 0
-    for n_i in range(len(syn)):
-        delta = syn[n_i]
-        top = min(length, len(cur) - 1)
-        for i in range(1, top + 1):
-            c, s = cur[i], syn[n_i - i]
-            if c and s:
-                delta ^= exp[log[c] + log[s]]
-        if delta == 0:
-            shift += 1
+def _berlekamp_massey(fld: Field, selems: List[int]) -> List[int]:
+    """Minimal LFSR connection polynomial Lambda (coefficients from x^0) of
+    the syndromes S_1..S_2d whose odd ones are selems.
+
+    Berlekamp's binary form: S_2j = S_j^2 makes the discrepancy of every
+    even-numbered syndrome zero, so only the odd ones are stepped, two
+    positions at a time.  Syndromes and Lambda are held as logs (zero as
+    ``fld.log_zero``), so every product is one table read with no test.
+    """
+    exp, log, order, zero = fld.exp, fld.log, fld.order, fld.log_zero
+    n_syn = 2 * len(selems) - 1  # S_2d has no step
+    slog = [zero] * n_syn  # slog[i] = log S_(i+1)
+    slog[::2] = [log[s] for s in selems]
+    for j in range(1, len(selems)):  # log S_2j = 2 log S_j
+        if slog[j - 1] != zero:
+            slog[2 * j - 1] = 2 * slog[j - 1] % order
+    cur = [0] + [zero] * n_syn  # logs of Lambda, padded to its largest degree
+    prev, prev_len = cur, 1
+    prev_delta = 0  # log of the discrepancy that set prev
+    shift, length = 1, 0
+    for n in range(0, n_syn, 2):
+        delta = exp[slog[n]]  # S_(n+1) + sum over i <= length of Lambda_i S_(n+1-i)
+        for i in range(1, length + 1):
+            delta ^= exp[cur[i] + slog[n - i]]
+        if not delta:
+            shift += 2
             continue
-        scale_log = (log[delta] + order - log[prev_delta]) % order
-        update = cur[:]
-        need = shift + len(prev)
-        if len(update) < need:
-            update.extend([0] * (need - len(update)))
-        for i, coeff in enumerate(prev):
-            if coeff:
-                update[shift + i] ^= exp[scale_log + log[coeff]]
-        if 2 * length <= n_i:
-            prev = cur
-            prev_delta = delta
-            length = n_i + 1 - length
-            shift = 1
+        dlog = log[delta]
+        scale = (dlog - prev_delta) % order
+        nxt = cur[:]  # cur + (delta / prev_delta) x^shift prev
+        for i in range(prev_len):
+            nxt[shift + i] = log[exp[cur[shift + i]] ^ exp[scale + prev[i]]]
+        if 2 * length <= n:
+            prev, prev_len, prev_delta = cur, length + 1, dlog
+            length = n + 1 - length
+            shift = 2
         else:
-            shift += 1
-        cur = update
-    while len(cur) > 1 and cur[-1] == 0:
-        cur.pop()
-    return cur
+            shift += 2
+        cur = nxt
+    lam = [exp[c] for c in cur[: length + 1]]
+    while len(lam) > 1 and lam[-1] == 0:
+        lam.pop()
+    return lam
 
 
 _CODES: Dict[Tuple[int, int], BchCode] = {}

@@ -331,31 +331,43 @@ def decide_block(
         estimate = int(np.bitwise_count(diff).sum(axis=1).max())
         return HDVerdict(le=estimate <= params.d, estimate=estimate)
     code = params.code
-    diffs = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]
-    fpd = msgs_a.words[1][:, i] ^ msgs_b.words[1][:, i]
-    if not np.count_nonzero(diffs):  # cheaper than .any() on a few words
+    syn = _row_ints(msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i])
+    fps = _row_ints(msgs_a.words[1][:, i] ^ msgs_b.words[1][:, i])
+    if not any(syn):
         # Every repetition decodes to the empty set; a nonzero fingerprint
         # difference then means a codeword of weight >= 2d + 1, so GT.  At
         # d = 0 the syndrome is empty and this is the equality test.
-        if np.count_nonzero(fpd):
+        if any(fps):
             return HDVerdict(le=False, estimate=params.d + 1)
         return HDVerdict(le=True, estimate=0)
-    packed = diffs.astype("<u8", copy=False).tobytes()
-    width = len(packed) // params.repetitions
+    fmat = shared.fmat
+    one_word = fmat.shape[-1] == 1
     estimate = 0
-    for rep in range(params.repetitions):
-        word = int.from_bytes(packed[rep * width : (rep + 1) * width], "little")
+    for rep, (word, fp) in enumerate(zip(syn, fps)):
         hit = code.decode_elements(code.elements_from_packed(word)) if word else ()
         if hit is None:
             return HDVerdict(le=False, estimate=params.d + 1)
-        # the decoded buckets' columns XOR to the fingerprint difference;
-        # no hit gives zero words
-        cols = shared.fmat[rep]
-        fp = cols[hit[0]] if len(hit) == 1 else np.bitwise_xor.reduce(cols[list(hit)])
-        if fp.tobytes() != fpd[rep].tobytes():
+        # the decoded buckets' columns must XOR to the fingerprint difference
+        if one_word and len(hit) <= 2:
+            got = 0
+            for b in hit:
+                got ^= fmat.item(rep, b, 0)
+        else:
+            got = _row_ints(np.bitwise_xor.reduce(fmat[rep].take(hit, axis=0), keepdims=True))[0]
+        if got != fp:
             return HDVerdict(le=False, estimate=params.d + 1)
         estimate = max(estimate, len(hit))
     return HDVerdict(le=True, estimate=estimate)
+
+
+def _row_ints(words: np.ndarray) -> List[int]:
+    """Each row of an (R, w) uint64 word array as one little-endian int."""
+    rows, width = words.shape
+    if width == 1:
+        return words[:, 0].tolist()
+    raw = words.astype("<u8", copy=False).tobytes()
+    width *= 8
+    return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(rows)]
 
 
 def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:

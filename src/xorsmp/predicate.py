@@ -142,6 +142,8 @@ def random_predicate(n: int, r_target: int, coins: CoinSource) -> Predicate:
     random, with D(r_target - 1) forced to differ from D(r_target + 1) so
     the largest break sits exactly at r_target - 1.
     """
+    if r_target < 0:
+        raise ValueError(f"tail length r < 0 (r = {r_target})")
     if r_target > n / 2:
         raise ValueError(f"r_target {r_target} exceeds n/2 for n={n}")
     gen = coins.generator()

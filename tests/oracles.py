@@ -100,3 +100,111 @@ def decode_bits(code, bits: np.ndarray) -> Optional[Tuple[int, ...]]:
     assert bits.size == code.redundancy, f"{bits.size} syndrome bits for {code.redundancy}"
     packed = np.packbits(bits, bitorder="little").tobytes()
     return code.decode_elements(code.elements_from_packed(int.from_bytes(packed, "little")))
+
+
+def berlekamp_massey(fld, syn: List[int]) -> List[int]:
+    """Textbook Berlekamp-Massey: the minimal LFSR connection polynomial of
+    the whole sequence syn (coefficients from x^0, trailing zeros removed),
+    stepping every element with no use of S_2j = S_j^2."""
+    exp, log, order = fld.exp, fld.log, fld.order
+    cur = [1]
+    prev = [1]
+    shift = 1
+    prev_delta = 1
+    length = 0
+    for n_i in range(len(syn)):
+        delta = syn[n_i]
+        top = min(length, len(cur) - 1)
+        for i in range(1, top + 1):
+            c, s = cur[i], syn[n_i - i]
+            if c and s:
+                delta ^= exp[log[c] + log[s]]
+        if delta == 0:
+            shift += 1
+            continue
+        scale_log = (log[delta] + order - log[prev_delta]) % order
+        update = cur[:]
+        need = shift + len(prev)
+        if len(update) < need:
+            update.extend([0] * (need - len(update)))
+        for i, coeff in enumerate(prev):
+            if coeff:
+                update[shift + i] ^= exp[scale_log + log[coeff]]
+        if 2 * length <= n_i:
+            prev = cur
+            prev_delta = delta
+            length = n_i + 1 - length
+            shift = 1
+        else:
+            shift += 1
+        cur = update
+    while len(cur) > 1 and cur[-1] == 0:
+        cur.pop()
+    return cur
+
+
+def full_syndrome(fld, selems: List[int]) -> List[int]:
+    """S_1..S_2d from the d odd syndromes, each even one the square of its half."""
+    syn = [0] * (2 * len(selems))
+    syn[::2] = selems
+    for j in range(2, len(syn) + 1, 2):
+        syn[j - 1] = fld.mul(syn[j // 2 - 1], syn[j // 2 - 1])
+    return syn
+
+
+def reference_decode(code, selems: List[int]) -> Optional[Tuple[int, ...]]:
+    """The one error of weight <= d at positions below n_buckets whose
+    syndrome is selems, or None: found by the textbook locator, a Horner
+    evaluation at every alpha^-p and the dense parity check."""
+    if not any(selems):
+        return ()
+    fld, order = code.field, code.field.order
+    lam = berlekamp_massey(fld, full_syndrome(fld, selems))
+    deg = len(lam) - 1
+    if deg > code.d:
+        return None
+    exp = np.array(fld.exp[:order], dtype=np.int64)
+    log = np.zeros(order + 1, dtype=np.int64)
+    log[exp] = np.arange(order)
+    x_inv_log = -np.arange(code.n_buckets, dtype=np.int64) % order
+    acc = np.zeros(code.n_buckets, dtype=np.int64)
+    for c in reversed(lam):  # acc = acc alpha^-p + c
+        nz = acc != 0
+        acc[nz] = exp[(log[acc[nz]] + x_inv_log[nz]) % order]
+        acc ^= c
+    roots = np.flatnonzero(acc == 0)
+    if len(roots) != deg:
+        return None
+    e = np.zeros(code.n_buckets, dtype=np.uint8)
+    e[roots] = 1
+    bits = gf2_mat_vec(code_parity_check(code), e)
+    packed = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return tuple(roots.tolist()) if code.elements_from_packed(packed) == selems else None
+
+
+def dense_verdict(shared, syn_bits: np.ndarray, fp_bits: np.ndarray) -> Tuple[bool, int]:
+    """The syndrome referee's (le, estimate) from the (R, d m) syndrome and
+    (R, f) fingerprint difference bits: each repetition in order is decoded
+    by ``reference_decode`` and its decode's fingerprint is recomputed from
+    the dense (f, B) matrix of the shared columns."""
+    params = shared.params
+    f = params.fingerprint_rows
+    gt = (False, params.d + 1)
+    if not syn_bits.any():
+        return gt if fp_bits.any() else (True, 0)
+    code = params.code
+    estimate = 0
+    for rep in range(params.repetitions):
+        packed = np.packbits(syn_bits[rep], bitorder="little").tobytes()
+        hit = reference_decode(code, code.elements_from_packed(int.from_bytes(packed, "little")))
+        if hit is None:
+            return gt
+        e = np.zeros(params.bucket_count, dtype=np.uint8)
+        e[list(hit)] = 1
+        dense_f = np.unpackbits(
+            shared.fmat[rep].astype("<u8").view(np.uint8), axis=-1, count=f, bitorder="little"
+        ).T
+        if (gf2_mat_vec(dense_f, e) != fp_bits[rep]).any():
+            return gt
+        estimate = max(estimate, len(hit))
+    return True, estimate

@@ -156,10 +156,13 @@ def test_empty_inputs_run_and_replay(tmp_path, strategy, cost):
 @pytest.mark.parametrize("n, spec, message", [
     (-5, "eq", "xorsmp run: input length n = -5 is negative"),
     (10, "values:0101", "xorsmp run: predicate 'values:0101' has n = 3, not n = 10"),
-], ids=["negative-n", "length-mismatch"])
+    (8, "random:-3", "xorsmp run: tail length r < 0 (r = -3)"),
+], ids=["negative-n", "length-mismatch", "negative-tail"])
 def test_bad_input_length_exits_with_message(n, spec, message):
-    # n = -5 used to build the n = 0 predicate; values:0101 used to run at n = 3
-    proc = _cli_subprocess("run", "--n", n, "--predicate", spec, "--trials", 1)
+    # n = -5 used to build the n = 0 predicate; values:0101 used to run at
+    # n = 3; random:-3 used to run a periodic predicate as r0 = 0
+    proc = _cli_subprocess("run", "--n", n, "--predicate", spec, "--trials", 1,
+                           "--strategy", "raw")
     _assert_clean_exit(proc, message)
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from xorsmp import gf2
 from xorsmp.gf2 import bch_code, field, pack_words, syndrome_bits, unpack_words
 
-from .oracles import code_parity_check, decode_bits, gf2_mat_vec
+from .oracles import (
+    berlekamp_massey,
+    code_parity_check,
+    decode_bits,
+    full_syndrome,
+    gf2_mat_vec,
+    reference_decode,
+)
 
 # The (buckets, capacity) pairs the sketch strategies actually build.
 CODES = [(4, 1), (16, 2), (36, 3), (64, 4), (100, 5), (144, 6), (196, 7), (256, 8)]
@@ -97,6 +105,37 @@ def test_weight_up_to_d_roundtrip(b, d):
         w = int(gen.integers(0, d + 1))
         pos = tuple(sorted(int(p) for p in gen.choice(b, size=w, replace=False)))
         assert decode_bits(code, syndrome_bits_of(code, pos)) == pos
+
+
+@pytest.mark.parametrize("kind", ["weight<=d", "weight>d", "random"])
+@pytest.mark.parametrize("b,d", CODES + [(1024, 16), (16384, 64)])
+def test_decoder_matches_textbook_reference(b, d, kind):
+    # the binary, log-domain Berlekamp-Massey must give the textbook
+    # locator, and decode_elements the reference's positions or None, on
+    # correctable patterns, on patterns of weight d + 1..2d + 2 (which fail
+    # or decode to another pattern) and on uniformly random syndromes, every
+    # other one with about 3 in 4 elements zeroed (a late first nonzero
+    # discrepancy drives the locator's length up to 2d - 1)
+    code = bch_code(b, d)
+    fld = code.field
+    gen = np.random.default_rng([b, d, len(kind)])
+    for t in range(12 if b > 2000 else 60):
+        if kind == "random":
+            selems = gen.integers(0, fld.order + 1, size=d)
+            if t % 2:
+                selems[gen.random(d) < 0.75] = 0
+            selems = selems.tolist()
+        else:
+            lo, hi = (0, d) if kind == "weight<=d" else (d + 1, min(2 * d + 2, b))
+            pos = gen.choice(b, size=int(gen.integers(lo, hi + 1)), replace=False)
+            packed = np.packbits(syndrome_bits_of(code, pos), bitorder="little").tobytes()
+            selems = code.elements_from_packed(int.from_bytes(packed, "little"))
+        lam = gf2._berlekamp_massey(fld, selems)
+        assert lam == berlekamp_massey(fld, full_syndrome(fld, selems))
+        got = code.decode_elements(selems)
+        assert got == reference_decode(code, selems)
+        if kind == "weight<=d":
+            assert got == tuple(sorted(pos.tolist()))
 
 
 def test_weight_d_plus_one_rejected_by_fingerprint():

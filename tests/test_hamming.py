@@ -12,6 +12,7 @@ from xorsmp.gf2 import unpack_words
 from xorsmp.predicate import family
 from xorsmp.protocol import pk_party_messages, pk_shared
 
+from . import oracles
 from .oracles import code_parity_check, gf2_mat_vec
 from xorsmp.hamming import (
     BlockMessages,
@@ -391,3 +392,52 @@ def test_fingerprint_columns_are_masked_words(d, epsilon, f):
             for m in (m_a, m_b)
         )
         assert hd_decide(params, r_a, r_b) == live
+
+
+@pytest.mark.parametrize(
+    "d, epsilon, n",
+    [(2, 1e-18, 48), (3, 1e-18, 48), (8, 0.1, 300), (16, 0.1, 1100)],
+    ids=["f70-d2", "f70-d3", "straddle-d8", "straddle-d16"],
+)
+def test_decide_block_matches_dense_oracle(d, epsilon, n):
+    # multi-word fingerprints (f = 70 > 64) and syndromes whose m-bit
+    # elements straddle word boundaries (d m = 72 with m = 9, 176 with
+    # m = 11): the referee reads both as Python ints per repetition, which
+    # must agree with the dense decode and fingerprint of every repetition
+    params = HDParams(d=d, epsilon=epsilon, strategy="syndrome", length=n)
+    f, m = params.fingerprint_rows, params.code.m
+    assert (f > 64) == (epsilon < 1e-9)
+    assert epsilon < 1e-9 or any(i * m // 64 != ((i + 1) * m - 1) // 64 for i in range(d))
+    shared = hd_shared(params, ROOT.derive(f"dense/{d}/{f}"))
+    code = params.code
+
+    def check(m_a, m_b):
+        syn = unpack_words(m_a.words[0][:, 0] ^ m_b.words[0][:, 0], code.redundancy)
+        fp = unpack_words(m_a.words[1][:, 0] ^ m_b.words[1][:, 0], f)
+        got = decide_block(m_a, m_b, 0)
+        assert (got.le, got.estimate) == oracles.dense_verdict(shared, syn, fp)
+        return got
+
+    for w in (0, 1, 2, 3, d, d + 1, 2 * d + 1, n // 3):
+        x, y = sample_pair_with_distance(n, w, ROOT.derive(f"densex/{d}/{w}"))
+        m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
+        got = check(m_a, m_b)
+        if w <= d:
+            assert got.le and got.estimate == w
+    synd, fp = m_a.words
+    # a zero syndrome difference with a nonzero fingerprint difference
+    # (in the last word, past bit 64 when f > 64)
+    flipped = fp.copy()
+    flipped[-1, 0, -1] ^= np.uint64(1) << np.uint64((f - 1) % 64)
+    assert not check(m_a, BlockMessages(shared, 1, words=(synd, flipped))).le
+    # a wrong decode: repetition 1's syndrome difference is bucket 3's
+    # column and its fingerprint difference bucket 5's, so the referee
+    # decodes (3,) and the fingerprint rejects it
+    wrong_s, wrong_f = synd.copy(), fp.copy()
+    wrong_s[1, 0] ^= code.cols[3]
+    wrong_f[1, 0] ^= shared.fmat[1, 5]
+    wrong = BlockMessages(shared, 1, words=(wrong_s, wrong_f))
+    assert code.decode_elements(code.elements_from_packed(
+        int.from_bytes(code.cols[3].astype("<u8").tobytes(), "little"))) == (3,)
+    got = check(m_a, wrong)
+    assert not got.le and got.estimate == d + 1

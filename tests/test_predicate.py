@@ -172,6 +172,8 @@ def test_family_regime_guards():
         family("ham:4", 8)
     with pytest.raises(ValueError, match=r"d < 0 \(d = -1\)"):
         family("ham:-1", 8)
+    with pytest.raises(ValueError, match=r"r < 0 \(r = -3\)"):
+        family("random:-3", 8, ROOT)
     with pytest.raises(ValueError):
         family("nope", 8)
 
