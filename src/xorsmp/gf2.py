@@ -7,19 +7,20 @@ distance 2d + 1 (the PinSketch view of Dodis, Ostrovsky, Reyzin and Smith).
 Each code keeps the syndrome of every single bucket as a packed column of
 uint64 words, so a syndrome is the XOR of the columns of the odd buckets;
 no matrix over GF(2) is ever formed.  Decoding recovers the up-to-d odd
-buckets from the d transmitted syndrome elements (the even ones follow by
-squaring).  Weight 0, 1 and 2 patterns, which dominate the protocol
-workload, are decoded in O(1) from the tables below.  The rest go through
-Berlekamp's binary form of Berlekamp-Massey, which steps only the odd
-syndromes (S_2j = S_j^2 zeroes every other discrepancy) and keeps the
-locator as logs, then a Chien search over the code's positions that reads
-each locator term at every position as one strided slice of a table of
-inverse powers.
+buckets from the transmitted syndrome as one packed row, a Python int.
+Weight 0, 1 and 2 patterns, which dominate the protocol workload, are
+decoded in O(1) from the tables below, reading S_1 and S_3 off the row with
+a shift and a mask.  The rest split the row once into its d elements (the
+even syndromes follow by squaring) and go through Berlekamp's binary form
+of Berlekamp-Massey, which steps only the odd syndromes (S_2j = S_j^2
+zeroes every other discrepancy) and keeps the locator as logs, then a Chien
+search over the code's positions that reads each locator term at every
+position as one strided slice of a table of inverse powers.
 
-Every successful decode is verified against the full transmitted syndrome
-before being returned, so a returned vector always reproduces the input
-syndrome; ambiguity beyond the code's packing radius is the caller's
-fingerprint check to screen.
+Every successful decode is verified before being returned: the XOR of the
+decoded positions' columns, as an int, must equal the input row, so a
+returned vector always reproduces the input syndrome; ambiguity beyond the
+code's packing radius is the caller's fingerprint check to screen.
 
 Packed words are little-endian throughout: bit j of a packed bit row is bit
 j % 64 of word j // 64, which is the row's wire order.
@@ -95,11 +96,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0 in GF(2^m)")
         return self.exp[self.order - self.log[a]]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] * e) % self.order]
-
     def qsolve(self, u: int) -> Optional[int]:
         """Some w with w^2 + w = u, or None when u is outside the image."""
         if self._qsolve is None:
@@ -138,6 +134,16 @@ def unpack_words(words: np.ndarray, nbits: int) -> np.ndarray:
     """Inverse of ``pack_words``: the first nbits bits of each word row."""
     raw = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, axis=-1, count=nbits, bitorder="little")
+
+
+def row_ints(words: np.ndarray) -> List[int]:
+    """Each row of an (R, w) uint64 word array as one little-endian int."""
+    rows, width = words.shape
+    if width == 1:
+        return words[:, 0].tolist()
+    raw = words.astype("<u8", copy=False).tobytes()
+    width *= 8
+    return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(rows)]
 
 
 def field(m: int) -> Field:
@@ -189,26 +195,18 @@ class BchCode:
             expo[expo >= fld.order] -= fld.order
         return cols
 
-    def elements_from_packed(self, packed: int) -> List[int]:
-        """Split a little-endian packed syndrome row into its d field elements."""
-        mask = self._elem_mask
-        return [(packed >> s) & mask for s in range(0, self.redundancy, self.m)]
-
     @cached_property
     def _col_ints(self) -> List[int]:
         """The rows of ``cols`` as Python integers, for verifying decodes."""
-        return [
-            int.from_bytes(row.tobytes(), "little")
-            for row in self.cols.astype("<u8", copy=False)
-        ]
+        return row_ints(self.cols)
 
-    def _verify(self, positions: Tuple[int, ...], selems: List[int]) -> bool:
-        """Is selems the syndrome of the error with ones at positions?"""
+    def _verify(self, positions: Tuple[int, ...], packed: int) -> bool:
+        """Is packed the syndrome row of the error with ones at positions?"""
         cols = self._col_ints
         acc = 0
         for p in positions:
             acc ^= cols[p]
-        return self.elements_from_packed(acc) == selems
+        return acc == packed
 
     @cached_property
     def _inverse_powers(self) -> np.ndarray:
@@ -219,50 +217,42 @@ class BchCode:
         period = fld.exp_np[-np.arange(fld.order) % fld.order]
         return np.resize(period, fld.order + self.d * self.n_buckets)
 
-    def decode_elements(self, selems: List[int]) -> Optional[Tuple[int, ...]]:
-        """Positions of a weight <= d error matching the syndrome, or None."""
-        fld = self.field
-        if not any(selems):
+    def decode_elements(self, packed: int) -> Optional[Tuple[int, ...]]:
+        """Positions of a weight <= d error whose syndrome is the packed row
+        ``packed`` (little-endian, element i at bits [i m, (i + 1) m), no
+        bits at or past d m), or None."""
+        if not packed:
             return ()
-        s1 = selems[0]
+        s1 = packed & self._elem_mask
         if s1:
             # weight-1: column j has S_1 = alpha^j
-            pos = fld.log[s1]
-            if pos < self.n_buckets and self._verify((pos,), selems):
+            pos = self.field.log[s1]
+            if pos < self.n_buckets and self._col_ints[pos] == packed:
                 return (pos,)
-        if self.d >= 2 and s1:
-            hit = self._decode_pair(selems)
-            if hit is not None:
-                return hit
+            if self.d >= 2:
+                hit = self._decode_pair(s1, (packed >> self.m) & self._elem_mask, packed)
+                if hit is not None:
+                    return hit
         if self.d < 3:
             return None
-        return self._decode_general(selems)
+        return self._decode_general(packed)
 
-    def _decode_pair(self, selems: List[int]) -> Optional[Tuple[int, ...]]:
-        # X1 + X2 = S1, X1.X2 = (S3 + S1^3)/S1; roots of z^2 + S1 z + P.
+    def _decode_pair(self, s1: int, s3: int, packed: int) -> Optional[Tuple[int, ...]]:
+        # X1 + X2 = S1 and X1 X2 = (S3 + S1^3) / S1, so X = S1 w for the two
+        # roots w, w + 1 of w^2 + w = S3 / S1^3 + 1; w = 0 means X1 X2 = 0
         fld = self.field
-        s1, s3 = selems[0], selems[1]
-        inv_s1 = fld.inv(s1)
-        prod = fld.mul(s3 ^ fld.pow(s1, 3), inv_s1)
-        if prod == 0:
+        exp, log = fld.exp, fld.log
+        w = fld.qsolve(exp[log[s3] + -3 * log[s1] % fld.order] ^ 1)
+        if not w:
             return None
-        u = fld.mul(fld.mul(prod, inv_s1), inv_s1)
-        w = fld.qsolve(u)
-        if w is None:
+        hit = tuple(sorted((log[fld.mul(s1, w)], log[fld.mul(s1, w ^ 1)])))
+        if hit[1] >= self.n_buckets or not self._verify(hit, packed):
             return None
-        x1 = fld.mul(s1, w)
-        x2 = x1 ^ s1
-        if x1 == 0 or x2 == 0:
-            return None
-        p1, p2 = fld.log[x1], fld.log[x2]
-        if p1 >= self.n_buckets or p2 >= self.n_buckets:
-            return None
-        hit = tuple(sorted((p1, p2)))
-        return hit if self._verify(hit, selems) else None
+        return hit
 
-    def _decode_general(self, selems: List[int]) -> Optional[Tuple[int, ...]]:
-        fld = self.field
-        lam = _berlekamp_massey(fld, selems)
+    def _decode_general(self, packed: int) -> Optional[Tuple[int, ...]]:
+        fld, m, mask = self.field, self.m, self._elem_mask
+        lam = _berlekamp_massey(fld, [(packed >> s) & mask for s in range(0, self.redundancy, m)])
         deg = len(lam) - 1
         if deg < 1 or deg > self.d:
             return None
@@ -279,7 +269,7 @@ class BchCode:
         positions = tuple(np.flatnonzero(acc == 0).tolist())
         if len(positions) != deg:
             return None
-        return positions if self._verify(positions, selems) else None
+        return positions if self._verify(positions, packed) else None
 
 
 def _berlekamp_massey(fld: Field, selems: List[int]) -> List[int]:
@@ -345,6 +335,7 @@ __all__ = [
     "syndrome_bits",
     "pack_words",
     "unpack_words",
+    "row_ints",
     "BchCode",
     "bch_code",
 ]

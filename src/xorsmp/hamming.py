@@ -36,9 +36,15 @@ import numpy as np
 
 from .bits import BitVector
 from .coins import CoinSource
-from .gf2 import BchCode, bch_code, pack_words, syndrome_bits, unpack_words
+from .gf2 import (
+    MAX_FIELD_DEGREE, BchCode, bch_code, pack_words, row_ints, syndrome_bits, unpack_words,
+)
 
 STRATEGIES = ("raw", "bucket", "syndrome")
+
+# The largest syndrome threshold whose B = 4 d^2 buckets fit the largest
+# configured field, GF(2^MAX_FIELD_DEGREE) with 2^m - 1 code positions.
+SYNDROME_D_MAX = math.isqrt(((1 << MAX_FIELD_DEGREE) - 1) // 4)
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,8 @@ class HDParams:
     strategy, is the syndrome sketch at capacity 0: each position is its
     own bucket, R = 1, the syndrome is empty and the f rows fingerprint the
     input itself.  Derived sizes are computed once per instance, on first use.
+    Syndrome supports d <= ``SYNDROME_D_MAX`` (127), checked on construction,
+    before any coin is drawn.
     """
 
     d: int
@@ -66,6 +74,11 @@ class HDParams:
             raise ValueError("threshold must be nonnegative")
         if self.strategy != "raw" and not 0.0 < self.epsilon < 1.0:
             raise ValueError("error budget must lie in (0, 1)")
+        if self.strategy == "syndrome" and self.d > SYNDROME_D_MAX:
+            raise ValueError(
+                f"syndrome supports thresholds up to d = {SYNDROME_D_MAX}: the 4d^2 "
+                f"buckets must fit GF(2^{MAX_FIELD_DEGREE}); got d = {self.d}"
+            )
 
     @cached_property
     def bucket_count(self) -> int:
@@ -331,8 +344,8 @@ def decide_block(
         estimate = int(np.bitwise_count(diff).sum(axis=1).max())
         return HDVerdict(le=estimate <= params.d, estimate=estimate)
     code = params.code
-    syn = _row_ints(msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i])
-    fps = _row_ints(msgs_a.words[1][:, i] ^ msgs_b.words[1][:, i])
+    syn = row_ints(msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i])
+    fps = row_ints(msgs_a.words[1][:, i] ^ msgs_b.words[1][:, i])
     if not any(syn):
         # Every repetition decodes to the empty set; a nonzero fingerprint
         # difference then means a codeword of weight >= 2d + 1, so GT.  At
@@ -344,7 +357,7 @@ def decide_block(
     one_word = fmat.shape[-1] == 1
     estimate = 0
     for rep, (word, fp) in enumerate(zip(syn, fps)):
-        hit = code.decode_elements(code.elements_from_packed(word)) if word else ()
+        hit = code.decode_elements(word) if word else ()
         if hit is None:
             return HDVerdict(le=False, estimate=params.d + 1)
         # the decoded buckets' columns must XOR to the fingerprint difference
@@ -353,21 +366,11 @@ def decide_block(
             for b in hit:
                 got ^= fmat.item(rep, b, 0)
         else:
-            got = _row_ints(np.bitwise_xor.reduce(fmat[rep].take(hit, axis=0), keepdims=True))[0]
+            got = row_ints(np.bitwise_xor.reduce(fmat[rep].take(hit, axis=0), keepdims=True))[0]
         if got != fp:
             return HDVerdict(le=False, estimate=params.d + 1)
         estimate = max(estimate, len(hit))
     return HDVerdict(le=True, estimate=estimate)
-
-
-def _row_ints(words: np.ndarray) -> List[int]:
-    """Each row of an (R, w) uint64 word array as one little-endian int."""
-    rows, width = words.shape
-    if width == 1:
-        return words[:, 0].tolist()
-    raw = words.astype("<u8", copy=False).tobytes()
-    width *= 8
-    return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(rows)]
 
 
 def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:
@@ -383,14 +386,16 @@ def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:
 
 
 def hd_decide(params: HDParams, m_a: BlockMessages, m_b: BlockMessages) -> HDVerdict:
-    """Referee's verdict from the two messages of one single instance."""
-    if m_a.shared is not m_b.shared and m_a.shared.params != m_b.shared.params:
-        raise ValueError("messages come from different instances")
+    """Referee's verdict from the two messages of one single instance,
+    whose parameters must be ``params``."""
+    if not params == m_a.shared.params == m_b.shared.params:
+        raise ValueError("messages come from a different instance than params")
     return decide_block(m_a, m_b, 0)
 
 
 __all__ = [
     "STRATEGIES",
+    "SYNDROME_D_MAX",
     "HDParams",
     "HDShared",
     "HDVerdict",

@@ -31,6 +31,7 @@ from .bits import BitVector, complement, parity
 from .coins import CoinSource, Partition, c_of_k, sample_partition
 from .gf2 import MAX_FIELD_DEGREE
 from .hamming import (
+    SYNDROME_D_MAX,
     BlockMessages,
     HDParams,
     HDShared,
@@ -76,9 +77,8 @@ class Lazy(Generic[T]):
         return (self[j] for j in range(len(self._items)))
 
 
-# The largest syndrome guard whose B = 4 r^2 buckets fit the largest
-# configured field, GF(2^MAX_FIELD_DEGREE) with 2^m - 1 code positions.
-SYNDROME_R_MAX = math.isqrt(((1 << MAX_FIELD_DEGREE) - 1) // 4)
+# The guard of a length-r tail is the threshold d = r.
+SYNDROME_R_MAX = SYNDROME_D_MAX
 
 
 def check_envelope(n: int, r: int, strategy: str) -> None:

@@ -94,12 +94,28 @@ def gf2_mat_vec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat[:, np.asarray(vec, dtype=bool)].sum(axis=1) % 2).astype(np.uint8)
 
 
+def packed_row(bits: np.ndarray) -> int:
+    """A row of wire bits as one little-endian int: bit j is the row's bit j."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def split_elements(code, packed: int) -> List[int]:
+    """The d m-bit field elements of a packed syndrome row, element i at
+    bits [i m, (i + 1) m)."""
+    mask = (1 << code.field.m) - 1
+    return [(packed >> (i * code.field.m)) & mask for i in range(code.d)]
+
+
+def pack_elements(code, selems: List[int]) -> int:
+    """Inverse of ``split_elements``: d field elements as one packed row."""
+    return sum(e << (i * code.field.m) for i, e in enumerate(selems))
+
+
 def decode_bits(code, bits: np.ndarray) -> Optional[Tuple[int, ...]]:
     """The library's decode of a syndrome given as its d m wire bits."""
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     assert bits.size == code.redundancy, f"{bits.size} syndrome bits for {code.redundancy}"
-    packed = np.packbits(bits, bitorder="little").tobytes()
-    return code.decode_elements(code.elements_from_packed(int.from_bytes(packed, "little")))
+    return code.decode_elements(packed_row(bits))
 
 
 def berlekamp_massey(fld, syn: List[int]) -> List[int]:
@@ -178,8 +194,7 @@ def reference_decode(code, selems: List[int]) -> Optional[Tuple[int, ...]]:
     e = np.zeros(code.n_buckets, dtype=np.uint8)
     e[roots] = 1
     bits = gf2_mat_vec(code_parity_check(code), e)
-    packed = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    return tuple(roots.tolist()) if code.elements_from_packed(packed) == selems else None
+    return tuple(roots.tolist()) if split_elements(code, packed_row(bits)) == selems else None
 
 
 def dense_verdict(shared, syn_bits: np.ndarray, fp_bits: np.ndarray) -> Tuple[bool, int]:
@@ -195,8 +210,7 @@ def dense_verdict(shared, syn_bits: np.ndarray, fp_bits: np.ndarray) -> Tuple[bo
     code = params.code
     estimate = 0
     for rep in range(params.repetitions):
-        packed = np.packbits(syn_bits[rep], bitorder="little").tobytes()
-        hit = reference_decode(code, code.elements_from_packed(int.from_bytes(packed, "little")))
+        hit = reference_decode(code, split_elements(code, packed_row(syn_bits[rep])))
         if hit is None:
             return gt
         e = np.zeros(params.bucket_count, dtype=np.uint8)

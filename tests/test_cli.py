@@ -372,6 +372,23 @@ def test_bad_predicate_file_exits_with_message(tmp_path):
     )
 
 
+def test_single_sketch_past_the_field_exits_with_message(tmp_path):
+    # a d = 128 syndrome sketch would hash into 4 d^2 = 2^16 buckets, past
+    # GF(2^16): one line naming the limit, not the missing field of m = 17
+    proc = _cli_subprocess("hd-error", "--d", 128, "--trials", 1)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "xorsmp hd-error: syndrome supports thresholds up to d = 127: the 4d^2 buckets "
+        "must fit GF(2^16); got d = 128"
+    ]
+    # bucket builds no field and still runs there
+    out = tmp_path / "bucket.csv"
+    assert run_cli("hd-error", "--d", 128, "--epsilon", 0.1, "--trials", 1,
+                   "--strategy", "bucket", "--out", out) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_unsupported_envelope_exits_with_message():
     limit = "syndrome supports tails up to r = 127"
     _assert_clean_exit(

@@ -10,7 +10,10 @@ from .oracles import (
     decode_bits,
     full_syndrome,
     gf2_mat_vec,
+    pack_elements,
+    packed_row,
     reference_decode,
+    split_elements,
 )
 
 # The (buckets, capacity) pairs the sketch strategies actually build.
@@ -115,7 +118,8 @@ def test_decoder_matches_textbook_reference(b, d, kind):
     # correctable patterns, on patterns of weight d + 1..2d + 2 (which fail
     # or decode to another pattern) and on uniformly random syndromes, every
     # other one with about 3 in 4 elements zeroed (a late first nonzero
-    # discrepancy drives the locator's length up to 2d - 1)
+    # discrepancy drives the locator's length up to 2d - 1); the decoder
+    # takes each syndrome as the packed row the referee holds
     code = bch_code(b, d)
     fld = code.field
     gen = np.random.default_rng([b, d, len(kind)])
@@ -125,14 +129,16 @@ def test_decoder_matches_textbook_reference(b, d, kind):
             if t % 2:
                 selems[gen.random(d) < 0.75] = 0
             selems = selems.tolist()
+            packed = pack_elements(code, selems)
+            assert split_elements(code, packed) == selems
         else:
             lo, hi = (0, d) if kind == "weight<=d" else (d + 1, min(2 * d + 2, b))
             pos = gen.choice(b, size=int(gen.integers(lo, hi + 1)), replace=False)
-            packed = np.packbits(syndrome_bits_of(code, pos), bitorder="little").tobytes()
-            selems = code.elements_from_packed(int.from_bytes(packed, "little"))
+            packed = packed_row(syndrome_bits_of(code, pos))
+            selems = split_elements(code, packed)
         lam = gf2._berlekamp_massey(fld, selems)
         assert lam == berlekamp_massey(fld, full_syndrome(fld, selems))
-        got = code.decode_elements(selems)
+        got = code.decode_elements(packed)
         assert got == reference_decode(code, selems)
         if kind == "weight<=d":
             assert got == tuple(sorted(pos.tolist()))

@@ -64,6 +64,12 @@ def test_param_derivations():
         HDParams(d=1, epsilon=0.0, strategy="bucket", length=8)
     with pytest.raises(ValueError):
         HDParams(d=1, epsilon=0.5, strategy="quantum", length=8)
+    # d = 128 would hash into 4 d^2 = 2^16 buckets, past GF(2^16): rejected
+    # on construction, so no coin is drawn; bucket builds no field
+    assert HDParams(d=127, epsilon=0.1, strategy="syndrome", length=1024).bucket_count < 2**16
+    with pytest.raises(ValueError, match="syndrome supports thresholds up to d = 127"):
+        HDParams(d=128, epsilon=0.1, strategy="syndrome", length=1024)
+    assert HDParams(d=128, epsilon=0.1, strategy="bucket", length=1024).bucket_count == 2**16
 
 
 def test_raw_payload_is_verbatim():
@@ -280,6 +286,13 @@ def test_mismatched_instances_rejected():
     m2 = hd_encode_shared(hd_shared(p2, ROOT.derive("mm2")), y)
     with pytest.raises(ValueError):
         hd_decide(p1, m1, m2)
+    # params must be the messages' own instance, even when both agree
+    shared = hd_shared(p2, ROOT.derive("mm3"))
+    m_x, m_y = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
+    for wrong in (p1, HDParams(d=5, epsilon=0.1, strategy="bucket", length=32)):
+        with pytest.raises(ValueError):
+            hd_decide(wrong, m_x, m_y)
+    assert hd_decide(p2, m_x, m_y) == HDVerdict(le=True, estimate=1)
 
 
 def test_zero_syndrome_with_fingerprint_difference_is_gt():
@@ -437,7 +450,7 @@ def test_decide_block_matches_dense_oracle(d, epsilon, n):
     wrong_s[1, 0] ^= code.cols[3]
     wrong_f[1, 0] ^= shared.fmat[1, 5]
     wrong = BlockMessages(shared, 1, words=(wrong_s, wrong_f))
-    assert code.decode_elements(code.elements_from_packed(
-        int.from_bytes(code.cols[3].astype("<u8").tobytes(), "little"))) == (3,)
+    assert code.decode_elements(
+        int.from_bytes(code.cols[3].astype("<u8").tobytes(), "little")) == (3,)
     got = check(m_a, wrong)
     assert not got.le and got.estimate == d + 1

@@ -47,6 +47,11 @@ def test_tracer_installs_and_restores():
                  "pk_party_messages", "hd_encode_shared", "encode_blocks", "p_referee",
                  "hd_decide", "pk_referee", "decide_block"):
         assert f"protocol.{name}" in seen, name
+    # the BCH decoder ran under its wrapped name, and never on a zero
+    # repetition (the referee skips those, so no weight-0 decode is counted)
+    assert "gf2:BchCode.decode_elements" in seen
+    assert sum(tr.counts[f"gf2.decode.{kind}"] for kind in ("w1", "w2", "bm", "fail")) > 0
+    assert "gf2.decode.w0" not in tr.counts
     # each party encodes its two guards, then, on first read, each threshold
     # stack of the taken tail that the referee's search visited in some block
     t = [tail.branch for tail in protocol.TAILS].index(out.branch)
