@@ -24,6 +24,7 @@ from .harness import (
     TrialConfig,
     csv_lines,
     hd_error_experiment,
+    hd_error_params,
     lemma_partition_experiment,
     replay_transcript_text,
     run_trials,
@@ -167,11 +168,12 @@ def cmd_hd_error(args: argparse.Namespace) -> int:
     _require(args, trials=10000, seed=0, strategy="syndrome")
     ds = _int_list(args.d or "0,1,2,4,8")
     epsilons = _float_list(args.epsilon or "0.1,0.01")
+    # every (d, epsilon) is checked before the first trial runs
+    cells = [hd_error_params(d, eps, args.strategy) for d in ds for eps in epsilons]
     results = [
         res
-        for d in ds
-        for eps in epsilons
-        for res in hd_error_experiment(d, eps, args.strategy, args.trials, args.seed)
+        for p in cells
+        for res in hd_error_experiment(p.d, p.epsilon, p.strategy, args.trials, args.seed)
     ]
     _emit(args.out, csv_lines(HdErrorResult, results))
     return 0

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -200,7 +200,7 @@ class BchCode:
         """The rows of ``cols`` as Python integers, for verifying decodes."""
         return row_ints(self.cols)
 
-    def _verify(self, positions: Tuple[int, ...], packed: int) -> bool:
+    def is_syndrome(self, positions: Iterable[int], packed: int) -> bool:
         """Is packed the syndrome row of the error with ones at positions?"""
         cols = self._col_ints
         acc = 0
@@ -246,7 +246,7 @@ class BchCode:
         if not w:
             return None
         hit = tuple(sorted((log[fld.mul(s1, w)], log[fld.mul(s1, w ^ 1)])))
-        if hit[1] >= self.n_buckets or not self._verify(hit, packed):
+        if hit[1] >= self.n_buckets or not self.is_syndrome(hit, packed):
             return None
         return hit
 
@@ -269,7 +269,7 @@ class BchCode:
         positions = tuple(np.flatnonzero(acc == 0).tolist())
         if len(positions) != deg:
             return None
-        return positions if self._verify(positions, packed) else None
+        return positions if self.is_syndrome(positions, packed) else None
 
 
 def _berlekamp_massey(fld: Field, selems: List[int]) -> List[int]:

@@ -23,6 +23,16 @@ strategies only ever under-count distances (hash collisions cancel
 parities in pairs), which makes the verdict one-sided: a true distance at
 most d is never reported as GT unless a fingerprint or decode anomaly
 fires, and those events are inside the error budget.
+
+The referee works in batches.  ``decide_block`` decides any set of blocks
+of one stack at once, and ``threshold_search`` runs the blocks' binary
+searches level by level, so each level asks one ``decide_block`` call per
+threshold.  Within a block, repetitions after the first two that decode to
+more than two buckets are predicted from the positions decoded in both and
+checked against their syndromes instead of decoded: a syndrome of a
+narrow-sense BCH code of designed distance 2d + 1 fixes its error set of
+weight at most d (Dodis, Ostrovsky, Reyzin and Smith), so a prediction that
+matches is the decode.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,15 +160,18 @@ class HDParams:
 class HDShared:
     """Public-coin material for one instance: both parties hold the same copy.
 
-    ``buckets`` maps (repetition, position) -> bucket, None at d = 0 where
-    each position is its own bucket.  ``fmat`` is the fingerprint matrix as
-    packed columns, None when f = 0: (R, B, w) uint64 words, w = ceil(f / 64),
-    where bit t % 64 of word t // 64 of column b is row t and the bits at or
-    past f are zero.  Drawn in a fixed order from one derived stream so that
-    independent derivations by each party agree bit for bit.
+    ``coins`` is the source it was drawn from; the referee decides only
+    messages whose sources have the same key.  ``buckets`` maps (repetition,
+    position) -> bucket, None at d = 0 where each position is its own
+    bucket.  ``fmat`` is the fingerprint matrix as packed columns, None when
+    f = 0: (R, B, w) uint64 words, w = ceil(f / 64), where bit t % 64 of word
+    t // 64 of column b is row t and the bits at or past f are zero.  Drawn in
+    a fixed order from one derived stream so that independent derivations by
+    each party agree bit for bit.
     """
 
     params: HDParams
+    coins: CoinSource
     buckets: Optional[np.ndarray]
     fmat: Optional[np.ndarray]
 
@@ -166,7 +179,7 @@ class HDShared:
 def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
     """Materialize the shared randomness of one instance from its coin child."""
     if params.strategy == "raw":
-        return HDShared(params, None, None)
+        return HDShared(params, coins, None, None)
     gen = coins.generator()
     buckets = fmat = None
     if params.d:
@@ -177,7 +190,7 @@ def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
         size = (params.repetitions, params.bucket_count, -(-f // 64))
         fmat = gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
         fmat[..., -1] &= np.uint64((1 << ((f - 1) % 64 + 1)) - 1)
-    return HDShared(params, buckets, fmat)
+    return HDShared(params, coins, buckets, fmat)
 
 
 @dataclass(frozen=True)
@@ -186,23 +199,37 @@ class HDVerdict:
     estimate: int          # best distance estimate backing the claim
 
 
-def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
-    """Binary search over lazily evaluated verdicts h(0..c), h(j) true
-    meaning LE at threshold j; returns (result, visited).
+def threshold_search(
+    c: int, k: int, verdicts: Callable[[int, List[int]], List[bool]]
+) -> Tuple[List[int], List[List[int]]]:
+    """Binary search of k blocks over lazily evaluated verdicts h_i(0..c),
+    h_i(j) true meaning LE at threshold j; returns each block's result and
+    the thresholds it visited, in order.
 
-    Assumes h is monotone nondecreasing and returns the smallest j with
-    h(j) true; on non-monotone input (possible under sub-protocol errors)
-    the landing index is returned as-is, always within [0, c].
+    The blocks search level by level: at each level ``verdicts(j, blocks)``
+    gives h_i(j) for every block i in ``blocks`` (in their order) that asks
+    threshold j there, so one call serves all of them.  Each block visits
+    exactly the thresholds its own binary search would.  For monotone
+    nondecreasing h_i the result is the smallest j with h_i(j) true; on
+    non-monotone input (possible under sub-protocol errors) it is the
+    landing index, always within [0, c].
     """
-    visited: List[int] = []
-    lo, hi = 0, c
-    while lo < hi:
-        mid = (lo + hi) // 2
-        visited.append(mid)
-        if verdict(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    lo, hi = [0] * k, [c] * k
+    visited: List[List[int]] = [[] for _ in range(k)]
+    live = list(range(k)) if c else []
+    while live:
+        asks: Dict[int, List[int]] = {}
+        for i in live:
+            mid = (lo[i] + hi[i]) // 2
+            visited[i].append(mid)
+            asks.setdefault(mid, []).append(i)
+        for j, blocks in asks.items():
+            for i, le in zip(blocks, verdicts(j, blocks), strict=True):
+                if le:
+                    hi[i] = j
+                else:
+                    lo[i] = j + 1
+        live = [i for i in live if lo[i] < hi[i]]
     return lo, visited
 
 
@@ -324,28 +351,72 @@ def encode_blocks(
 
 
 def decide_block(
-    msgs_a: BlockMessages, msgs_b: BlockMessages, i: int
-) -> HDVerdict:
-    """Referee's verdict for block i of one stacked threshold instance.
+    msgs_a: BlockMessages,
+    msgs_b: BlockMessages,
+    blocks: Sequence[int],
+    positions: Optional[Sequence[np.ndarray]] = None,
+) -> List[HDVerdict]:
+    """Referee's verdicts for the given blocks of one stacked threshold
+    instance, distinct and in increasing order, one verdict per block.
 
-    Symmetric in its two message arguments.  Decode and fingerprint
-    failures map to GT: above the threshold that is the right answer, and
-    under the promise they are already inside the error budget.
+    Both parties' words for those blocks are XORed, and turned into ints,
+    in one pass.  ``positions[i]`` lists block i's input positions, which
+    only serve to predict decodes; None stands for every position, as for a
+    single instance.  Symmetric in its two message arguments, which must be
+    drawn from the same coins.  Decode and fingerprint failures map to GT:
+    above the threshold that is the right answer, and under the promise
+    they are already inside the error budget.
     """
     shared = msgs_a.shared
+    if shared.coins.key != msgs_b.shared.coins.key:
+        raise ValueError("messages were drawn from different coins")
     params = shared.params
     if params.strategy == "raw":
-        lo, hi = msgs_a.raw_bounds[i], msgs_a.raw_bounds[i + 1]
-        dist = int((msgs_a.raw_sorted[lo:hi] ^ msgs_b.raw_sorted[lo:hi]).sum())
-        return HDVerdict(le=dist <= params.d, estimate=dist)
+        diff = msgs_a.raw_sorted ^ msgs_b.raw_sorted
+        bounds = msgs_a.raw_bounds
+        dists = [int(diff[bounds[i] : bounds[i + 1]].sum()) for i in blocks]
+        return [HDVerdict(le=dist <= params.d, estimate=dist) for dist in dists]
+    # (R, len(blocks), w) words per segment: the blocks' differences
+    step = len(blocks)
+    diffs = [a ^ b for a, b in zip(msgs_a.words, msgs_b.words)]
+    if step < msgs_a.k:  # blocks increase, so all k of them need no gather
+        diffs = [diff.take(blocks, axis=1) for diff in diffs]
     if not params.fingerprint_rows:  # bucket parities
-        diff = msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i]
         # the padding bits are zero, so the row's set bits are the parities
-        estimate = int(np.bitwise_count(diff).sum(axis=1).max())
-        return HDVerdict(le=estimate <= params.d, estimate=estimate)
-    code = params.code
-    syn = row_ints(msgs_a.words[0][:, i] ^ msgs_b.words[0][:, i])
-    fps = row_ints(msgs_a.words[1][:, i] ^ msgs_b.words[1][:, i])
+        estimates = np.bitwise_count(diffs[0]).sum(axis=2).max(axis=0).tolist()
+        return [HDVerdict(le=est <= params.d, estimate=est) for est in estimates]
+    # one int per (repetition, block), repetition-major: block t's
+    # repetitions are every step-th from t
+    rows = params.repetitions * step
+    syn, fps = [row_ints(diff.reshape(rows, diff.shape[-1])) for diff in diffs]
+    if step == 1:  # its repetitions are the whole lists
+        return [_decide_syndrome(shared, syn, fps, positions, blocks[0])]
+    return [
+        _decide_syndrome(shared, syn[t::step], fps[t::step], positions, i)
+        for t, i in enumerate(blocks)
+    ]
+
+
+def _decide_syndrome(
+    shared: HDShared,
+    syn: List[int],
+    fps: List[int],
+    positions: Optional[Sequence[np.ndarray]],
+    i: int,
+) -> HDVerdict:
+    """Block i's verdict from its per-repetition syndrome and fingerprint
+    differences.
+
+    Once two repetitions have decoded to more than two buckets, the block's
+    input positions whose buckets were decoded in both predict each later
+    repetition's odd buckets: those that these positions hit an odd number of
+    times.  A prediction of at most d buckets whose columns XOR to the
+    repetition's syndrome is what the decoder would return, since two
+    distinct sets of at most d buckets with one syndrome would differ by a
+    nonzero codeword of weight at most 2d < 2d + 1.  Every other repetition
+    is decoded, and every repetition's fingerprint is checked.
+    """
+    params = shared.params
     if not any(syn):
         # Every repetition decodes to the empty set; a nonzero fingerprint
         # difference then means a codeword of weight >= 2d + 1, so GT.  At
@@ -353,13 +424,28 @@ def decide_block(
         if any(fps):
             return HDVerdict(le=False, estimate=params.d + 1)
         return HDVerdict(le=True, estimate=0)
-    fmat = shared.fmat
+    code, fmat = params.code, shared.fmat
     one_word = fmat.shape[-1] == 1
     estimate = 0
+    decoded = []  # (repetition, buckets) of the first two decodes past weight 2
+    predicted = None  # per repetition, the buckets of the positions decoded in both
     for rep, (word, fp) in enumerate(zip(syn, fps)):
-        hit = code.decode_elements(word) if word else ()
+        hit = None
+        if predicted is not None and word:
+            odd = set()
+            for b in predicted[rep]:
+                odd ^= {b}
+            if len(odd) <= params.d and code.is_syndrome(odd, word):
+                hit = tuple(sorted(odd))
         if hit is None:
-            return HDVerdict(le=False, estimate=params.d + 1)
+            hit = code.decode_elements(word) if word else ()
+            if hit is None:
+                return HDVerdict(le=False, estimate=params.d + 1)
+            if len(hit) > 2 and predicted is None:
+                decoded.append((rep, hit))
+                if len(decoded) == 2:
+                    where = None if positions is None else positions[i]
+                    predicted = _buckets_decoded_twice(shared, decoded, where)
         # the decoded buckets' columns must XOR to the fingerprint difference
         if one_word and len(hit) <= 2:
             got = 0
@@ -371,6 +457,21 @@ def decide_block(
             return HDVerdict(le=False, estimate=params.d + 1)
         estimate = max(estimate, len(hit))
     return HDVerdict(le=True, estimate=estimate)
+
+
+def _buckets_decoded_twice(
+    shared: HDShared, decoded: List[Tuple[int, Tuple[int, ...]]], where: Optional[np.ndarray]
+) -> List[List[int]]:
+    """Every repetition's buckets at the input positions in ``where`` (all
+    when None) whose buckets are among the decoded ones in both decoded
+    repetitions."""
+    buckets = shared.buckets if where is None else shared.buckets[:, where]
+    in_both = np.ones(buckets.shape[1], dtype=bool)
+    for rep, hit in decoded:
+        mark = np.zeros(shared.params.bucket_count, dtype=bool)
+        mark[list(hit)] = True
+        in_both &= mark[buckets[rep]]
+    return buckets[:, in_both].tolist()
 
 
 def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:
@@ -390,7 +491,7 @@ def hd_decide(params: HDParams, m_a: BlockMessages, m_b: BlockMessages) -> HDVer
     whose parameters must be ``params``."""
     if not params == m_a.shared.params == m_b.shared.params:
         raise ValueError("messages come from a different instance than params")
-    return decide_block(m_a, m_b, 0)
+    return decide_block(m_a, m_b, [0])[0]
 
 
 __all__ = [

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bits import BitVector, hamming_distance, sample_pair_with_distance
 from .coins import CoinSource, c_of_k
+from .hamming import HDParams
 from .predicate import (
     Predicate,
     Profile,
@@ -329,6 +330,15 @@ class HdErrorResult:
     stderr: float
 
 
+def hd_error_params(d: int, epsilon: float, strategy: str) -> HDParams:
+    """The instance ``hd_error_experiment`` measures: threshold d at budget
+    epsilon on inputs of length max(32, 8 d).  Rejects raw, and every
+    setting ``HDParams`` rejects, before any coin is drawn."""
+    if strategy not in ("bucket", "syndrome"):
+        raise ValueError("measure bucket or syndrome against the raw oracle")
+    return HDParams(d=d, epsilon=epsilon, strategy=strategy, length=max(32, 8 * max(d, 1)))
+
+
 def hd_error_experiment(
     d: int,
     epsilon: float,
@@ -336,17 +346,15 @@ def hd_error_experiment(
     samples: int,
     seed: int,
 ) -> List[HdErrorResult]:
-    """Verdict error rates at the hardest weights d and d + 1, on inputs of
-    length max(32, 8 d), scored against the exact comparison the raw
-    strategy would make."""
-    from .hamming import HDParams, hd_decide, hd_encode_shared, hd_shared
+    """Verdict error rates at the hardest weights d and d + 1, on the
+    instance of ``hd_error_params``, scored against the exact comparison
+    the raw strategy would make."""
+    from .hamming import hd_decide, hd_encode_shared, hd_shared
 
-    if strategy not in ("bucket", "syndrome"):
-        raise ValueError("measure bucket or syndrome against the raw oracle")
+    params = hd_error_params(d, epsilon, strategy)
     _check_trials(samples)
-    n = max(32, 8 * max(d, 1))
+    n = params.length
     root = CoinSource.from_seed(seed)
-    params = HDParams(d=d, epsilon=epsilon, strategy=strategy, length=n)
     results = []
     for w in (d, d + 1):
         errors = 0
@@ -439,6 +447,7 @@ __all__ = [
     "LemmaResult",
     "lemma_partition_experiment",
     "HdErrorResult",
+    "hd_error_params",
     "hd_error_experiment",
     "SweepRow",
     "cost_normalizer",

@@ -183,17 +183,17 @@ class PkResult:
 def pk_referee(
     shared: PkShared, msgs_a: Lazy[BlockMessages], msgs_b: Lazy[BlockMessages]
 ) -> PkResult:
-    """Recover each block's distance by lazy binary search and apply the
-    predicate to the clamped total."""
+    """Recover each block's distance by lazy binary search, all blocks
+    level by level, and apply the predicate to the clamped total."""
     if len(msgs_a) != len(shared.params) or len(msgs_b) != len(shared.params):
         raise ValueError("message bundle does not match the instance")
-    h = 0
-    for i in range(shared.k):
-        def verdict(j: int, _i=i) -> bool:
-            return decide_block(msgs_a[j], msgs_b[j], _i).le
+    bounds = shared.bounds
+    positions = Lazy(shared.k, lambda i: shared.sort_order[bounds[i] : bounds[i + 1]])
 
-        h += threshold_search(shared.c, verdict)[0]
-    total = min(h, shared.apply.n)
+    def verdicts(j: int, blocks: List[int]) -> List[bool]:
+        return [v.le for v in decide_block(msgs_a[j], msgs_b[j], blocks, positions)]
+
+    total = min(sum(threshold_search(shared.c, shared.k, verdicts)[0]), shared.apply.n)
     return PkResult(output=shared.apply(total), sum_h=total)
 
 

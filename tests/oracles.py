@@ -197,11 +197,19 @@ def reference_decode(code, selems: List[int]) -> Optional[Tuple[int, ...]]:
     return tuple(roots.tolist()) if split_elements(code, packed_row(bits)) == selems else None
 
 
-def dense_verdict(shared, syn_bits: np.ndarray, fp_bits: np.ndarray) -> Tuple[bool, int]:
+def library_decode(code, selems: List[int]) -> Optional[Tuple[int, ...]]:
+    """The library decoder on the syndrome whose d elements are selems."""
+    return code.decode_elements(pack_elements(code, selems))
+
+
+def dense_verdict(
+    shared, syn_bits: np.ndarray, fp_bits: np.ndarray, decode=reference_decode
+) -> Tuple[bool, int]:
     """The syndrome referee's (le, estimate) from the (R, d m) syndrome and
     (R, f) fingerprint difference bits: each repetition in order is decoded
-    by ``reference_decode`` and its decode's fingerprint is recomputed from
-    the dense (f, B) matrix of the shared columns."""
+    by ``decode`` (``reference_decode``, or ``library_decode`` for the
+    library's decode of every repetition) and its decode's fingerprint is
+    recomputed from the dense (f, B) matrix of the shared columns."""
     params = shared.params
     f = params.fingerprint_rows
     gt = (False, params.d + 1)
@@ -210,7 +218,7 @@ def dense_verdict(shared, syn_bits: np.ndarray, fp_bits: np.ndarray) -> Tuple[bo
     code = params.code
     estimate = 0
     for rep in range(params.repetitions):
-        hit = reference_decode(code, split_elements(code, packed_row(syn_bits[rep])))
+        hit = decode(code, split_elements(code, packed_row(syn_bits[rep])))
         if hit is None:
             return gt
         e = np.zeros(params.bucket_count, dtype=np.uint8)
@@ -222,3 +230,19 @@ def dense_verdict(shared, syn_bits: np.ndarray, fp_bits: np.ndarray) -> Tuple[bo
             return gt
         estimate = max(estimate, len(hit))
     return True, estimate
+
+
+def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
+    """One block's binary search over lazily evaluated verdicts h(0..c), h(j)
+    true meaning LE at threshold j; returns (result, visited).  The smallest
+    j with h(j) true for monotone h, else the landing index in [0, c]."""
+    visited: List[int] = []
+    lo, hi = 0, c
+    while lo < hi:
+        mid = (lo + hi) // 2
+        visited.append(mid)
+        if verdict(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, visited

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import xorsmp
+from xorsmp import hamming
 from xorsmp.cli import main
 from xorsmp.harness import RUN_CSV_HEADER
 
@@ -387,6 +388,20 @@ def test_single_sketch_past_the_field_exits_with_message(tmp_path):
     assert run_cli("hd-error", "--d", 128, "--epsilon", 0.1, "--trials", 1,
                    "--strategy", "bucket", "--out", out) == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_hd_error_checks_every_d_before_any_trial(monkeypatch):
+    # d = 128 is past the syndrome limit: the whole list is checked first,
+    # so no d = 1 trial runs before the one-line exit
+    drawn = []
+    monkeypatch.setattr(hamming, "hd_shared", lambda *args: drawn.append(args))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("hd-error", "--d", "1,128", "--strategy", "syndrome")
+    assert exc.value.code == (
+        "xorsmp hd-error: syndrome supports thresholds up to d = 127: the 4d^2 buckets "
+        "must fit GF(2^16); got d = 128"
+    )
+    assert drawn == []
 
 
 def test_unsupported_envelope_exits_with_message():

@@ -25,7 +25,8 @@ def test_distinct_labels_distinct_streams():
 def test_two_party_derivation_agrees():
     # Alice and Bob independently rebuild the same partition and sketch
     # coins from the shared seed and labels alone.
-    from xorsmp.hamming import HDParams, hd_shared
+    from xorsmp.bits import BitVector
+    from xorsmp.hamming import HDParams, HDVerdict, hd_decide, hd_encode_shared, hd_shared
 
     alice = CoinSource.from_seed(1234).derive("trial/0")
     bob = CoinSource.from_seed(1234).derive("trial/0")
@@ -37,6 +38,10 @@ def test_two_party_derivation_agrees():
     sb = hd_shared(params, bob.derive("pk/main/hd/3"))
     assert (sa.buckets == sb.buckets).all()
     assert (sa.fmat == sb.fmat).all()
+    # the referee decides the two parties' messages from their own copies
+    x = BitVector.random(500, alice.derive("x"))
+    verdict = hd_decide(params, hd_encode_shared(sa, x), hd_encode_shared(sb, x ^ BitVector(500, 0b101)))
+    assert verdict == HDVerdict(le=True, estimate=2)
 
 
 def test_seed_validation():

@@ -144,6 +144,23 @@ def test_decoder_matches_textbook_reference(b, d, kind):
             assert got == tuple(sorted(pos.tolist()))
 
 
+@pytest.mark.parametrize("b,d", CODES + [(16384, 64)])
+def test_column_ints_of_small_sets_decode_to_the_set(b, d):
+    # the referee's decode prediction rests on this: the XOR of the column
+    # ints of any 1 <= |S| <= d buckets is S's syndrome row, S is the one
+    # weight <= d error with that row, and so the decoder returns exactly S
+    code = bch_code(b, d)
+    gen = np.random.default_rng([b, d, 1])
+    for _ in range(20 if b > 2000 else 100):
+        buckets = gen.choice(b, size=int(gen.integers(1, d + 1)), replace=False).tolist()
+        packed = 0
+        for p in buckets:
+            packed ^= code._col_ints[p]
+        assert packed == packed_row(syndrome_bits_of(code, buckets))
+        assert code.is_syndrome(set(buckets), packed)
+        assert code.decode_elements(packed) == tuple(sorted(buckets))
+
+
 def test_weight_d_plus_one_rejected_by_fingerprint():
     # Overweight patterns either fail to decode or produce a candidate the
     # 16-row fingerprint rejects, except with probability ~2^-16 per slip.

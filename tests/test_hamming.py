@@ -200,8 +200,14 @@ def test_cost_monotone_in_d_and_epsilon():
         assert eps_costs == sorted(eps_costs)
 
 
+def search_one(c, verdict):
+    """The level-synchronous search on one block: (result, visited)."""
+    res, visited = threshold_search(c, 1, lambda j, blocks: [verdict(j) for _ in blocks])
+    return res[0], visited[0]
+
+
 def search_bits(h):
-    return threshold_search(len(h) - 1, lambda j: h[j] == 1)[0]
+    return search_one(len(h) - 1, lambda j: h[j] == 1)[0]
 
 
 def test_find_threshold_examples():
@@ -221,18 +227,38 @@ def test_threshold_search_visit_budget():
     for c in range(1, 40):
         for t in range(c + 1):
             h = [1 if j >= t else 0 for j in range(c + 1)]
-            res, visited = threshold_search(c, lambda j: h[j] == 1)
+            res, visited = search_one(c, lambda j: h[j] == 1)
             assert res == t
             assert len(visited) <= math.ceil(math.log2(c + 1))
+
+
+def test_level_search_matches_per_block_oracle():
+    # every block lands where its own sequential search lands and visits
+    # the same thresholds, and each (block, threshold) is asked once: the
+    # visit-budget cases (block t flips at t) and random non-monotone ones
+    gen = np.random.default_rng(5)
+    cases = [[[int(j >= t) for j in range(c + 1)] for t in range(c + 1)] for c in range(40)]
+    cases += [gen.integers(0, 2, size=(k, c + 1)).tolist() for c in range(13) for k in (1, 3, 17)]
+    for h in cases:
+        c, k = len(h[0]) - 1, len(h)
+        asked = []
+
+        def verdicts(j, blocks):
+            asked.extend((i, j) for i in blocks)
+            return [h[i][j] == 1 for i in blocks]
+
+        res, visited = threshold_search(c, k, verdicts)
+        want = [oracles.threshold_search(c, lambda j, _i=i: h[_i][j] == 1) for i in range(k)]
+        assert res == [r for r, _ in want]
+        assert visited == [v for _, v in want]
+        assert sorted(asked) == sorted((i, j) for i in range(k) for j in visited[i])
 
 
 def block_distance(params, shareds, x, y):
     """Distance from the c + 1 threshold instances by lazy binary search."""
     msgs_a = [hd_encode_shared(s, x) for s in shareds]
     msgs_b = [hd_encode_shared(s, y) for s in shareds]
-    res, _ = threshold_search(
-        len(params) - 1, lambda j: hd_decide(params[j], msgs_a[j], msgs_b[j]).le
-    )
+    res, _ = search_one(len(params) - 1, lambda j: hd_decide(params[j], msgs_a[j], msgs_b[j]).le)
     return res
 
 
@@ -272,7 +298,8 @@ def test_exact_block_distance_syndrome_monte_carlo():
             evaluated.append(j)
             return hd_decide(params[j], msgs_a[j], msgs_b[j]).le
 
-        res, visited = threshold_search(c, verdict)
+        res, visited = search_one(c, verdict)
+        assert visited == evaluated
         assert len(visited) <= math.ceil(math.log2(c + 1))
         hits += int(res == 3)
     assert hits / n_runs >= 1 - 3 * eps - 3 * math.sqrt(3 * eps / n_runs)
@@ -295,6 +322,21 @@ def test_mismatched_instances_rejected():
     assert hd_decide(p2, m_x, m_y) == HDVerdict(le=True, estimate=1)
 
 
+def test_messages_from_different_coins_rejected():
+    # equal params are not enough: messages encoded under two coin draws
+    # decide nothing, while copies drawn independently from one source do
+    params = HDParams(2, 0.1, "syndrome", 16)
+    x = BitVector.random(16, ROOT.derive("coinsx"))
+    m_a = hd_encode_shared(hd_shared(params, ROOT.derive("a")), x)
+    m_b = hd_encode_shared(hd_shared(params, ROOT.derive("b")), x)
+    with pytest.raises(ValueError, match="different coins"):
+        hd_decide(params, m_a, m_b)
+    with pytest.raises(ValueError, match="different coins"):
+        decide_block(m_b, m_a, [0])
+    same = hd_encode_shared(hd_shared(params, ROOT.derive("a")), x)
+    assert hd_decide(params, m_a, same) == HDVerdict(le=True, estimate=0)
+
+
 def test_zero_syndrome_with_fingerprint_difference_is_gt():
     # equal syndromes but one differing fingerprint bit: the difference is a
     # codeword of weight >= 2d + 1, so both deciders must answer GT
@@ -306,7 +348,7 @@ def test_zero_syndrome_with_fingerprint_difference_is_gt():
     fp[0, 0, 0] ^= 1
     m_b = BlockMessages(shared, 1, words=(synd.copy(), fp))
     assert not hd_decide(params, m_a, m_b).le
-    assert not decide_block(m_a, m_b, 0).le
+    assert not decide_block(m_a, m_b, [0])[0].le
 
 
 @pytest.mark.parametrize("d, w", [(1, 0), (1, 1), (2, 2), (3, 3)])
@@ -319,13 +361,13 @@ def test_fingerprint_difference_after_decode_is_gt(d, w):
     shared = hd_shared(params, ROOT.derive(f"zs/{d}"))
     x, y = sample_pair_with_distance(32, w, ROOT.derive(f"zsx/{d}/{w}"))
     m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
-    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, 0)):
+    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, [0])[0]):
         assert v.le and v.estimate == w
     synd, fp = m_b.words
     fp = fp.copy()
     fp[0, 0, 0] ^= 1
     m_b = BlockMessages(shared, 1, words=(synd, fp))
-    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, 0)):
+    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, [0])[0]):
         assert not v.le and v.estimate == d + 1
 
 
@@ -427,7 +469,7 @@ def test_decide_block_matches_dense_oracle(d, epsilon, n):
     def check(m_a, m_b):
         syn = unpack_words(m_a.words[0][:, 0] ^ m_b.words[0][:, 0], code.redundancy)
         fp = unpack_words(m_a.words[1][:, 0] ^ m_b.words[1][:, 0], f)
-        got = decide_block(m_a, m_b, 0)
+        got = decide_block(m_a, m_b, [0])[0]
         assert (got.le, got.estimate) == oracles.dense_verdict(shared, syn, fp)
         return got
 
@@ -454,3 +496,66 @@ def test_decide_block_matches_dense_oracle(d, epsilon, n):
         int.from_bytes(code.cols[3].astype("<u8").tobytes(), "little")) == (3,)
     got = check(m_a, wrong)
     assert not got.le and got.estimate == d + 1
+
+
+def _count_decodes(monkeypatch):
+    calls = []
+    decode = gf2.BchCode.decode_elements
+    monkeypatch.setattr(
+        gf2.BchCode, "decode_elements", lambda self, packed: calls.append(packed) or decode(self, packed)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("d, n", [(16, 1024), (64, 4096)], ids=["d16", "d64"])
+def test_guard_decide_matches_decoding_every_repetition(d, n, monkeypatch):
+    # at guard sizes the referee predicts each repetition after the first
+    # two Berlekamp-Massey decodes instead of decoding it; verdict and
+    # estimate must be those of decoding every repetition, by the reference
+    # decoder and by the library's
+    params = HDParams(d=d, epsilon=0.1, strategy="syndrome", length=n)
+    shared = hd_shared(params, ROOT.derive(f"guard/{d}"))
+    calls = _count_decodes(monkeypatch)
+
+    def check(diff):
+        x = BitVector(n, 0)
+        y = BitVector.from_array(np.isin(np.arange(n), diff))
+        m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
+        syn, fp = (
+            unpack_words(a[:, 0] ^ b[:, 0], bits)
+            for a, b, bits in zip(m_a.words, m_b.words, params.segment_bits)
+        )
+        calls.clear()
+        got = decide_block(m_a, m_b, [0])[0]
+        decoded = len(calls)
+        for decode in (oracles.reference_decode, oracles.library_decode):
+            assert (got.le, got.estimate) == oracles.dense_verdict(shared, syn, fp, decode)
+        return got, decoded
+
+    gen = np.random.default_rng(d)
+    predicted = 0
+    for w in (3, d // 2, d, d + 1):
+        diff = gen.choice(n, size=w, replace=False)
+        got, decoded = check(diff)
+        if w <= d:
+            assert got.le and got.estimate == w
+        collided = any(len(set(shared.buckets[r, diff].tolist())) < w for r in range(2))
+        if w <= d and not collided:
+            # the first two repetitions decode every position: the rest
+            # are predicted
+            assert decoded == 2
+            predicted += 1
+    assert predicted
+    # two differing positions sharing a bucket in repetition 0 cancel
+    # there, so the positions decoded in both of the first two repetitions
+    # miss them: every later prediction fails and is decoded instead
+    first = shared.buckets[0]
+    pair = next(
+        np.flatnonzero(first == first[p])[:2] for p in range(n) if (first == first[p]).sum() > 1
+    )
+    rest = gen.choice(np.setdiff1d(np.arange(n), pair), size=d // 2 - 2, replace=False)
+    diff = np.concatenate([pair, rest])
+    assert len(set(shared.buckets[0, diff].tolist())) < d // 2
+    got, decoded = check(diff)
+    assert got.le and got.estimate == d // 2
+    assert decoded == params.repetitions

@@ -116,11 +116,17 @@ def test_pk_referee_is_lazy(monkeypatch):
     coins = ROOT.derive("lazy")
     x, y = sample_pair_with_distance(n, 5, coins.derive("in"))
     sh = pk_shared(k, parity_predicate(n), n, "syndrome", coins)
-    calls = []
+    visits = []  # the (block, threshold) pairs decided
     decide = protocol.decide_block
-    monkeypatch.setattr(protocol, "decide_block", lambda *a: calls.append(a[2]) or decide(*a))
+
+    def recording(msgs_a, msgs_b, blocks, *rest):
+        visits.extend((i, msgs_a.shared.params.d) for i in blocks)
+        return decide(msgs_a, msgs_b, blocks, *rest)
+
+    monkeypatch.setattr(protocol, "decide_block", recording)
     pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
-    assert 0 < len(calls) <= k * math.ceil(math.log2(sh.c + 1))
+    assert len(set(visits)) == len(visits)
+    assert 0 < len(visits) <= k * math.ceil(math.log2(sh.c + 1))
 
 
 def test_pk_special_case_k0():
@@ -218,7 +224,7 @@ def _record_calls(monkeypatch):
     """Wrap ``protocol.encode_blocks`` (promise-run stacks; the guards encode
     through ``hamming``), ``protocol.hd_shared`` and ``protocol.threshold_search``,
     recording each encoded threshold, each coin label drawn and each
-    search's visited thresholds."""
+    search's visited thresholds, listed per block."""
     seen = {"encode_blocks": [], "hd_shared": [], "threshold_search": []}
     record = {
         "encode_blocks": lambda args, out: args[0].params.d,
@@ -280,8 +286,10 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     x, y = sample_pair_with_distance(LAZY_N, 2, coins.derive("in"))
     out = run_protocol(LAZY_PRED, prof, x, y, "syndrome", coins)
     assert out.branch == BRANCH_LOW
-    assert len(seen["threshold_search"]) == prof.r0  # one search per block
-    read = sorted(set().union(*seen["threshold_search"]))
+    # one search, whose visits are listed per block
+    assert len(seen["threshold_search"]) == 1
+    assert len(seen["threshold_search"][0]) == prof.r0
+    read = sorted(set().union(*seen["threshold_search"][0]))
     c = c_of_k(prof.r0)
     assert c not in read  # the top stack bounds the search and is never read
     # each visited threshold is encoded once per party, and no other one

@@ -9,7 +9,6 @@ from pathlib import Path
 from xorsmp import protocol
 from xorsmp.bits import sample_pair_with_distance
 from xorsmp.coins import CoinSource
-from xorsmp.hamming import decide_block
 from xorsmp.predicate import Predicate, compute_profile
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -56,10 +55,10 @@ def test_tracer_installs_and_restores():
     # stack of the taken tail that the referee's search visited in some block
     t = [tail.branch for tail in protocol.TAILS].index(out.branch)
     run, msgs_a, msgs_b = out.shared.runs[t], out.bundle_a.runs[t], out.bundle_b.runs[t]
-    read = set()
-    for i in range(run.k):
-        read.update(protocol.threshold_search(
-            run.c,
-            lambda j, _i=i: decide_block(msgs_a[j], msgs_b[j], _i).le,
-        )[1])
+    visited = protocol.threshold_search(
+        run.c,
+        run.k,
+        lambda j, blocks: [v.le for v in protocol.decide_block(msgs_a[j], msgs_b[j], blocks)],
+    )[1]
+    read = set().union(*visited)
     assert tr.counts["hamming.encode_calls"] == 2 * (2 + len(read)) == 8
