@@ -1,8 +1,9 @@
 """The three distance-threshold sketches side by side.
 
 raw ships the whole input, bucket ships hashed parities (quadratic in the
-threshold), syndrome compresses the parities through a BCH parity-check
-matrix (near-linear).  All three answer "is |x XOR y| <= d?".
+threshold), syndrome ships the BCH syndrome of those parities, the XOR of
+each odd bucket's packed syndrome column (near-linear).  All three answer
+"is |x XOR y| <= d?".
 """
 
 from xorsmp import CoinSource, hd_decide, sample_pair_with_distance

@@ -7,6 +7,7 @@ regardless of length.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -14,21 +15,18 @@ import numpy as np
 from .coins import CoinSource
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BitVector:
     """An immutable bit string of fixed length."""
 
-    __slots__ = ("length", "value")
+    length: int
+    value: int
 
-    def __init__(self, length: int, value: int):
-        if length < 0:
-            raise ValueError(f"length must be nonnegative, got {length}")
-        if value < 0 or value >> length:
-            raise ValueError(f"value does not fit in {length} bits")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):  # pragma: no cover
-        raise AttributeError("BitVector is immutable")
+    def __post_init__(self):
+        if self.length < 0:
+            raise ValueError(f"length must be nonnegative, got {self.length}")
+        if self.value < 0 or self.value >> self.length:
+            raise ValueError(f"value does not fit in {self.length} bits")
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
@@ -71,24 +69,10 @@ class BitVector:
         raw = np.frombuffer(self.value.to_bytes(nbytes, "little"), dtype=np.uint8)
         return np.unpackbits(raw, count=self.length, bitorder="little")
 
-    def ones(self) -> np.ndarray:
-        """Positions holding a 1, ascending."""
-        return np.nonzero(self.to_array())[0]
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise ValueError(f"length mismatch: {self.length} != {other.length}")
         return BitVector(self.length, self.value ^ other.value)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.length == other.length
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.value))
 
     def __len__(self) -> int:
         return self.length
@@ -125,11 +109,9 @@ def sample_weight_vector(n: int, w: int, coins: CoinSource) -> BitVector:
         raise ValueError(f"weight {w} out of range [0, {n}]")
     if w == 0:
         return BitVector.zeros(n)
-    positions = coins.generator().permutation(n)[:w]
-    value = 0
-    for p in positions:
-        value |= 1 << int(p)
-    return BitVector(n, value)
+    arr = np.zeros(n, dtype=np.uint8)
+    arr[coins.generator().permutation(n)[:w]] = 1
+    return BitVector.from_array(arr)
 
 
 def sample_pair_with_distance(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .hamming import STRATEGIES
 from .harness import (
@@ -51,12 +51,18 @@ def _parse_config(path: Path) -> Dict[str, Tuple[int, str]]:
     return values
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _list(flag: str, text: str, cast: Callable[[str], object]) -> list:
+    """The values of the comma list ``--flag`` (blank items are skipped), from
+    the command line or a config file.  A list with no values, or an item
+    that ``cast`` rejects, raises ``ValueError`` naming the flag, so the
+    command exits 1 before anything runs."""
+    try:
+        values = [cast(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
+    if not values:
+        raise ValueError(f"--{flag}: no values in {text!r}")
+    return values
 
 
 # flag -> add_argument keywords; ``type`` also casts the flag's config value
@@ -134,7 +140,7 @@ def _require(args, **defaults):
 def cmd_run(args: argparse.Namespace) -> int:
     _require(args, n=None, predicate=None, trials=1000, seed=0,
              strategy="syndrome", weights="auto")
-    weights = args.weights if args.weights == "auto" else _int_list(args.weights)
+    weights = args.weights if args.weights == "auto" else _list("weights", args.weights, int)
     cfg = TrialConfig(
         n=args.n,
         predicate_spec=args.predicate,
@@ -150,24 +156,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _require(args, n=4096, strategy="syndrome")
-    r_values = _int_list(args.r_values or "4,8,16,32,64")
+    _require(args, n=4096, strategy="syndrome", r_values="4,8,16,32,64")
+    r_values = _list("r-values", args.r_values, int)
     _emit(args.out, csv_lines(SweepRow, sweep_r(r_values, args.n, args.strategy)))
     return 0
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    _require(args, trials=10000, seed=0)
-    ks = _int_list(args.k or "16,64,256")
+    _require(args, trials=10000, seed=0, k="16,64,256")
+    ks = _list("k", args.k, int)
     results = [lemma_partition_experiment(k, args.trials, args.seed) for k in ks]
     _emit(args.out, csv_lines(LemmaResult, results))
     return 0
 
 
 def cmd_hd_error(args: argparse.Namespace) -> int:
-    _require(args, trials=10000, seed=0, strategy="syndrome")
-    ds = _int_list(args.d or "0,1,2,4,8")
-    epsilons = _float_list(args.epsilon or "0.1,0.01")
+    _require(args, trials=10000, seed=0, strategy="syndrome", d="0,1,2,4,8", epsilon="0.1,0.01")
+    ds = _list("d", args.d, int)
+    epsilons = _list("epsilon", args.epsilon, float)
     # every (d, epsilon) is checked before the first trial runs
     cells = [hd_error_params(d, eps, args.strategy) for d in ds for eps in epsilons]
     results = [

@@ -26,7 +26,7 @@ block.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, log2
 from typing import Tuple
 
@@ -35,24 +35,22 @@ import numpy as np
 _PERSON = b"xorsmp.coins.v1"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CoinSource:
     """A value-semantics handle on one deterministic random stream.
 
     Equal (seed, path) means an identical stream: ``generator()`` always
     starts at position zero, so derive a fresh child for every distinct
-    purpose instead of drawing twice from one source.
+    purpose instead of drawing twice from one source.  Sources compare and
+    hash by key alone; the path only names the stream.
     """
 
-    __slots__ = ("key", "path")
+    key: bytes
+    path: Tuple[str, ...] = field(default=(), compare=False)
 
-    def __init__(self, key: bytes, path: Tuple[str, ...] = ()):
-        if len(key) != 32:
+    def __post_init__(self):
+        if len(self.key) != 32:
             raise ValueError("key must be 32 bytes")
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "path", path)
-
-    def __setattr__(self, name, val):  # pragma: no cover
-        raise AttributeError("CoinSource is immutable")
 
     @classmethod
     def from_seed(cls, seed: int) -> "CoinSource":
@@ -75,12 +73,6 @@ class CoinSource:
         return np.random.Generator(
             np.random.Philox(key=int.from_bytes(self.key[:16], "little"))
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoinSource) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"CoinSource({'/'.join(self.path) or '<root>'})"

@@ -91,11 +91,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self.exp[self.log[a] + self.log[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return self.exp[self.order - self.log[a]]
-
     def qsolve(self, u: int) -> Optional[int]:
         """Some w with w^2 + w = u, or None when u is outside the image."""
         if self._qsolve is None:

@@ -17,33 +17,27 @@ from .bits import BitVector, hamming_distance
 from .coins import CoinSource
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Predicate:
-    """An immutable map {0..n} -> {0, 1}, stored as n + 1 packed values."""
+    """An immutable map {0..n} -> {0, 1}, stored as n + 1 packed values;
+    built from any sequence of 0/1 values."""
 
-    __slots__ = ("n", "values")
+    values: bytes
+    n: int = field(init=False, compare=False)
 
-    def __init__(self, values):
-        vals = bytes(values)
+    def __post_init__(self):
+        vals = bytes(self.values)
         if len(vals) < 1:
             raise ValueError("predicate needs at least one value (n >= 0)")
         if any(v not in (0, 1) for v in vals):
             raise ValueError("predicate values must be 0 or 1")
-        object.__setattr__(self, "n", len(vals) - 1)
         object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, val):  # pragma: no cover
-        raise AttributeError("Predicate is immutable")
+        object.__setattr__(self, "n", len(vals) - 1)
 
     def __call__(self, k: int) -> int:
         if not 0 <= k <= self.n:
             raise ValueError(f"distance {k} outside [0, {self.n}]")
         return self.values[k]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Predicate) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
 
     def __repr__(self) -> str:
         body = "".join(str(v) for v in self.values)
@@ -66,7 +60,6 @@ class Profile:
     r: int
     t_even: Optional[int]
     t_odd: Optional[int]
-    violations: FrozenSet[int] = field(repr=False)
 
     def t_of(self, k: int) -> Optional[int]:
         return self.t_even if k % 2 == 0 else self.t_odd
@@ -99,9 +92,7 @@ def compute_profile(d: Predicate) -> Profile:
             t_odd = d.values[k]
         if t_even is not None and t_odd is not None:
             break
-    return Profile(
-        r0=r0, r1=r1, r=max(r0, r1), t_even=t_even, t_odd=t_odd, violations=viol
-    )
+    return Profile(r0=r0, r1=r1, r=max(r0, r1), t_even=t_even, t_odd=t_odd)
 
 
 def tilde(d: Predicate) -> Predicate:

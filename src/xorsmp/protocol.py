@@ -4,13 +4,15 @@ full three-branch protocol built from two of them.
 Both parties build their messages from (own input, shared coins) only; the
 referee reads the two message bundles plus the same public coins and
 announces one bit.  The promise protocol partitions [n] into k blocks,
-runs a stack of distance-threshold instances per block, binary-searches
-each block's distance, and applies the predicate to the total.  The full
-protocol handles each tail in ``TAILS`` with one construction, a threshold
-check and then the promise protocol: on (x, y) for the low tail, and on
-(complement(x), y) for the high tail, whose distance is n minus the
-original, so it applies the reflected predicate.  Otherwise it answers
-from the two parity bits, which is exact on the 2-periodic middle range.
+runs a stack of distance-threshold instances per block, and binary-searches
+each block's distance; it returns the total.  The full protocol handles
+each tail in ``TAILS`` with one construction, a threshold check and then
+the promise protocol: on (x, y) for the low tail, and on (complement(x), y)
+for the high tail, whose distance t is n minus the original.  The referee
+of the first tail whose check passes answers D(t), or D(n - t) on the high
+tail; a tail of length 0 has no promise run, and t is the check's estimate.
+Otherwise it answers from the two parity bits, which is exact on the
+2-periodic middle range.
 
 Cost accounting is bit-exact: a transcript is the ordered list of payloads
 both parties sent, and its cost is their total bit length.  Coins are free
@@ -42,7 +44,7 @@ from .hamming import (
     hd_shared,
     threshold_search,
 )
-from .predicate import Predicate, Profile, tilde
+from .predicate import Predicate, Profile
 
 ALICE = "Alice"
 BOB = "Bob"
@@ -117,13 +119,12 @@ def threshold_params(k: int, strategy: str, n: int) -> Tuple[HDParams, ...]:
 
 @dataclass(frozen=True, eq=False)
 class PkShared:
-    """One promise-protocol run: split [n] into k blocks, run thresholds
-    j = 0..c on every block, and apply ``apply`` to the clamped total.  The
+    """One promise-protocol run: split [n] into k blocks and run thresholds
+    j = 0..c on every block; the referee recovers the total distance.  The
     partition is drawn at once; threshold j's coins are drawn from its own
     ``pk/<side>/hd/<j>`` child when its stack is first read."""
 
     k: int
-    apply: Predicate
     n: int
     partition: Partition
     params: Tuple[HDParams, ...]      # threshold_params(k, ...), thresholds j = 0..c
@@ -142,9 +143,7 @@ class PkShared:
         return sum(params.stack_bits(self.k) for params in self.params)
 
 
-def pk_shared(
-    k: int, apply: Predicate, n: int, strategy: str, coins: CoinSource, side: str = "main"
-) -> PkShared:
+def pk_shared(k: int, n: int, strategy: str, coins: CoinSource, side: str = "main") -> PkShared:
     params = threshold_params(k, strategy, n)
     part = sample_partition(n, k, coins.derive(f"pk/{side}/partition"))
     stacks = Lazy(
@@ -153,7 +152,7 @@ def pk_shared(
     sort_order = np.argsort(part.block_of, kind="stable")
     bounds = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(part.block_sizes(), out=bounds[1:])
-    return PkShared(k, apply, n, part, params, stacks, sort_order, bounds)
+    return PkShared(k, n, part, params, stacks, sort_order, bounds)
 
 
 def pk_party_messages(shared: PkShared, x: BitVector) -> Lazy[BlockMessages]:
@@ -174,17 +173,11 @@ def pk_party_messages(shared: PkShared, x: BitVector) -> Lazy[BlockMessages]:
     )
 
 
-@dataclass(frozen=True)
-class PkResult:
-    output: int
-    sum_h: int
-
-
 def pk_referee(
     shared: PkShared, msgs_a: Lazy[BlockMessages], msgs_b: Lazy[BlockMessages]
-) -> PkResult:
+) -> int:
     """Recover each block's distance by lazy binary search, all blocks
-    level by level, and apply the predicate to the clamped total."""
+    level by level, and return their total, clamped to n."""
     if len(msgs_a) != len(shared.params) or len(msgs_b) != len(shared.params):
         raise ValueError("message bundle does not match the instance")
     bounds = shared.bounds
@@ -193,8 +186,7 @@ def pk_referee(
     def verdicts(j: int, blocks: List[int]) -> List[bool]:
         return [v.le for v in decide_block(msgs_a[j], msgs_b[j], blocks, positions)]
 
-    total = min(sum(threshold_search(shared.c, shared.k, verdicts)[0]), shared.apply.n)
-    return PkResult(output=shared.apply(total), sum_h=total)
+    return min(sum(threshold_search(shared.c, shared.k, verdicts)[0]), shared.n)
 
 
 # The full protocol.
@@ -210,7 +202,7 @@ class Tail:
     """One tail of the full protocol: the threshold check labelled ``guard``
     and the promise run labelled ``side``; the referee answers ``branch``
     when the check passes.  A reflected tail is the low-tail construction
-    on (complement(x), y) with the reflected predicate."""
+    on (complement(x), y), whose distance is n minus that of (x, y)."""
 
     guard: str
     side: str
@@ -245,11 +237,7 @@ def p_shared(
     for tail in TAILS:
         r = tail.r(profile)
         guards.append(hd_shared(guard_params(r, strategy, n), coins.derive(f"p/{tail.guard}")))
-        if r == 0:
-            runs.append(None)
-            continue
-        apply = tilde(d) if tail.reflected else d
-        runs.append(pk_shared(r, apply, n, strategy, coins.derive("p"), side=tail.side))
+        runs.append(None if r == 0 else pk_shared(r, n, strategy, coins.derive("p"), tail.side))
     return PShared(d, profile, n, tuple(guards), tuple(runs))
 
 
@@ -298,19 +286,22 @@ class PResult:
 
 
 def p_referee(shared: PShared, bundle_a: PBundle, bundle_b: PBundle) -> PResult:
-    """Three-branch decision: low tail, high tail, then the parity answer."""
+    """Three-branch decision: low tail, high tail, then the parity answer.
+    The first tail whose check passes gives the distance t of its pair: the
+    promise run's total, or the check's estimate when the tail has no run.
+    The answer is D(t), or D(n - t) on the reflected tail, with sum_h = t."""
     if bundle_a.party == bundle_b.party:
         raise ValueError("need one bundle per party")
-    for t, tail in enumerate(TAILS):
-        if not hd_decide(shared.guards[t].params, bundle_a.guards[t], bundle_b.guards[t]).le:
+    for i, tail in enumerate(TAILS):
+        verdict = hd_decide(shared.guards[i].params, bundle_a.guards[i], bundle_b.guards[i])
+        if not verdict.le:
             continue
-        run = shared.runs[t]
+        run = shared.runs[i]
         if run is None:
-            # promise bound 0: the tail's pair is equal, which for the
-            # reflected tail is distance n on (x, y)
-            return PResult(shared.predicate(shared.n if tail.reflected else 0), tail.branch, 0)
-        res = pk_referee(run, bundle_a.runs[t], bundle_b.runs[t])
-        return PResult(res.output, tail.branch, res.sum_h)
+            t = verdict.estimate
+        else:
+            t = pk_referee(run, bundle_a.runs[i], bundle_b.runs[i])
+        return PResult(shared.predicate(shared.n - t if tail.reflected else t), tail.branch, t)
     answer = shared.profile.t_of(bundle_a.parity_bit ^ bundle_b.parity_bit)
     return PResult(answer if answer is not None else 0, BRANCH_PARITY)
 
@@ -557,7 +548,6 @@ __all__ = [
     "guard_params",
     "threshold_params",
     "PkShared",
-    "PkResult",
     "pk_shared",
     "pk_party_messages",
     "pk_referee",

@@ -9,7 +9,18 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from xorsmp.bits import BitVector
+from xorsmp.coins import CoinSource
 from xorsmp.predicate import Predicate
+
+
+def weight_vector_by_loop(n: int, w: int, coins: CoinSource) -> BitVector:
+    """``sample_weight_vector`` one position at a time: the same first w
+    entries of the same permutation, each ORed into an integer."""
+    value = 0
+    for p in coins.generator().permutation(n)[:w]:
+        value |= 1 << int(p)
+    return BitVector(n, value)
 
 
 def scan_violations(d: Predicate) -> List[int]:

@@ -123,11 +123,11 @@ def test_criterion_3_promise_protocol():
         for t in range(trials):
             coins = root.derive(f"trial/{t}")
             x, y = sample_pair_with_distance(n, k, coins.derive("input"))
-            shared = pk_shared(k, pred, n, "syndrome", coins)
-            res = pk_referee(
+            shared = pk_shared(k, n, "syndrome", coins)
+            total = pk_referee(
                 shared, pk_party_messages(shared, x), pk_party_messages(shared, y)
             )
-            good += int(res.output == pred(k))
+            good += int(pred(total) == pred(k))
         rates[k] = good / trials
         assert rates[k] >= gate, f"[C3] k={k}: rate {rates[k]:.4f} < {gate:.4f}"
     print(

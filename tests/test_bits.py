@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from xorsmp.bits import (
     sample_weight_vector,
 )
 from xorsmp.coins import CoinSource
+
+from .oracles import weight_vector_by_loop
 
 ROOT = CoinSource.from_seed(0xB17)
 
@@ -71,7 +74,7 @@ def test_array_roundtrip():
     arr = x.to_array()
     assert arr.tolist() == [1, 0, 1, 1, 0, 0, 1]
     assert BitVector.from_array(arr) == x
-    assert x.ones().tolist() == [0, 2, 3, 6]
+    assert np.flatnonzero(arr).tolist() == [0, 2, 3, 6]
     assert x.weight() == 4
 
 
@@ -108,6 +111,15 @@ def test_sample_pair_exact_distance_every_time():
     for i in range(200):
         x, y = sample_pair_with_distance(8, 3, ROOT.derive(f"w3/{i}"))
         assert hamming_distance(x, y) == 3
+
+
+@pytest.mark.parametrize("n, w", [(1, 0), (1, 1), (8, 0), (8, 1), (8, 5), (8, 8), (63, 32),
+                                  (64, 64), (65, 1), (4096, 2048), (4096, 4096)])
+def test_sample_weight_vector_matches_loop(n, w):
+    coins = ROOT.derive(f"wv/{n}/{w}")
+    z = sample_weight_vector(n, w, coins)
+    assert z == weight_vector_by_loop(n, w, coins)
+    assert z.weight() == w
 
 
 def test_sample_pair_out_of_range():

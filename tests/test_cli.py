@@ -322,6 +322,40 @@ def test_zero_trials_exits_with_message(argv):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("command, flag, text, message", [
+    ("run", "weights", ",", "--weights: no values in ','"),
+    ("run", "weights", "1,x", "--weights: invalid literal for int() with base 10: 'x'"),
+    ("hd-error", "d", ",", "--d: no values in ','"),
+    ("hd-error", "epsilon", ",", "--epsilon: no values in ','"),
+    ("hd-error", "epsilon", "0.1,y", "--epsilon: could not convert string to float: 'y'"),
+    ("lemma-partition", "k", ",", "--k: no values in ','"),
+    ("sweep-r", "r-values", ",", "--r-values: no values in ','"),
+])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_bad_comma_list_exits_naming_the_flag(tmp_path, command, flag, text, message, route):
+    # an empty list used to print a header-only CSV and exit 0
+    out = tmp_path / "out.csv"
+    argv = [command, "--out", out]
+    if command == "run":
+        argv += ["--n", 8, "--predicate", "eq", "--trials", 1]
+    if route == "flag":
+        argv += [f"--{flag}={text}"]
+    else:
+        cfg = tmp_path / "list.cfg"
+        cfg.write_text(f"{flag} = {text}\n")
+        argv += ["--config", cfg]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == f"xorsmp {command}: {message}"
+    assert not out.exists()
+
+
+def test_bad_comma_list_is_a_one_line_exit_1():
+    proc = _cli_subprocess("run", "--n", 8, "--predicate", "eq", "--weights", ",")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["xorsmp run: --weights: no values in ','"]
+
+
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     for line in ("bogus = 1", "command = replay", "k = 16"):

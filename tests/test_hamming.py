@@ -9,7 +9,6 @@ from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource
 from xorsmp import gf2
 from xorsmp.gf2 import unpack_words
-from xorsmp.predicate import family
 from xorsmp.protocol import pk_party_messages, pk_shared
 
 from . import oracles
@@ -394,7 +393,7 @@ def test_stack_words_match_dense_oracle(zero_input):
     # zero words
     n, k = 12, 6
     coins = ROOT.derive("stack")
-    shared = pk_shared(k, family("eq", n), n, "syndrome", coins)
+    shared = pk_shared(k, n, "syndrome", coins)
     block_of = shared.partition.block_of
     assert (shared.partition.block_sizes()[[0, 2]] == 0).all()
     x = BitVector(n, 0) if zero_input else BitVector.random(n, coins.derive("x"))

@@ -6,7 +6,7 @@ import pytest
 from xorsmp import gf2, protocol
 from xorsmp.bits import BitVector, complement, sample_pair_with_distance
 from xorsmp.coins import CoinSource, c_of_k
-from xorsmp.hamming import HDParams
+from xorsmp.hamming import STRATEGIES, HDParams
 from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
 from xorsmp.predicate import (
     Predicate,
@@ -53,7 +53,7 @@ def all_pairs(n):
 def test_pk_epsilon_budget_identity():
     # per-instance budget makes the union bound land exactly on 1/10
     for k in (1, 2, 4, 7, 8, 16, 32, 64):
-        sh = pk_shared(k, parity_predicate(64), 64, "syndrome", ROOT.derive(f"eps/{k}"))
+        sh = pk_shared(k, 64, "syndrome", ROOT.derive(f"eps/{k}"))
         assert sh.c == c_of_k(k)
         params = threshold_params(k, "syndrome", 64)
         assert sh.params is params
@@ -65,7 +65,7 @@ def test_pk_epsilon_budget_identity():
 
 
 def test_pk_degenerate_k1():
-    sh = pk_shared(1, eq_predicate(8), 8, "syndrome", ROOT.derive("k1"))
+    sh = pk_shared(1, 8, "syndrome", ROOT.derive("k1"))
     assert sh.c == 1
     assert len(sh.stacks) == 2  # thresholds 0 and 1
     assert sh.partition.block_of.tolist() == [0] * 8
@@ -73,7 +73,7 @@ def test_pk_degenerate_k1():
 
 def test_pk_message_count_and_symmetry():
     n, k = 64, 4
-    sh = pk_shared(k, ham_predicate(n, 3), n, "syndrome", ROOT.derive("cnt"))
+    sh = pk_shared(k, n, "syndrome", ROOT.derive("cnt"))
     x, y = sample_pair_with_distance(n, 3, ROOT.derive("cnt/in"))
     ma, mb = pk_party_messages(sh, x), pk_party_messages(sh, y)
     assert len(ma) == sh.c + 1
@@ -90,11 +90,11 @@ def test_pk_message_count_and_symmetry():
 def test_pk_equal_inputs_yield_d0():
     for spec in ("eq", "parity", "ham:3"):
         pred = family(spec, 32)
-        sh = pk_shared(4, pred, 32, "syndrome", ROOT.derive(f"d0/{spec}"))
+        sh = pk_shared(4, 32, "syndrome", ROOT.derive(f"d0/{spec}"))
         x, _ = sample_pair_with_distance(32, 0, ROOT.derive(f"d0in/{spec}"))
-        res = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, x))
-        assert res.output == pred(0)
-        assert res.sum_h == 0
+        total = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, x))
+        assert pred(total) == pred(0)
+        assert total == 0
 
 
 def test_pk_raw_is_exact_within_cap():
@@ -105,17 +105,17 @@ def test_pk_raw_is_exact_within_cap():
         for i in range(30):
             coins = ROOT.derive(f"rawpk/{w}/{i}")
             x, y = sample_pair_with_distance(n, w, coins.derive("in"))
-            sh = pk_shared(k, pred, n, "raw", coins)
-            res = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
-            assert res.sum_h == w
-            assert res.output == pred(w)
+            sh = pk_shared(k, n, "raw", coins)
+            total = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
+            assert total == w
+            assert pred(total) == pred(w)
 
 
 def test_pk_referee_is_lazy(monkeypatch):
     n, k = 128, 8
     coins = ROOT.derive("lazy")
     x, y = sample_pair_with_distance(n, 5, coins.derive("in"))
-    sh = pk_shared(k, parity_predicate(n), n, "syndrome", coins)
+    sh = pk_shared(k, n, "syndrome", coins)
     visits = []  # the (block, threshold) pairs decided
     decide = protocol.decide_block
 
@@ -137,7 +137,7 @@ def test_pk_special_case_k0():
     prof = compute_profile(pred)
     assert (prof.r0, prof.r1) == (0, 0) and pred(0) != pred(n)
     x = BitVector.random(n, ROOT.derive("k0/x"))
-    for strategy in ("raw", "syndrome"):
+    for strategy in STRATEGIES:
         sh = p_shared(pred, prof, strategy, ROOT.derive(f"k0/{strategy}"))
         assert sh.runs == (None, None)
         for y, w, branch in ((x, 0, BRANCH_LOW), (complement(x), n, BRANCH_HIGH)):
