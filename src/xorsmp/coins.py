@@ -5,8 +5,10 @@ regenerate any stream from its derivation path alone; nothing about the
 coins ever needs to be communicated.  Child sources are derived by keyed
 BLAKE2b over the label, giving independent-behaving streams per label, and
 each source's bit stream comes from a counter-based Philox generator keyed
-by the 128-bit derived key (reproducible and safe to fan out across
-workers).
+by the first 128 bits of the derived key (reproducible and safe to fan out
+across workers).  A Philox stream is fixed by its key and counter alone, so
+a stream is opened straight from its key: no seed sequence is hashed and no
+OS entropy is read.
 
 Derivation label layout used by the protocols (both parties must follow it
 byte for byte so their streams agree):
@@ -25,6 +27,7 @@ block.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from math import ceil, log2
@@ -69,13 +72,42 @@ class CoinSource:
         return CoinSource(key, self.path + (label,))
 
     def generator(self) -> np.random.Generator:
-        """A Philox generator keyed by this source, positioned at stream start."""
-        return np.random.Generator(
-            np.random.Philox(key=int.from_bytes(self.key[:16], "little"))
-        )
+        """A Philox generator keyed by this source, positioned at stream start:
+        the stream of ``Philox(key=int.from_bytes(key[:16], "little"))``,
+        opened from the key alone, with no OS entropy read."""
+        return np.random.Generator(np.random.Philox(_key_sequence()(self.key)))
 
     def __repr__(self) -> str:
         return f"CoinSource({'/'.join(self.path) or '<root>'})"
+
+
+@functools.cache
+def _key_sequence() -> type:
+    """The seed-sequence class a stream is opened with, built on first use:
+    importing ``numpy.random`` with ``xorsmp`` would grow every process.
+
+    Philox asks its seed sequence for exactly two uint64 words, the key; the
+    class answers with the key's first 16 bytes, little-endian, which is the
+    key ``Philox(key=...)`` sets from the same integer.  Any other request
+    raises, so a numpy that asks differently fails instead of shifting
+    streams."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        __slots__ = ("_key",)
+
+        def __init__(self, key: bytes):
+            self._key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a key opens a Philox stream as 2 uint64 words; asked for "
+                    f"{n_words} of {np.dtype(dtype)}"
+                )
+            return np.frombuffer(self._key, dtype="<u8", count=2)
+
+    return KeySequence
 
 
 @dataclass(frozen=True, eq=False)

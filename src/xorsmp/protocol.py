@@ -17,6 +17,15 @@ Otherwise it answers from the two parity bits, which is exact on the
 Cost accounting is bit-exact: a transcript is the ordered list of payloads
 both parties sent, and its cost is their total bit length.  Coins are free
 (public-coin model) and the referee sends nothing.
+
+Nothing is drawn or encoded that the referee does not read.  ``p_shared``
+checks and builds the plan of every instance at once, and the cost comes
+from the plan.  The referee always reads the low tail's guard, reads the
+high tail's only when the low one fails, and reads at most one promise
+run, in which the threshold search reads a few stacks per block.  Each of
+these is drawn (``PShared``) and encoded (``PBundle``) on its first read.
+A message is a pure function of (own input, coins from its own derived
+child), so this changes no bit of it.  Writing a dump reads everything.
 """
 
 from __future__ import annotations
@@ -53,25 +62,29 @@ BOB = "Bob"
 T = TypeVar("T")
 
 
+_UNSET = object()  # marks a Lazy item not made yet; an item may be None
+
+
 class Lazy(Generic[T]):
     """A fixed-length sequence whose item j is ``make(j)``, computed on
-    first read and kept.  A promise run's threshold stacks are held this
-    way: in SMP each one is a pure function of (own input, coins), so a
-    stack the referee never reads is only counted, never computed."""
+    first read and kept, even when it is None.  Guards, promise runs and
+    threshold stacks are held this way: in SMP each one is a pure function
+    of (own input, coins), so one the referee never reads is only counted,
+    never computed."""
 
     __slots__ = ("_make", "_items")
 
     def __init__(self, length: int, make: Callable[[int], T]):
         self._make = make
-        self._items: List[Optional[T]] = [None] * length
+        self._items: List[object] = [_UNSET] * length
 
     def __len__(self) -> int:
         return len(self._items)
 
     def __getitem__(self, j: int) -> T:
-        j = range(len(self._items))[j]  # bounds check; a negative j counts from the end
-        item = self._items[j]
-        if item is None:
+        item = self._items[j]  # out of range raises; a negative j counts from the end
+        if item is _UNSET:
+            j = range(len(self._items))[j]  # make sees the index from the front
             item = self._items[j] = self._make(j)
         return item
 
@@ -135,12 +148,6 @@ class PkShared:
     @property
     def c(self) -> int:
         return len(self.params) - 1
-
-    @property
-    def party_bits(self) -> int:
-        """Bits each party sends for the run: every stack, counted from the
-        plan alone, whether or not it is ever computed."""
-        return sum(params.stack_bits(self.k) for params in self.params)
 
 
 def pk_shared(k: int, n: int, strategy: str, coins: CoinSource, side: str = "main") -> PkShared:
@@ -218,44 +225,73 @@ TAILS = (Tail("hd0", "main", BRANCH_LOW, False), Tail("hd1", "tilde", BRANCH_HIG
 
 @dataclass(frozen=True, eq=False)
 class PShared:
-    """Public-coin material of the full protocol; ``guards`` and ``runs``
-    are indexed like ``TAILS``."""
+    """Public-coin material of the full protocol; the plans, ``guards``
+    and ``runs`` are indexed like ``TAILS``.  The plans (each instance's
+    ``HDParams``) are built at once and price the transcript.  A guard's
+    coins are drawn from its ``p/hd0`` or ``p/hd1`` child when it is first
+    read, and a run's partition and block order from
+    ``p/pk/<side>/partition`` likewise, each threshold stack from its own
+    child on its first read in turn; so whether or when one is drawn
+    changes no bit of another.  A dump reads, and so draws, everything."""
 
     predicate: Predicate
     profile: Profile
     n: int
-    guards: Tuple[HDShared, ...]           # threshold r on the tail's pair
-    runs: Tuple[Optional[PkShared], ...]   # promise r run on it; None when r = 0
+    guard_plan: Tuple[HDParams, ...]            # guard_params(r, ...) of each tail
+    run_plans: Tuple[Tuple[HDParams, ...], ...]  # threshold_params(r, ...); () when r = 0
+    guards: Lazy[HDShared]                      # threshold r on the tail's pair
+    runs: Lazy[Optional[PkShared]]              # promise r run on it; None when r = 0
+
+    @functools.cached_property
+    def party_bits(self) -> int:
+        """Bits each party sends, counted from the plan alone, whether or
+        not a guard or stack is ever computed: the guards, every stack of
+        each run and the parity bit."""
+        guards = sum(params.stack_bits(1) for params in self.guard_plan)
+        runs = sum(
+            params.stack_bits(tail.r(self.profile))
+            for tail, plan in zip(TAILS, self.run_plans)
+            for params in plan
+        )
+        return guards + runs + 1
 
 
 def p_shared(
     d: Predicate, profile: Profile, strategy: str, coins: CoinSource
 ) -> PShared:
+    """The plan, checked and built before any coin is drawn (a bad setting
+    raises here), with guards and runs drawn on first read."""
     n = d.n
     check_envelope(n, profile.r, strategy)
-    guards, runs = [], []
-    for tail in TAILS:
-        r = tail.r(profile)
-        guards.append(hd_shared(guard_params(r, strategy, n), coins.derive(f"p/{tail.guard}")))
-        runs.append(None if r == 0 else pk_shared(r, n, strategy, coins.derive("p"), tail.side))
-    return PShared(d, profile, n, tuple(guards), tuple(runs))
+    rs = [tail.r(profile) for tail in TAILS]
+    guard_plan = tuple(guard_params(r, strategy, n) for r in rs)
+    run_plans = tuple(threshold_params(r, strategy, n) if r else () for r in rs)
+
+    def guard(i: int) -> HDShared:
+        return hd_shared(guard_plan[i], coins.derive(f"p/{TAILS[i].guard}"))
+
+    def run(i: int) -> Optional[PkShared]:
+        return pk_shared(rs[i], n, strategy, coins.derive("p"), TAILS[i].side) if rs[i] else None
+
+    tails = len(TAILS)
+    return PShared(d, profile, n, guard_plan, run_plans, Lazy(tails, guard), Lazy(tails, run))
 
 
 @dataclass(frozen=True, eq=False)
 class PBundle:
     """Everything one party sends in the full protocol; ``guards`` and
-    ``runs`` are indexed like ``TAILS``."""
+    ``runs`` are indexed like ``TAILS``.  A guard is encoded, and a run's
+    input split by block, when the referee (or a dump) first reads it."""
 
     party: str
     shared: PShared
-    guards: Tuple[BlockMessages, ...]                 # 1-block stacks
-    runs: Tuple[Optional[Lazy[BlockMessages]], ...]   # threshold stacks j = 0..c
+    guards: Lazy[BlockMessages]                   # 1-block stacks
+    runs: Lazy[Optional[Lazy[BlockMessages]]]     # threshold stacks j = 0..c
     parity_bit: int
 
     @property
     def cost_bits(self) -> int:
-        runs = sum(run.party_bits for run in self.shared.runs if run is not None)
-        return sum(m.bit_length for m in self.guards) + runs + 1
+        return self.shared.party_bits
 
 
 def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBundle:
@@ -266,16 +302,15 @@ def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBund
         raise ValueError(f"party must be {ALICE!r} or {BOB!r}")
     flipped = complement(own_input) if party == ALICE else own_input
     inputs = [flipped if tail.reflected else own_input for tail in TAILS]
-    return PBundle(
-        party=party,
-        shared=shared,
-        guards=tuple(hd_encode_shared(g, v) for g, v in zip(shared.guards, inputs)),
-        runs=tuple(
-            None if run is None else pk_party_messages(run, v)
-            for run, v in zip(shared.runs, inputs)
-        ),
-        parity_bit=parity(own_input),
-    )
+
+    def guard(i: int) -> BlockMessages:
+        return hd_encode_shared(shared.guards[i], inputs[i])
+
+    def run(i: int) -> Optional[Lazy[BlockMessages]]:
+        return None if shared.runs[i] is None else pk_party_messages(shared.runs[i], inputs[i])
+
+    tails = len(TAILS)
+    return PBundle(party, shared, Lazy(tails, guard), Lazy(tails, run), parity(own_input))
 
 
 @dataclass(frozen=True)
@@ -293,7 +328,7 @@ def p_referee(shared: PShared, bundle_a: PBundle, bundle_b: PBundle) -> PResult:
     if bundle_a.party == bundle_b.party:
         raise ValueError("need one bundle per party")
     for i, tail in enumerate(TAILS):
-        verdict = hd_decide(shared.guards[i].params, bundle_a.guards[i], bundle_b.guards[i])
+        verdict = hd_decide(shared.guard_plan[i], bundle_a.guards[i], bundle_b.guards[i])
         if not verdict.le:
             continue
         run = shared.runs[i]
@@ -356,7 +391,7 @@ def p_layout(shared: PShared) -> List[Tuple[str, int]]:
     (block i's thresholds j = 0..c are consecutive), then ``p/parity``.
     Both parties send this layout, Alice first; the dump writer and the
     replay reader both walk it."""
-    layout = [(f"p/{t.guard}", g.params.stack_bits(1)) for t, g in zip(TAILS, shared.guards)]
+    layout = [(f"p/{t.guard}", g.stack_bits(1)) for t, g in zip(TAILS, shared.guard_plan)]
     for tail, run in zip(TAILS, shared.runs):
         if run is not None:
             sizes = zip(*(params.block_bits(run.bounds) for params in run.params))
@@ -455,12 +490,11 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(header=header, entries=entries)
 
 
-def _run_stacks(run: PkShared, payloads: Iterator[np.ndarray]) -> Lazy[BlockMessages]:
-    """A party's threshold stacks from the run's next k (c + 1) payloads in
-    wire order, where threshold j is every (c + 1)-th from j; a stack's coins
-    are drawn and its payloads packed when the referee first reads it."""
+def _run_stacks(run: PkShared, span: List[np.ndarray]) -> Lazy[BlockMessages]:
+    """A party's threshold stacks from the run's k (c + 1) payloads in wire
+    order, where threshold j is every (c + 1)-th from j; a stack's coins are
+    drawn and its payloads packed when the referee first reads it."""
     step = len(run.params)
-    span = list(itertools.islice(payloads, run.k * step))
     return Lazy(
         step,
         lambda j: BlockMessages.from_block_payloads(run.stacks[j], span[j::step], run.bounds),
@@ -488,17 +522,26 @@ def bundles_from_transcript(
         raise ValueError(f"transcript ends before {who} {label!r}")
     if len(t.entries) > len(want):
         raise ValueError(f"entry {len(want) + 1}: expected the end after {BOB} 'p/parity'")
+    # a party's payloads: the guards, each run's k (c + 1), then the parity bit
+    starts = list(itertools.accumulate(
+        (tail.r(shared.profile) * len(plan) for tail, plan in zip(TAILS, shared.run_plans)),
+        initial=len(TAILS),
+    ))
     whole = np.array([0, shared.n])
-    bundles = []
-    for who, start in ((ALICE, 0), (BOB, len(layout))):
-        payloads = (e.payload for e in t.entries[start : start + len(layout)])
-        guards = tuple(
-            BlockMessages.from_block_payloads(guard, [next(payloads)], whole)
-            for guard in shared.guards
-        )
-        runs = tuple(None if run is None else _run_stacks(run, payloads) for run in shared.runs)
-        bundles.append(PBundle(who, shared, guards, runs, int(next(payloads)[0])))
-    return bundles[0], bundles[1]
+
+    def bundle(who: str, payloads: List[np.ndarray]) -> PBundle:
+        def guard(i: int) -> BlockMessages:
+            return BlockMessages.from_block_payloads(shared.guards[i], [payloads[i]], whole)
+
+        def run(i: int) -> Optional[Lazy[BlockMessages]]:
+            span = payloads[starts[i] : starts[i + 1]]
+            return None if shared.runs[i] is None else _run_stacks(shared.runs[i], span)
+
+        tails = len(TAILS)
+        return PBundle(who, shared, Lazy(tails, guard), Lazy(tails, run), int(payloads[-1][0]))
+
+    payloads = [e.payload for e in t.entries]
+    return bundle(ALICE, payloads[: len(layout)]), bundle(BOB, payloads[len(layout) :])
 
 
 @dataclass(frozen=True)

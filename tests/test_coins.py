@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,57 @@ def test_two_party_derivation_agrees():
     x = BitVector.random(500, alice.derive("x"))
     verdict = hd_decide(params, hd_encode_shared(sa, x), hd_encode_shared(sb, x ^ BitVector(500, 0b101)))
     assert verdict == HDVerdict(le=True, estimate=2)
+
+
+def test_stream_is_philox_keyed_by_the_first_16_bytes():
+    # a stream is opened from its key alone; it must be the stream of
+    # Philox(key=...) on the same 128-bit integer, draw for draw
+    root = CoinSource.from_seed(2024)
+    for i in range(120):
+        src = root.derive(f"trial/{i}").derive("p/hd0" if i % 2 else "p/pk/main/partition")
+        ours = src.generator()
+        ref = np.random.Generator(np.random.Philox(key=int.from_bytes(src.key[:16], "little")))
+        a, b = ours.bit_generator.state, ref.bit_generator.state
+        assert (a["state"]["counter"] == b["state"]["counter"]).all()
+        assert (a["state"]["key"] == b["state"]["key"]).all()
+        assert a["buffer_pos"] == b["buffer_pos"]
+        for gen_draw in (
+            lambda g: g.integers(0, 16, size=40, dtype=np.int64),
+            lambda g: g.integers(0, 36, size=37, dtype=np.int64),
+            lambda g: g.integers(0, 16384, size=25, dtype=np.int64),
+            lambda g: g.integers(0, 1 << 64, size=9, dtype=np.uint64),
+            lambda g: g.integers(0, 256, size=33, dtype=np.uint8),
+            lambda g: g.permutation(50),
+            lambda g: g.random(7),
+        ):
+            assert (gen_draw(ours) == gen_draw(ref)).all()
+
+
+def test_key_sequence_answers_only_the_philox_request():
+    from xorsmp.coins import _key_sequence
+
+    seq = _key_sequence()(CoinSource.from_seed(3).key)
+    words = seq.generate_state(2, np.uint64)
+    assert words.dtype == np.uint64 and words.shape == (2,)
+    for n_words, dtype in ((4, np.uint64), (2, np.uint32), (1, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            seq.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        seq.generate_state(4)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random is imported on the first stream opened, never with the
+    # package, so a process that draws no coins does not carry it
+    code = (
+        "import sys, xorsmp.coins\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "xorsmp.coins.CoinSource.from_seed(1).generator()\n"
+        "assert 'numpy.random' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_seed_validation():

@@ -139,7 +139,7 @@ def test_pk_special_case_k0():
     x = BitVector.random(n, ROOT.derive("k0/x"))
     for strategy in STRATEGIES:
         sh = p_shared(pred, prof, strategy, ROOT.derive(f"k0/{strategy}"))
-        assert sh.runs == (None, None)
+        assert list(sh.runs) == [None, None]
         for y, w, branch in ((x, 0, BRANCH_LOW), (complement(x), n, BRANCH_HIGH)):
             res = p_referee(sh, p_party_messages(sh, x, ALICE), p_party_messages(sh, y, BOB))
             assert (res.branch, res.output, res.sum_h) == (branch, pred(w), 0)
@@ -151,7 +151,7 @@ def test_parity_predicate_degenerate_bundle():
     pred = parity_predicate(n)
     prof = compute_profile(pred)
     sh = p_shared(pred, prof, "syndrome", ROOT.derive("deg"))
-    assert sh.runs == (None, None)
+    assert list(sh.runs) == [None, None]
     x, _ = sample_pair_with_distance(n, 7, ROOT.derive("degin"))
     bundle = p_party_messages(sh, x, ALICE)
     f = math.ceil(math.log2(10)) + 4
@@ -210,7 +210,7 @@ def test_cost_decomposition():
         for r, run, run_a, run_b in runs:
             assert (run is None) == (run_a is None) == (r == 0)
             if r >= 1:
-                sub = run.party_bits
+                sub = sum(params.stack_bits(r) for params in run.params)
                 assert sub == sum(m.bit_length for m in run_a) == sum(m.bit_length for m in run_b)
                 assert out.cost_bits >= 2 * sub  # superset of the promise run
         if pred is two_tails:
@@ -224,8 +224,16 @@ def _record_calls(monkeypatch):
     """Wrap ``protocol.encode_blocks`` (promise-run stacks; the guards encode
     through ``hamming``), ``protocol.hd_shared`` and ``protocol.threshold_search``,
     recording each encoded threshold, each coin label drawn and each
-    search's visited thresholds, listed per block."""
-    seen = {"encode_blocks": [], "hd_shared": [], "threshold_search": []}
+    search's visited thresholds, listed per block; and ``CoinSource.generator``,
+    recording the label of every stream opened."""
+    seen = {"encode_blocks": [], "hd_shared": [], "threshold_search": [], "generator": []}
+    opened = CoinSource.generator
+
+    def generator(self):
+        seen["generator"].append(self.path[-1])
+        return opened(self)
+
+    monkeypatch.setattr(CoinSource, "generator", generator)
     record = {
         "encode_blocks": lambda args, out: args[0].params.d,
         "hd_shared": lambda args, out: args[1].path[-1],
@@ -277,6 +285,7 @@ def test_parity_branch_encodes_no_promise_stack(monkeypatch):
         assert out.cost_bits == p_total_cost(prof, LAZY_N, strategy)
         assert seen["encode_blocks"] == []
         assert seen["hd_shared"] == ["p/hd0", "p/hd1"]  # the guards only
+        assert not any(label.endswith("/partition") for label in seen["generator"])
 
 
 def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
@@ -294,8 +303,12 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     assert c not in read  # the top stack bounds the search and is never read
     # each visited threshold is encoded once per party, and no other one
     assert sorted(seen["encode_blocks"]) == sorted(2 * read)
-    assert seen["hd_shared"][:2] == ["p/hd0", "p/hd1"]  # drawn by p_shared, in order
-    assert sorted(seen["hd_shared"][2:]) == sorted(f"pk/main/hd/{j}" for j in read)
+    # the hd0 guard settles the trial: hd1 and the tilde run are never drawn
+    assert seen["hd_shared"][0] == "p/hd0"
+    assert sorted(seen["hd_shared"][1:]) == sorted(f"pk/main/hd/{j}" for j in read)
+    partitions = [label for label in seen["generator"] if label.endswith("/partition")]
+    assert partitions == ["pk/main/partition"]
+    assert "p/hd1" not in seen["generator"]
     assert out.cost_bits == p_total_cost(prof, LAZY_N, "syndrome")
     # writing a dump forces the rest: over the trial and its dump, every
     # stack of both runs is drawn once and encoded once per party
@@ -305,7 +318,19 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     assert sorted(seen["encode_blocks"]) == sorted(2 * everything)
     drawn = [f"pk/{side}/hd/{j}" for side, r in (("main", prof.r0), ("tilde", prof.r1))
              for j in range(c_of_k(r) + 1)]
-    assert sorted(seen["hd_shared"][2:]) == sorted(drawn)
+    assert sorted(seen["hd_shared"]) == sorted(["p/hd0", "p/hd1"] + drawn)
+    # and its bytes are those of a trial whose coins were all drawn, and
+    # stacks all encoded, before the referee ran
+    sh = p_shared(LAZY_PRED, prof, "syndrome", coins)
+    eager = [p_party_messages(sh, v, who) for v, who in ((x, ALICE), (y, BOB))]
+    for bundle in eager:
+        for run in bundle.runs:
+            list(run)
+        list(bundle.guards)
+    assert p_referee(sh, *eager).branch == BRANCH_LOW
+    forced = p_transcript_entries(sh, *eager)
+    assert [(e.party, e.label) for e in forced] == [(e.party, e.label) for e in entries]
+    assert all((a.payload == b.payload).all() for a, b in zip(forced, entries))
 
 
 def test_unread_stack_payload_is_still_checked(monkeypatch, tmp_path):
@@ -498,6 +523,48 @@ def test_envelope_rejects_before_allocating(monkeypatch):
     for r in (-1, 9):
         with pytest.raises(ValueError, match=rf"tail length r = {r} outside \[0, n = 8\]"):
             protocol.check_envelope(8, r, "raw")
+
+
+def test_bad_settings_raise_before_any_coin(monkeypatch):
+    # the plan is checked and built at once, though guards and runs are
+    # drawn on first read: a bad setting raises from p_shared itself
+    seen = _record_calls(monkeypatch)
+    pred = family("ham:127", 4096)
+    prof = compute_profile(pred)
+    with pytest.raises(ValueError, match="syndrome supports tails up to r = 127"):
+        p_shared(pred, prof, "syndrome", ROOT.derive("early/r128"))
+    with pytest.raises(ValueError, match="unknown strategy 'sketchy'"):
+        p_shared(LAZY_PRED, compute_profile(LAZY_PRED), "sketchy", ROOT.derive("early/strategy"))
+    assert seen["generator"] == []
+    # and a valid p_shared draws nothing either, until a guard or run is read
+    sh = p_shared(LAZY_PRED, compute_profile(LAZY_PRED), "syndrome", ROOT.derive("early/ok"))
+    assert seen["generator"] == []
+    sh.runs[1]
+    assert seen["generator"] == ["pk/tilde/partition"]
+
+
+def test_lazy_makes_each_item_once():
+    made = []
+    lazy = protocol.Lazy(3, lambda j: made.append(j) or (None if j == 1 else 10 * j))
+    assert len(lazy) == 3 and made == []
+    # an item that is None is kept like any other
+    assert lazy[1] is None and lazy[1] is None
+    assert made == [1]
+    assert list(lazy) == [0, None, 20]
+    assert made == [1, 0, 2]
+    assert list(lazy) == [0, None, 20] and made == [1, 0, 2]
+    # a negative index counts from the end; one out of range raises
+    assert lazy[-1] == 20 and lazy[-3] == 0
+    for j in (3, -4):
+        with pytest.raises(IndexError):
+            lazy[j]
+    assert made == [1, 0, 2]
+    assert list(protocol.Lazy(0, lambda j: made.append(j))) == []
+    # make sees the index from the front, however the item was first read
+    made.clear()
+    lazy = protocol.Lazy(4, lambda j: made.append(j) or j)
+    assert (lazy[-1], lazy[3], lazy[-4], lazy[0]) == (3, 3, 0, 0)
+    assert made == [3, 0]
 
 
 def test_cost_query_builds_no_code(monkeypatch):
