@@ -8,7 +8,7 @@ regardless of length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -103,6 +103,17 @@ def complement(x: BitVector) -> BitVector:
     return BitVector(x.length, x.value ^ mask)
 
 
+def input_bits(x: Union[BitVector, np.ndarray], length: int, owner: str) -> np.ndarray:
+    """A party's input as ``length`` 0/1 uint8 values: a BitVector is
+    unpacked, and an array is taken as already unpacked (``to_array``), so
+    a caller encoding one input several times unpacks it once.  Raises
+    ``ValueError`` naming ``owner`` when the length differs."""
+    bits = x.to_array() if isinstance(x, BitVector) else x
+    if bits.size != length:
+        raise ValueError(f"input length {bits.size}, {owner} expects {length}")
+    return bits
+
+
 def sample_weight_vector(n: int, w: int, coins: CoinSource) -> BitVector:
     """Uniform vector of length n with exactly w ones."""
     if not 0 <= w <= n:
@@ -135,6 +146,7 @@ __all__ = [
     "hamming_distance",
     "parity",
     "complement",
+    "input_bits",
     "sample_weight_vector",
     "sample_pair_with_distance",
 ]

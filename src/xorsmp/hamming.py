@@ -27,12 +27,26 @@ fires, and those events are inside the error budget.
 The referee works in batches.  ``decide_block`` decides any set of blocks
 of one stack at once, and ``threshold_search`` runs the blocks' binary
 searches level by level, so each level asks one ``decide_block`` call per
-threshold.  Within a block, repetitions after the first two that decode to
-more than two buckets are predicted from the positions decoded in both and
-checked against their syndromes instead of decoded: a syndrome of a
-narrow-sense BCH code of designed distance 2d + 1 fixes its error set of
-weight at most d (Dodis, Ostrovsky, Reyzin and Smith), so a prediction that
-matches is the decode.
+threshold.  It decodes only where the answer can lie, by three paths, each
+chosen from a property of its input, never from a setting:
+
+* Bulk weight-0/1 pass (calls of at least ``BULK_MIN_BLOCKS`` blocks): every
+  repetition whose syndrome difference is zero or one bucket's column is
+  settled, fingerprint included, in one numpy pass over all blocks; only
+  blocks with a repetition it cannot settle are decided one by one.
+* Prediction: within a block, once two repetitions have decoded to more
+  than two buckets, the positions decoded in both predict each later
+  repetition, which is checked against its syndrome instead of decoded: a
+  syndrome of a narrow-sense BCH code of designed distance 2d + 1 fixes its
+  error set of weight at most d (Dodis, Ostrovsky, Reyzin and Smith), so a
+  prediction that matches is the decode.  A miss is decoded, and the
+  prediction rebuilt from that decode and the earlier ones.
+* Candidate buckets (codes of at least ``CANDIDATE_MIN_BUCKETS`` buckets):
+  every decode after a block's first one past weight 2 searches its roots
+  among the buckets of the positions that such decodes returned, and scans
+  the whole code only when they do not hold every root.
+
+Verdicts and estimates are those of decoding every repetition.
 """
 
 from __future__ import annotations
@@ -40,11 +54,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bits import BitVector
+from .bits import BitVector, input_bits
 from .coins import CoinSource
 from .gf2 import (
     MAX_FIELD_DEGREE, BchCode, bch_code, pack_words, row_ints, syndrome_bits, unpack_words,
@@ -385,9 +399,30 @@ def decide_block(
         # the padding bits are zero, so the row's set bits are the parities
         estimates = np.bitwise_count(diffs[0]).sum(axis=2).max(axis=0).tolist()
         return [HDVerdict(le=est <= params.d, estimate=est) for est in estimates]
+    if step < BULK_MIN_BLOCKS:
+        return _decide_each(shared, diffs, positions, blocks)
+    verdicts = _settle_light_blocks(shared, *diffs)
+    todo = [t for t, verdict in enumerate(verdicts) if verdict is None]
+    if todo:
+        diffs = [diff.take(todo, axis=1) for diff in diffs]
+        rest = iter(_decide_each(shared, diffs, positions, [blocks[t] for t in todo]))
+        verdicts = [next(rest) if verdict is None else verdict for verdict in verdicts]
+    return verdicts
+
+
+def _decide_each(
+    shared: HDShared,
+    diffs: List[np.ndarray],
+    positions: Optional[Sequence[np.ndarray]],
+    blocks: Sequence[int],
+) -> List[HDVerdict]:
+    """``_decide_syndrome`` for each block, from the (R, len(blocks), w)
+    syndrome and fingerprint differences, with the rows turned into ints
+    in one pass."""
     # one int per (repetition, block), repetition-major: block t's
     # repetitions are every step-th from t
-    rows = params.repetitions * step
+    step = len(blocks)
+    rows = shared.params.repetitions * step
     syn, fps = [row_ints(diff.reshape(rows, diff.shape[-1])) for diff in diffs]
     if step == 1:  # its repetitions are the whole lists
         return [_decide_syndrome(shared, syn, fps, positions, blocks[0])]
@@ -395,6 +430,69 @@ def decide_block(
         _decide_syndrome(shared, syn[t::step], fps[t::step], positions, i)
         for t, i in enumerate(blocks)
     ]
+
+
+# A call deciding at least this many blocks first settles every repetition
+# of weight 0 or 1 in one numpy pass (_settle_light_blocks), a fixed few
+# tens of microseconds.  Every decide_block call of 400 c1_mix and 30
+# tail_r64 operations (seed 3), each timed best of 5 in-process on a 2-vCPU
+# host: c1_mix's calls of 8 to 16 blocks took 0.043 ms per operation with
+# the pass and 0.040 without; tail_r64's calls of 48 to 64 blocks 0.70
+# against 1.15.
+BULK_MIN_BLOCKS = 32
+
+
+def _settle_light_blocks(
+    shared: HDShared, syn: np.ndarray, fps: np.ndarray
+) -> List[Optional[HDVerdict]]:
+    """Verdicts of the blocks whose repetitions all have a syndrome
+    difference of weight 0 or 1, or that have such a repetition whose
+    fingerprint check fails; None for the others.
+
+    ``syn`` and ``fps`` are the (R, blocks, words) syndrome and fingerprint
+    differences.  A repetition is weight 0 when its syndrome is zero, and
+    weight 1 at bucket log S_1 when that bucket's column is its syndrome,
+    which is what ``BchCode.decode_elements`` returns for it; either way its
+    fingerprint must be that of the decoded buckets.  A block's verdict is
+    GT when any repetition fails and LE with the largest decoded weight
+    otherwise, so settling some repetitions in bulk and the rest one by one
+    gives the same verdicts."""
+    params = shared.params
+    zero = ~syn.any(axis=2)
+    one = np.zeros_like(zero)
+    want = np.zeros_like(fps)
+    if syn.shape[2]:  # d >= 1: a syndrome to read S_1 from
+        code = params.code
+        s1 = (syn[..., 0] & np.uint64(code.field.order)).astype(np.intp)
+        pos = code.field.log_np.take(s1)
+        inside = pos < params.bucket_count  # log 0 is past every bucket
+        pos = np.where(inside, pos, 0)
+        one = inside & (code.cols.take(pos, axis=0) == syn).all(axis=2)
+        reps = np.arange(syn.shape[0])[:, None]
+        want[one] = shared.fmat[reps, pos][one]
+    settled = zero | one
+    failed = (settled & (want != fps).any(axis=2)).any(axis=0)
+    estimates = one.any(axis=0)
+    return [
+        HDVerdict(le=False, estimate=params.d + 1) if fail
+        else HDVerdict(le=True, estimate=int(est)) if done
+        else None
+        for fail, done, est in zip(
+            failed.tolist(), settled.all(axis=0).tolist(), estimates.tolist()
+        )
+    ]
+
+
+# A decode after a block's first one past weight 2 searches its locator's
+# roots among candidate buckets first when the code has at least this many
+# buckets: 4 r^2 = 16,384 for the r = 64 guard, at most 1,024 for r <= 16.
+# The candidate search costs a dozen numpy calls, and the full scan deg
+# slices of B entries.  Best of 30 in-process on a 2-vCPU host, a decode
+# with w + w/4 candidates / with the full scan: B = 16,384, d = 64 at
+# w = 3, 32, 62: 92/96, 272/623, 663/1,627 us; B = 4,096, d = 32 at
+# w = 3, 16, 30: 62/49, 126/155, 207/283 us; B = 2,304, d = 24 at
+# w = 3, 12, 22: 56/39, 92/94, 138/161 us.
+CANDIDATE_MIN_BUCKETS = 4096
 
 
 def _decide_syndrome(
@@ -407,14 +505,21 @@ def _decide_syndrome(
     """Block i's verdict from its per-repetition syndrome and fingerprint
     differences.
 
-    Once two repetitions have decoded to more than two buckets, the block's
-    input positions whose buckets were decoded in both predict each later
-    repetition's odd buckets: those that these positions hit an odd number of
-    times.  A prediction of at most d buckets whose columns XOR to the
-    repetition's syndrome is what the decoder would return, since two
-    distinct sets of at most d buckets with one syndrome would differ by a
-    nonzero codeword of weight at most 2d < 2d + 1.  Every other repetition
-    is decoded, and every repetition's fingerprint is checked.
+    Each decode to more than two buckets marks the block's input positions
+    whose buckets it returned (``positions[i]``, every position when None).
+    From the second such decode on, the positions marked by it and by an
+    earlier one predict each later repetition's odd buckets: those that
+    these positions hit an odd number of times.  A prediction of at most d
+    buckets whose columns XOR to the repetition's syndrome is what the
+    decoder would return, since two distinct sets of at most d buckets with
+    one syndrome would differ by a nonzero codeword of weight at most
+    2d < 2d + 1.  A repetition whose prediction misses is decoded, which
+    rebuilds the prediction: two differing positions that share a bucket
+    in one decoded repetition, or a position that shares a differing one's
+    bucket in two, cost one more decode, not one per later repetition.  In
+    a code of at least ``CANDIDATE_MIN_BUCKETS`` buckets, every decode after
+    the first searches the buckets of the marked positions first.  Every
+    repetition's fingerprint is checked.
     """
     params = shared.params
     if not any(syn):
@@ -426,26 +531,37 @@ def _decide_syndrome(
         return HDVerdict(le=True, estimate=0)
     code, fmat = params.code, shared.fmat
     one_word = fmat.shape[-1] == 1
+    with_candidates = params.bucket_count >= CANDIDATE_MIN_BUCKETS
     estimate = 0
-    decoded = []  # (repetition, buckets) of the first two decodes past weight 2
-    predicted = None  # per repetition, the buckets of the positions decoded in both
+    buckets = None  # (R, block size): the block's buckets, on the first decode past weight 2
+    seen = None  # per block position: did a decode past weight 2 return its bucket
+    predicted = None  # per repetition, the buckets of the positions it predicts
     for rep, (word, fp) in enumerate(zip(syn, fps)):
-        hit = None
-        if predicted is not None and word:
+        hit = ()  # a zero syndrome decodes to no bucket
+        if word and predicted is not None:
             odd = set()
             for b in predicted[rep]:
                 odd ^= {b}
             if len(odd) <= params.d and code.is_syndrome(odd, word):
                 hit = tuple(sorted(odd))
-        if hit is None:
-            hit = code.decode_elements(word) if word else ()
+        if word and not hit:
+            candidates = None
+            if seen is not None and with_candidates:
+                candidates = buckets[rep, seen]
+            hit = code.decode_elements(word, candidates)
             if hit is None:
                 return HDVerdict(le=False, estimate=params.d + 1)
-            if len(hit) > 2 and predicted is None:
-                decoded.append((rep, hit))
-                if len(decoded) == 2:
+            if len(hit) > 2:
+                if buckets is None:
                     where = None if positions is None else positions[i]
-                    predicted = _buckets_decoded_twice(shared, decoded, where)
+                    buckets = shared.buckets if where is None else shared.buckets[:, where]
+                mark = np.zeros(params.bucket_count, dtype=bool)
+                mark[list(hit)] = True
+                now = mark[buckets[rep]]
+                if seen is not None:
+                    predicted = buckets[:, now & seen].tolist()
+                    now |= seen
+                seen = now
         # the decoded buckets' columns must XOR to the fingerprint difference
         if one_word and len(hit) <= 2:
             got = 0
@@ -459,27 +575,11 @@ def _decide_syndrome(
     return HDVerdict(le=True, estimate=estimate)
 
 
-def _buckets_decoded_twice(
-    shared: HDShared, decoded: List[Tuple[int, Tuple[int, ...]]], where: Optional[np.ndarray]
-) -> List[List[int]]:
-    """Every repetition's buckets at the input positions in ``where`` (all
-    when None) whose buckets are among the decoded ones in both decoded
-    repetitions."""
-    buckets = shared.buckets if where is None else shared.buckets[:, where]
-    in_both = np.ones(buckets.shape[1], dtype=bool)
-    for rep, hit in decoded:
-        mark = np.zeros(shared.params.bucket_count, dtype=bool)
-        mark[list(hit)] = True
-        in_both &= mark[buckets[rep]]
-    return buckets[:, in_both].tolist()
-
-
-def hd_encode_shared(shared: HDShared, x: BitVector) -> BlockMessages:
-    """One party's message for a single instance: its 1-block stack."""
+def hd_encode_shared(shared: HDShared, x: Union[BitVector, np.ndarray]) -> BlockMessages:
+    """One party's message for a single instance: its 1-block stack.  The
+    input x may also be given unpacked (``bits.input_bits``)."""
     n = shared.params.length
-    if x.length != n:
-        raise ValueError(f"input length {x.length}, instance expects {n}")
-    x_arr = x.to_array()
+    x_arr = input_bits(x, n, "instance")
     ones = np.flatnonzero(x_arr)
     return encode_blocks(
         shared, x_arr, ones, np.array([0, ones.size]), 1, np.array([0, n])

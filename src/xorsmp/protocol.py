@@ -34,11 +34,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .bits import BitVector, complement, parity
+from .bits import BitVector, input_bits, parity
 from .coins import CoinSource, Partition, c_of_k, sample_partition
 from .gf2 import MAX_FIELD_DEGREE
 from .hamming import (
@@ -162,13 +162,12 @@ def pk_shared(k: int, n: int, strategy: str, coins: CoinSource, side: str = "mai
     return PkShared(k, n, part, params, stacks, sort_order, bounds)
 
 
-def pk_party_messages(shared: PkShared, x: BitVector) -> Lazy[BlockMessages]:
+def pk_party_messages(shared: PkShared, x: Union[BitVector, np.ndarray]) -> Lazy[BlockMessages]:
     """One party's (c + 1) threshold stacks, each covering all k blocks and
-    each encoded on first read."""
-    if x.length != shared.n:
-        raise ValueError(f"input length {x.length}, run expects {shared.n}")
+    each encoded on first read.  The input x may also be given unpacked
+    (``bits.input_bits``)."""
     # split the input by block once; every threshold stack reuses the split
-    x_sorted = x.to_array()[shared.sort_order]
+    x_sorted = input_bits(x, shared.n, "run")[shared.sort_order]
     hits = np.flatnonzero(x_sorted)
     ones = shared.sort_order[hits]
     one_bounds = np.searchsorted(hits, shared.bounds)
@@ -300,14 +299,19 @@ def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBund
     effectively works on the pair (complement(x), y) there."""
     if party not in (ALICE, BOB):
         raise ValueError(f"party must be {ALICE!r} or {BOB!r}")
-    flipped = complement(own_input) if party == ALICE else own_input
-    inputs = [flipped if tail.reflected else own_input for tail in TAILS]
+    # unpacked once: every trial's referee reads a guard, and each tail's
+    # guard and run encode the same bits
+    own_bits = own_input.to_array()
+    flip = party == ALICE
+    unpacked = Lazy(
+        len(TAILS), lambda i: own_bits ^ 1 if flip and TAILS[i].reflected else own_bits
+    )
 
     def guard(i: int) -> BlockMessages:
-        return hd_encode_shared(shared.guards[i], inputs[i])
+        return hd_encode_shared(shared.guards[i], unpacked[i])
 
     def run(i: int) -> Optional[Lazy[BlockMessages]]:
-        return None if shared.runs[i] is None else pk_party_messages(shared.runs[i], inputs[i])
+        return None if shared.runs[i] is None else pk_party_messages(shared.runs[i], unpacked[i])
 
     tails = len(TAILS)
     return PBundle(party, shared, Lazy(tails, guard), Lazy(tails, run), parity(own_input))

@@ -219,3 +219,112 @@ def test_code_guards():
         bch_code(0, 1)
     with pytest.raises(ValueError):
         bch_code(16, 0)
+
+
+def locator_of(fld, roots):
+    """Lambda(x) = prod over p in roots of (1 + alpha^p x), which vanishes
+    exactly at alpha^-p for each p: coefficients from x^0."""
+    lam = [1]
+    for p in roots:
+        a = fld.exp[p % fld.order]
+        lam = [c ^ fld.mul(a, lam[i - 1]) if i else c for i, c in enumerate(lam + [0])]
+    return lam
+
+
+@pytest.mark.parametrize("b,d", [(1024, 16), (4096, 32), (16384, 64)])
+def test_candidate_root_search_equals_full_scan(b, d):
+    # the candidate search is exact: it returns the locator's roots when all
+    # deg of them are among the candidates (repeats and extra positions
+    # allowed), which are then the full scan's, and None otherwise, on
+    # split locators whose candidates hold or miss a root and on random
+    # locators, which rarely split
+    code = bch_code(b, d)
+    fld = code.field
+    gen = np.random.default_rng([b, d, 2])
+    for t in range(40):
+        deg = int(gen.integers(1, d + 1))
+        if t % 4 == 3:
+            lam = [1] + gen.integers(0, fld.order + 1, size=deg).tolist()
+            lam[-1] = lam[-1] or 1
+            cands = gen.choice(b, size=int(gen.integers(1, 3 * d)))
+        else:
+            roots = gen.choice(b, size=deg, replace=False)
+            lam = locator_of(fld, roots.tolist())
+            cands = np.concatenate([roots, gen.choice(b, size=deg // 4), roots[: deg // 2]])
+            if t % 4 == 1:  # one root left out
+                cands = cands[cands != roots[0]]
+            gen.shuffle(cands)
+        full = code._roots(lam)
+        got = code._roots_among(lam, cands)
+        if len(full) == deg and set(full) <= set(cands.tolist()):
+            assert got == full
+        else:
+            assert got is None
+        if t % 4 != 3:
+            assert full == tuple(sorted(roots.tolist()))
+
+
+@pytest.mark.parametrize("b,d", [(4096, 32), (16384, 64)])
+def test_decode_with_candidates_falls_back_to_the_full_scan(b, d, monkeypatch):
+    # decode_elements with candidates returns the reference's positions;
+    # candidates holding every error position need no full scan, and
+    # candidates missing one fall back to it within the same call
+    code = bch_code(b, d)
+    scans = []
+    full_scan = gf2.BchCode._roots
+    monkeypatch.setattr(
+        gf2.BchCode, "_roots", lambda self, lam: scans.append(1) or full_scan(self, lam)
+    )
+    gen = np.random.default_rng([b, d, 3])
+    for w in (3, d // 4, d // 2, d):
+        pos = gen.choice(b, size=w, replace=False)
+        packed = packed_row(syndrome_bits_of(code, pos))
+        want = tuple(sorted(pos.tolist()))
+        assert reference_decode(code, split_elements(code, packed)) == want
+        extra = np.concatenate([pos, gen.choice(b, size=w // 4 + 1), pos[:1]])
+        for cands, full in ((extra, 0), (extra[extra != pos[-1]], 1), (extra[:0], 1)):
+            scans.clear()
+            assert code.decode_elements(packed, cands) == want
+            assert len(scans) == full
+
+
+@pytest.mark.parametrize("reads", [gf2._EARLY_STOP_READS, -1], ids=["cutoff", "every-zero"])
+def test_early_stopping_bm_matches_textbook(reads, monkeypatch):
+    # at d = 64 the binary Berlekamp-Massey stops once one gather shows every
+    # remaining discrepancy zero; its locator must be the textbook one at
+    # weights 0, 1, d/4, d/2 and d and on undecodable rows (weights past d,
+    # random syndromes, half of them with 3 in 4 elements zeroed, whose
+    # accidental zero discrepancies make the check fail and the loop go on,
+    # and rows with one nonzero element after zeros);
+    # "every-zero" tries the check at every zero discrepancy
+    monkeypatch.setattr(gf2, "_EARLY_STOP_READS", reads)
+    stops = []
+    check = gf2._rest_is_zero
+    monkeypatch.setattr(gf2, "_rest_is_zero", lambda *a: stops.append(check(*a)) or stops[-1])
+    b, d = 16384, 64
+    code = bch_code(b, d)
+    fld = code.field
+    gen = np.random.default_rng(64)
+    rows = []
+    for w in (0, 1, d // 4, d // 2, d, d + 1, 3 * d // 2, 2 * d):
+        for _ in range(3):
+            pos = gen.choice(b, size=w, replace=False)
+            rows.append((w, split_elements(code, packed_row(syndrome_bits_of(code, pos)))))
+    for t in range(6):
+        selems = gen.integers(0, fld.order + 1, size=d)
+        if t % 2:
+            selems[gen.random(d) < 0.75] = 0
+        rows.append((None, selems.tolist()))
+    # one nonzero syndrome after zeros: the check after the first zero
+    # discrepancy must read the very next step, and the last one
+    for at in (1, 2, d - 1):
+        rows.append((None, [0] * at + [1] + [0] * (d - 1 - at)))
+    for w, selems in rows:
+        stops.clear()
+        lam = gf2._berlekamp_massey(fld, selems)
+        assert lam == berlekamp_massey(fld, full_syndrome(fld, selems))
+        if w is not None and w <= d:
+            assert len(lam) - 1 == w
+            # a weight-w locator is final after 2w syndromes: the check
+            # stops the loop when enough steps are left
+            assert (True in stops) == ((d - 1 - w) * w > reads)
