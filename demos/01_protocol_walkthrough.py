@@ -50,5 +50,5 @@ print(f"referee output: {result.output}, ground truth: {oracle(pred, x, y)}")
 entries = p_transcript_entries(shared, bundle_a, bundle_b)
 t = Transcript(header={}, entries=entries)
 print(f"\ntranscript: {len(entries)} entries, {transcript_cost(t)} bits total; first few:")
-for e in entries[:5]:
-    print(f"  {e.party:5s} {e.label:28s} {e.bit_length:4d} bits")
+for party, label, bits in list(zip(entries.parties, entries.labels, entries.sizes))[:5]:
+    print(f"  {party:5s} {label:28s} {bits:4d} bits")

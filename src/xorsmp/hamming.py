@@ -285,15 +285,17 @@ class BlockMessages:
 
     @classmethod
     def from_block_payloads(
-        cls, shared: HDShared, payloads: Sequence[np.ndarray], bounds: np.ndarray
+        cls, shared: HDShared, wire: np.ndarray, bounds: np.ndarray
     ) -> "BlockMessages":
-        """Inverse of ``block_payloads``: payloads[i] is block i's wire bits,
-        each already of the length ``block_bits(bounds)`` gives."""
+        """Inverse of ``block_payloads``: ``wire`` is every block's wire bits
+        in block order, block i of the input occupying [bounds[i],
+        bounds[i+1]) and its payload of the length ``block_bits(bounds)``
+        gives."""
         params = shared.params
-        k = len(payloads)
+        k = len(bounds) - 1
         if params.strategy == "raw":
-            return cls(shared, k, raw_sorted=np.concatenate(payloads), raw_bounds=bounds)
-        rows = np.stack(payloads).reshape(k, params.repetitions, -1)
+            return cls(shared, k, raw_sorted=wire, raw_bounds=bounds)
+        rows = wire.reshape(k, params.repetitions, -1)
         words = []
         start = 0
         for bits in params.segment_bits:  # pack each segment, then put repetitions first

@@ -33,8 +33,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import (
+    Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
@@ -361,26 +364,64 @@ def p_total_cost(profile: Profile, n: int, strategy: str) -> int:
 # Transcript accounting and the dump format.
 
 
-@dataclass(frozen=True, eq=False)
-class TranscriptEntry:
-    party: str
-    label: str
-    payload: np.ndarray  # uint8 bits
+# zero bits that pad a payload to whole bytes, by count
+_PADDING = tuple(np.zeros(k, dtype=np.uint8) for k in range(8))
 
-    @property
-    def bit_length(self) -> int:
-        return int(self.payload.size)
+
+@dataclass(frozen=True, eq=False)
+class TranscriptEntries:
+    """A transcript's entries, column by column: entry i is ``parties[i]``
+    sending ``labels[i]``, a payload of ``sizes[i]`` bits that starts at bit
+    ``starts[i]`` of ``bits``.  Every payload starts on a whole byte and its
+    padding up to the next byte is zero, so ``bits`` is what the dump's hex
+    digits unpack to."""
+
+    parties: Tuple[str, ...]
+    labels: Tuple[str, ...]
+    sizes: np.ndarray   # int64, bits of each payload
+    bits: np.ndarray    # uint8, every payload's bits, each padded to whole bytes
+    starts: np.ndarray  # int64, first bit of each payload, a multiple of 8
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def from_payloads(
+        cls, parties: Sequence[str], labels: Sequence[str], payloads: Sequence[np.ndarray]
+    ) -> "TranscriptEntries":
+        """The entries (parties[i], labels[i], payloads[i]), each payload a
+        0/1 array, laid out with one concatenation."""
+        if not len(parties) == len(labels) == len(payloads):
+            raise ValueError("need one party and one label per payload")
+        sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+        starts = np.zeros_like(sizes)
+        np.cumsum(-(-sizes[:-1] // 8) * 8, out=starts[1:])
+        gaps = map(_PADDING.__getitem__, (-sizes % 8).tolist())
+        pieces = itertools.chain.from_iterable(zip(payloads, gaps))
+        bits = np.concatenate([_PADDING[0], *pieces]).astype(np.uint8, copy=False)
+        return cls(tuple(parties), tuple(labels), sizes, bits, starts)
+
+    def payloads(self, entries: Sequence[int]) -> np.ndarray:
+        """The payloads of one or more entries, concatenated in the order
+        given, read with one gather."""
+        sizes = self.sizes[entries]
+        ends = np.cumsum(sizes)
+        # entry i fills output bits [ends[i] - sizes[i], ends[i]), from starts[i] on
+        shift = np.repeat(self.starts[entries] - ends + sizes, sizes)
+        return self.bits[shift + np.arange(ends[-1])]
 
 
 @dataclass
 class Transcript:
     header: Dict[str, str]
-    entries: List[TranscriptEntry] = field(default_factory=list)
+    entries: TranscriptEntries = field(
+        default_factory=lambda: TranscriptEntries.from_payloads((), (), ())
+    )
 
 
 def transcript_cost(t: Transcript) -> int:
     """Total payload bits sent by the two parties; the referee is free."""
-    return sum(e.bit_length for e in t.entries)
+    return int(t.entries.sizes.sum())
 
 
 @functools.cache
@@ -389,50 +430,49 @@ def _run_labels(side: str, k: int, c: int) -> Tuple[str, ...]:
     return tuple(f"p/pk/{side}/block/{i}/hd/{j}" for i in range(k) for j in range(c + 1))
 
 
-def p_layout(shared: PShared) -> List[Tuple[str, int]]:
-    """One party's transcript entries in wire order, as (label, bits): the
-    guards ``p/hd0`` and ``p/hd1``, then each promise run block by block
-    (block i's thresholds j = 0..c are consecutive), then ``p/parity``.
-    Both parties send this layout, Alice first; the dump writer and the
-    replay reader both walk it."""
-    layout = [(f"p/{t.guard}", g.stack_bits(1)) for t, g in zip(TAILS, shared.guard_plan)]
+def p_layout(shared: PShared) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """One party's transcript entries in wire order, as their labels and
+    their sizes in bits: the guards ``p/hd0`` and ``p/hd1``, then each
+    promise run block by block (block i's thresholds j = 0..c are
+    consecutive), then ``p/parity``.  Both parties send this layout, Alice
+    first; the dump writer and the replay reader both walk it."""
+    labels = [f"p/{t.guard}" for t in TAILS]
+    sizes = [np.array([g.stack_bits(1) for g in shared.guard_plan], dtype=np.int64)]
     for tail, run in zip(TAILS, shared.runs):
         if run is not None:
-            sizes = zip(*(params.block_bits(run.bounds) for params in run.params))
-            layout.extend(zip(_run_labels(tail.side, run.k, run.c), itertools.chain(*sizes)))
-    layout.append(("p/parity", 1))
-    return layout
+            labels.extend(_run_labels(tail.side, run.k, run.c))
+            sizes.append(np.column_stack([p.block_bits(run.bounds) for p in run.params]).ravel())
+    labels.append("p/parity")
+    sizes.append(np.ones(1, dtype=np.int64))
+    return tuple(labels), np.concatenate(sizes)
 
 
 def p_transcript_entries(
     shared: PShared, bundle_a: PBundle, bundle_b: PBundle
-) -> List[TranscriptEntry]:
-    layout = p_layout(shared)
-    entries: List[TranscriptEntry] = []
+) -> TranscriptEntries:
+    labels, _ = p_layout(shared)
+    payloads: List[np.ndarray] = []
     for bundle in (bundle_a, bundle_b):
-        payloads = [msgs.block_payloads()[0] for msgs in bundle.guards]
+        payloads.extend(msgs.block_payloads()[0] for msgs in bundle.guards)
         for msgs in bundle.runs:
             if msgs is not None:
                 payloads.extend(itertools.chain(*zip(*(m.block_payloads() for m in msgs))))
         payloads.append(np.array([bundle.parity_bit], dtype=np.uint8))
-        entries.extend(
-            TranscriptEntry(bundle.party, label, payload)
-            for (label, _), payload in zip(layout, payloads, strict=True)
-        )
-    return entries
+    parties = (bundle_a.party,) * len(labels) + (bundle_b.party,) * len(labels)
+    return TranscriptEntries.from_payloads(parties, labels * 2, payloads)
 
 
-def _bits_to_hex(bits: np.ndarray) -> str:
-    if bits.size == 0:
-        return "-"
-    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes().hex()
+_MAGIC = "# xorsmp-transcript v1"
+# the bit lengths of a dump's entry lines, joined by tabs, as format_transcript
+# writes them: ASCII decimal with no sign, space or leading zero
+_LENGTHS = re.compile(r"(?:0|[1-9][0-9]*)(?:\t(?:0|[1-9][0-9]*))*")
 
 
 def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
-    """Inverse of ``_bits_to_hex``, up to unpacking; a field of the wrong
-    length or with anything but hex digits raises ``ValueError``, so a cut
-    payload cannot pass as zero bits, and so does a set bit in the last
-    byte's padding, so that every payload has one spelling."""
+    """The bytes of one payload's hex field.  A field of the wrong length,
+    with anything but lowercase hex digits, or with a set bit in the last
+    byte's padding raises ``ValueError``, so a cut payload cannot pass as
+    zero bits and every payload has one spelling."""
     if bitlen < 0:
         raise ValueError(f"negative bit length {bitlen}")
     if bitlen == 0:
@@ -445,64 +485,150 @@ def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
     data = bytes.fromhex(hexstr)
     if 2 * len(data) != want:  # fromhex skips whitespace
         raise ValueError(f"{hexstr!r} has characters other than hex digits")
+    if hexstr != hexstr.lower():
+        raise ValueError(f"{hexstr!r} has uppercase hex digits")
     if data[-1] >> (bitlen % 8 or 8):
         raise ValueError(f"nonzero padding bits past bit {bitlen}")
     return data
 
 
 def format_transcript(t: Transcript) -> str:
+    """The dump text: a header line, then one ``party<TAB>label<TAB>hex<TAB>
+    bits`` line per entry.  Every payload's hex comes from one ``packbits``
+    of all of them, sliced at whole bytes."""
+    e = t.entries
+    digits = np.packbits(e.bits, bitorder="little").tobytes().hex()
+    first = e.starts // 4  # two hex digits per byte
+    last = first + 2 * (-(-e.sizes // 8))
     head = "".join(f"\t{k}={v}" for k, v in t.header.items())
-    lines = [f"# xorsmp-transcript v1{head}"]
-    for e in t.entries:
-        lines.append(f"{e.party}\t{e.label}\t{_bits_to_hex(e.payload)}\t{e.bit_length}")
+    lines = [_MAGIC + head]
+    lines.extend(
+        f"{party}\t{label}\t{digits[a:b] or '-'}\t{nbits}"
+        for party, label, a, b, nbits in zip(
+            e.parties, e.labels, first.tolist(), last.tolist(), e.sizes.tolist()
+        )
+    )
     return "\n".join(lines) + "\n"
 
 
-def parse_transcript(text: str) -> Transcript:
-    """Inverse of ``format_transcript``.  A malformed entry line (wrong
-    field count, non-integer length, hex not of its length, set padding
-    bits) raises ``ValueError`` naming the line."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("# xorsmp-transcript"):
-        raise ValueError("not a transcript dump: missing header line")
+def _parse_header(no: int, line: str) -> Dict[str, str]:
+    magic, *tokens = line.split("\t")
+    if magic != _MAGIC:
+        raise ValueError(f"line {no}: header starts {magic!r}, expected {_MAGIC!r}")
     header: Dict[str, str] = {}
-    for tok in lines[0][1].split("\t")[1:]:
-        key, _, val = tok.partition("=")
-        header[key] = val
-    fields = []  # (party, label, first bit, bit length) of each entry
-    chunks = []
-    nbytes = 0
-    for no, ln in lines[1:]:
-        cols = ln.split("\t")
-        if len(cols) != 4:
-            raise ValueError(f"line {no}: expected 4 tab-separated fields, got {len(cols)}")
-        party, label, hexstr, bitlen = cols
-        try:
-            nbits = int(bitlen)
-            chunk = _hex_to_bytes(hexstr, nbits)
-        except ValueError as exc:
-            raise ValueError(f"line {no} ({label!r}): {exc}") from None
-        fields.append((party, label, 8 * nbytes, nbits))
-        chunks.append(chunk)
-        nbytes += len(chunk)
-    # unpack every payload at once; each entry reads its own byte-aligned run
-    bits = np.unpackbits(np.frombuffer(b"".join(chunks), dtype=np.uint8), bitorder="little")
-    entries = [
-        TranscriptEntry(party, label, bits[first : first + nbits])
-        for party, label, first, nbits in fields
-    ]
-    return Transcript(header=header, entries=entries)
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"dump header field {tok!r} has no '='")
+        if key in header:
+            raise ValueError(f"dump header field {key!r} appears twice")
+        header[key] = value
+    return header
 
 
-def _run_stacks(run: PkShared, span: List[np.ndarray]) -> Lazy[BlockMessages]:
-    """A party's threshold stacks from the run's k (c + 1) payloads in wire
-    order, where threshold j is every (c + 1)-th from j; a stack's coins are
-    drawn and its payloads packed when the referee first reads it."""
+def _entries_in_bulk(rows: List[List[str]]) -> TranscriptEntries:
+    """The entry lines, already split at tabs, checked and decoded all at
+    once.  Raises ``ValueError`` (or ``OverflowError``) when any line is
+    malformed, without saying which; ``_check_entry_line`` names the first."""
+    if not rows:
+        return TranscriptEntries.from_payloads((), (), ())
+    if set(map(len, rows)) != {4}:
+        raise ValueError("an entry line without 4 fields")
+    parties, labels, hexes, lengths = zip(*rows)
+    if not _LENGTHS.fullmatch("\t".join(lengths)):
+        raise ValueError("a bit length not written in plain decimal")
+    sizes = np.fromiter(map(int, lengths), dtype=np.int64, count=len(lengths))
+    nbytes = (sizes + 7) // 8
+    digits = np.fromiter(map(len, hexes), dtype=np.int64, count=len(hexes))
+    empty = sizes == 0
+    if not np.array_equal(digits, np.where(empty, 1, 2 * nbytes)):
+        raise ValueError("a hex field not of its payload's length")
+    joined = "".join(hexes).encode()
+    if joined.translate(None, b"0123456789abcdef-"):
+        raise ValueError("a hex field with a character other than a lowercase hex digit")
+    if empty.any() or b"-" in joined:  # an empty payload is '-', and only it
+        dashes = np.flatnonzero(np.frombuffer(joined, dtype=np.uint8) == ord("-"))
+        if not np.array_equal(dashes, (np.cumsum(digits) - 1)[empty]):
+            raise ValueError("a '-' that is not an empty payload")
+        joined = joined.replace(b"-", b"")
+    data = np.frombuffer(bytes.fromhex(joined.decode()), dtype=np.uint8)
+    ends = np.cumsum(nbytes)
+    padded = sizes % 8 > 0
+    if (data[ends[padded] - 1] >> (sizes[padded] % 8)).any():
+        raise ValueError("a payload with nonzero padding bits")
+    bits = np.unpackbits(data, bitorder="little")
+    return TranscriptEntries(parties, labels, sizes, bits, 8 * (ends - nbytes))
+
+
+def _check_entry_line(no: int, cols: List[str]) -> None:
+    """Raise the ``ValueError`` naming line ``no`` if it is malformed."""
+    if len(cols) != 4:
+        raise ValueError(f"line {no}: expected 4 tab-separated fields, got {len(cols)}")
+    _, label, hexstr, bitlen = cols
+    try:
+        nbits = int(bitlen)
+        if str(nbits) != bitlen:
+            raise ValueError(f"bit length {bitlen!r} is not written {str(nbits)!r}")
+        _hex_to_bytes(hexstr, nbits)
+    except ValueError as exc:
+        raise ValueError(f"line {no} ({label!r}): {exc}") from None
+
+
+def parse_transcript(text: str) -> Transcript:
+    """Inverse of ``format_transcript``, accepting only what it writes: the
+    ``v1`` header with each key once, lengths in ASCII decimal with no sign,
+    space or leading zero, and lowercase hex of exactly the payload's length
+    with zero padding bits.  Every entry line is split once and all of them
+    are checked and decoded together; a malformed one raises ``ValueError``
+    naming the first such line.  Blank lines are skipped but counted."""
+    lines = text.splitlines()
+    numbers: Sequence[int] = range(1, len(lines) + 1)
+    if "" in lines or any(map(str.isspace, lines)):
+        numbers = [no for no, ln in zip(numbers, lines) if ln.strip()]
+        lines = [lines[no - 1] for no in numbers]
+    if not lines or not lines[0].startswith("# xorsmp-transcript"):
+        raise ValueError("not a transcript dump: missing header line")
+    header = _parse_header(numbers[0], lines[0])
+    rows = [ln.split("\t") for ln in lines[1:]]
+    try:
+        entries = _entries_in_bulk(rows)
+    except (ValueError, OverflowError):
+        for no, cols in zip(numbers[1:], rows):
+            _check_entry_line(no, cols)
+        raise
+    return Transcript(header, entries)
+
+
+def _run_stacks(run: PkShared, entries: TranscriptEntries, first: int) -> Lazy[BlockMessages]:
+    """A party's threshold stacks from the run's k (c + 1) entries, in wire
+    order from entry ``first``: threshold j is every (c + 1)-th entry from
+    j.  A stack's coins are drawn, and its k payloads gathered and packed,
+    when the referee first reads it."""
     step = len(run.params)
+    blocks = first + step * np.arange(run.k)
     return Lazy(
         step,
-        lambda j: BlockMessages.from_block_payloads(run.stacks[j], span[j::step], run.bounds),
+        lambda j: BlockMessages.from_block_payloads(
+            run.stacks[j], entries.payloads(blocks + j), run.bounds
+        ),
     )
+
+
+def _first_out_of_layout(
+    labels: Tuple[str, ...], sizes: np.ndarray, e: TranscriptEntries
+) -> ValueError:
+    """The error naming the first entry that is not ``p_layout``'s."""
+    want = [(who, *entry) for who in (ALICE, BOB) for entry in zip(labels, sizes.tolist())]
+    got = zip(e.parties, e.labels, e.sizes.tolist())
+    for pos, ((who, label, bits), (party, found, nbits)) in enumerate(zip(want, got), start=1):
+        if party != who or found != label:
+            return ValueError(f"entry {pos}: expected {who} {label!r}, found {party} {found!r}")
+        if nbits != bits:
+            return ValueError(f"{label!r} payload has {nbits} bits, expected {bits}")
+    if len(e) < len(want):
+        who, label, _ = want[len(e)]
+        return ValueError(f"transcript ends before {who} {label!r}")
+    return ValueError(f"entry {len(want) + 1}: expected the end after {BOB} 'p/parity'")
 
 
 def bundles_from_transcript(
@@ -510,42 +636,41 @@ def bundles_from_transcript(
 ) -> Tuple[PBundle, PBundle]:
     """Rebuild both parties' bundles from a dumped transcript; together with
     the rederived coins this replays the referee exactly.  The entries must
-    be ``p_layout``'s, Alice's and then Bob's: the first one out of place
-    (wrong party or label, missing or extra) or of the wrong size raises
-    ``ValueError`` naming the label expected there, whether or not the
-    referee reads it."""
-    layout = p_layout(shared)
-    want = [(who, label, bits) for who in (ALICE, BOB) for label, bits in layout]
-    for pos, ((who, label, bits), e) in enumerate(zip(want, t.entries), start=1):
-        if e.party != who or e.label != label:
-            raise ValueError(f"entry {pos}: expected {who} {label!r}, found {e.party} {e.label!r}")
-        if e.bit_length != bits:
-            raise ValueError(f"{label!r} payload has {e.bit_length} bits, expected {bits}")
-    if len(t.entries) < len(want):
-        who, label, _ = want[len(t.entries)]
-        raise ValueError(f"transcript ends before {who} {label!r}")
-    if len(t.entries) > len(want):
-        raise ValueError(f"entry {len(want) + 1}: expected the end after {BOB} 'p/parity'")
-    # a party's payloads: the guards, each run's k (c + 1), then the parity bit
+    be ``p_layout``'s, Alice's and then Bob's, compared as whole columns: the
+    first one out of place (wrong party or label, missing or extra) or of
+    the wrong size raises ``ValueError`` naming the label expected there,
+    whether or not the referee reads it."""
+    labels, sizes = p_layout(shared)
+    e = t.entries
+    per = len(labels)
+    if (
+        e.parties != (ALICE,) * per + (BOB,) * per
+        or e.labels != labels * 2
+        or not np.array_equal(e.sizes, np.tile(sizes, 2))
+    ):
+        raise _first_out_of_layout(labels, sizes, e)
+    # a party's entries: the guards, each run's k (c + 1), then the parity bit
     starts = list(itertools.accumulate(
         (tail.r(shared.profile) * len(plan) for tail, plan in zip(TAILS, shared.run_plans)),
         initial=len(TAILS),
     ))
     whole = np.array([0, shared.n])
 
-    def bundle(who: str, payloads: List[np.ndarray]) -> PBundle:
+    def bundle(who: str, first: int) -> PBundle:
         def guard(i: int) -> BlockMessages:
-            return BlockMessages.from_block_payloads(shared.guards[i], [payloads[i]], whole)
+            return BlockMessages.from_block_payloads(
+                shared.guards[i], e.payloads([first + i]), whole
+            )
 
         def run(i: int) -> Optional[Lazy[BlockMessages]]:
-            span = payloads[starts[i] : starts[i + 1]]
-            return None if shared.runs[i] is None else _run_stacks(shared.runs[i], span)
+            run = shared.runs[i]
+            return None if run is None else _run_stacks(run, e, first + starts[i])
 
         tails = len(TAILS)
-        return PBundle(who, shared, Lazy(tails, guard), Lazy(tails, run), int(payloads[-1][0]))
+        parity_bit = int(e.bits[e.starts[first + per - 1]])
+        return PBundle(who, shared, Lazy(tails, guard), Lazy(tails, run), parity_bit)
 
-    payloads = [e.payload for e in t.entries]
-    return bundle(ALICE, payloads[: len(layout)]), bundle(BOB, payloads[len(layout) :])
+    return bundle(ALICE, 0), bundle(BOB, per)
 
 
 @dataclass(frozen=True)
@@ -606,7 +731,7 @@ __all__ = [
     "p_referee",
     "p_total_cost",
     "Transcript",
-    "TranscriptEntry",
+    "TranscriptEntries",
     "transcript_cost",
     "p_layout",
     "p_transcript_entries",

@@ -5,7 +5,7 @@ scans, full minimization) so the library code under test never feeds them.
 """
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -257,3 +257,66 @@ def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
         else:
             lo = mid + 1
     return lo, visited
+
+
+# The per-line transcript parser that the bulk ``protocol.parse_transcript``
+# replaced, kept as its reference.  It accepts more spellings than the bulk
+# parser (uppercase hex, any int() spelling of a length, any header version,
+# a repeated header key), and a transcript is given as (header, rows).
+
+EntryRow = Tuple[str, str, List[int]]
+
+
+def entry_rows(entries) -> List[EntryRow]:
+    """Each entry of a ``TranscriptEntries`` as (party, label, payload
+    bits), read one slice at a time."""
+    return [
+        (party, label, entries.bits[start : start + nbits].tolist())
+        for party, label, start, nbits in zip(
+            entries.parties, entries.labels, entries.starts.tolist(), entries.sizes.tolist()
+        )
+    ]
+
+
+def _reference_hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
+    if bitlen < 0:
+        raise ValueError(f"negative bit length {bitlen}")
+    if bitlen == 0:
+        if hexstr != "-":
+            raise ValueError(f"an empty payload is written '-', not {hexstr!r}")
+        return b""
+    want = 2 * ((bitlen + 7) // 8)
+    if len(hexstr) != want:
+        raise ValueError(f"{len(hexstr)} hex digits for {bitlen} bits, expected {want}")
+    data = bytes.fromhex(hexstr)
+    if 2 * len(data) != want:  # fromhex skips whitespace
+        raise ValueError(f"{hexstr!r} has characters other than hex digits")
+    if data[-1] >> (bitlen % 8 or 8):
+        raise ValueError(f"nonzero padding bits past bit {bitlen}")
+    return data
+
+
+def reference_parse_transcript(text: str) -> Tuple[Dict[str, str], List[EntryRow]]:
+    """One line at a time: blank lines skipped but counted, a malformed
+    entry line raising ``ValueError`` naming it."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# xorsmp-transcript"):
+        raise ValueError("not a transcript dump: missing header line")
+    header: Dict[str, str] = {}
+    for tok in lines[0][1].split("\t")[1:]:
+        key, _, val = tok.partition("=")
+        header[key] = val
+    rows: List[EntryRow] = []
+    for no, ln in lines[1:]:
+        cols = ln.split("\t")
+        if len(cols) != 4:
+            raise ValueError(f"line {no}: expected 4 tab-separated fields, got {len(cols)}")
+        party, label, hexstr, bitlen = cols
+        try:
+            nbits = int(bitlen)
+            chunk = _reference_hex_to_bytes(hexstr, nbits)
+        except ValueError as exc:
+            raise ValueError(f"line {no} ({label!r}): {exc}") from None
+        bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8), bitorder="little")
+        rows.append((party, label, bits[:nbits].tolist()))
+    return header, rows

@@ -16,11 +16,12 @@ from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
 from xorsmp.predicate import Predicate, parse_predicate
 from xorsmp.protocol import (
     Transcript,
-    TranscriptEntry,
-    _bits_to_hex,
+    TranscriptEntries,
     format_transcript,
     parse_transcript,
 )
+
+from .oracles import entry_rows, reference_parse_transcript
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -39,15 +40,19 @@ BITS = st.lists(st.integers(0, 1), max_size=200).map(lambda b: np.array(b, dtype
 @FUZZ
 @given(
     header=st.dictionaries(FIELD.filter(lambda k: "=" not in k), FIELD, max_size=4),
-    entries=st.lists(st.builds(TranscriptEntry, FIELD, FIELD, BITS), max_size=6),
+    entries=st.lists(st.tuples(FIELD, FIELD, BITS), max_size=6),
 )
 def test_transcript_text_roundtrips(header, entries):
-    back = parse_transcript(format_transcript(Transcript(header, entries)))
+    parties, labels, payloads = zip(*entries) if entries else ((), (), ())
+    t = Transcript(header, TranscriptEntries.from_payloads(parties, labels, payloads))
+    back = parse_transcript(format_transcript(t))
     assert back.header == header
-    assert len(back.entries) == len(entries)
-    for got, want in zip(back.entries, entries):
-        assert (got.party, got.label) == (want.party, want.label)
-        assert np.array_equal(got.payload, want.payload)
+    assert entry_rows(back.entries) == [(p, l, b.tolist()) for p, l, b in entries]
+
+
+def _hex_field(bits) -> str:
+    """A payload's hex field as format_transcript writes it."""
+    return np.packbits(np.array(bits, dtype=np.uint8), bitorder="little").tobytes().hex() or "-"
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +86,7 @@ def test_single_line_edit_replays_or_raises_value_error(dumps, data):
     elif kind == "payload":  # a well-formed payload of any size, so the line parses
         bits = data.draw(st.lists(st.integers(0, 1), max_size=300), label="payload")
         party_label = lines[i].split("\t")[:2]
-        lines[i] = "\t".join(party_label + [_bits_to_hex(np.array(bits)), str(len(bits))])
+        lines[i] = "\t".join(party_label + [_hex_field(bits), str(len(bits))])
     else:
         fields = lines[i].split("\t")
         f = data.draw(st.integers(0, len(fields) - 1), label="field")
@@ -98,6 +103,49 @@ def test_single_line_edit_replays_or_raises_value_error(dumps, data):
         replay_transcript_text("\n".join(lines) + "\n")
     except ValueError:
         pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_bulk_parse_agrees_with_the_reference(dumps, data):
+    # one edit to one line of a real dump: both parsers return the same
+    # transcript, or both raise ValueError with the same message
+    lines = data.draw(st.sampled_from(dumps)).splitlines()
+    kind = data.draw(
+        st.sampled_from(["add field", "drop field", "length", "hex", "padding", "blank"]),
+        label="edit",
+    )
+    i = data.draw(st.integers(1, len(lines) - 1), label="line")
+    fields = lines[i].split("\t")
+    if kind == "add field":
+        fields.insert(data.draw(st.integers(0, 4), label="at"), data.draw(FIELD))
+    elif kind == "drop field":
+        del fields[data.draw(st.integers(0, 3), label="field")]
+    elif kind == "length":  # written as format_transcript writes lengths
+        fields[3] = str(data.draw(st.integers(0, 2 * int(fields[3]) + 16), label="bits"))
+    elif kind == "hex":
+        pos = data.draw(st.integers(0, len(fields[2]) - 1), label="position")
+        char = data.draw(st.sampled_from("0123456789abcdefg- "), label="char")
+        fields[2] = fields[2][:pos] + char + fields[2][pos + 1 :]
+    elif kind == "padding":  # set one bit past the payload's end in its last byte
+        spare = -int(fields[3]) % 8
+        if spare:
+            bit = 7 - data.draw(st.integers(0, spare - 1), label="padding bit")
+            fields[2] = fields[2][:-2] + f"{int(fields[2][-2:], 16) | 1 << bit:02x}"
+    lines[i] = "\t".join(fields)
+    if kind == "blank":
+        at = data.draw(st.integers(0, len(lines)), label="at")
+        lines.insert(at, data.draw(st.sampled_from(["", " ", "\t", " \t  "]), label="blank"))
+    text = "\n".join(lines) + "\n"
+    try:
+        want = reference_parse_transcript(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_transcript(text)
+        assert str(got.value) == str(exc)
+        return
+    t = parse_transcript(text)
+    assert (t.header, entry_rows(t.entries)) == want
 
 
 PREDICATE_TEXT = st.one_of(

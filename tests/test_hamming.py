@@ -383,7 +383,7 @@ def test_single_instance_is_one_block_stack():
             msg = hd_encode_shared(shared, BitVector.random(40, ROOT.derive("one")))
             assert msg.k == 1 and msg.bit_length == params.payload_bits
             back = BlockMessages.from_block_payloads(
-                shared, [msg.block_payloads()[0]], msg.raw_bounds
+                shared, msg.block_payloads()[0], np.array([0, 40])
             )
             assert (back.block_payloads()[0] == msg.block_payloads()[0]).all()
 
@@ -446,7 +446,7 @@ def test_fingerprint_columns_are_masked_words(d, epsilon, f):
         live = hd_decide(params, m_a, m_b)
         assert live.le == (weight <= d)
         r_a, r_b = (
-            BlockMessages.from_block_payloads(shared, m.block_payloads(), whole)
+            BlockMessages.from_block_payloads(shared, np.concatenate(m.block_payloads()), whole)
             for m in (m_a, m_b)
         )
         assert hd_decide(params, r_a, r_b) == live

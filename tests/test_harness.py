@@ -310,6 +310,68 @@ def test_malformed_dump_line_is_rejected(tmp_path, label, edit, message):
         replay_transcript_text("\n".join(lines) + "\n")
 
 
+def _arabic_indic(digits: str) -> str:
+    return "".join(chr(0x0660 + int(d)) for d in digits)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f: [f[0], f[1], f[2].upper(), f[3]], "'[0-9A-F]+' has uppercase hex digits"),
+    (lambda f: f[:3] + [f" {f[3]} "], r"bit length ' 217 ' is not written '217'"),
+    (lambda f: f[:3] + [f"+{f[3]}"], r"bit length '\+217' is not written '217'"),
+    (lambda f: f[:3] + [f"0{f[3]}"], r"bit length '0217' is not written '217'"),
+    (lambda f: f[:3] + [f"{f[3][0]}_{f[3][1:]}"], r"bit length '2_17' is not written '217'"),
+    (lambda f: f[:3] + [_arabic_indic(f[3])],
+     "bit length '\u0662\u0661\u0667' is not written '217'"),
+], ids=["uppercase-hex", "spaced-length", "signed-length", "zero-led-length",
+        "underscored-length", "arabic-indic-length"])
+def test_dump_line_has_one_spelling(tmp_path, edit, message):
+    # each of these used to replay consistently: the dump format accepts
+    # only what format_transcript writes
+    lines = _syndrome_dump_lines(tmp_path)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"Alice\t{PK3}\t"))
+    assert lines[i].endswith("\t217") and lines[i].split("\t")[2] != lines[i].split("\t")[2].upper()
+    lines[i] = "\t".join(edit(lines[i].split("\t")))
+    with pytest.raises(ValueError, match=rf"^line {i + 1} \('{PK3}'\): {message}"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+def test_dump_header_has_one_version(tmp_path):
+    lines = _syndrome_dump_lines(tmp_path)
+    lines[0] = lines[0].replace("# xorsmp-transcript v1\t", "# xorsmp-transcript v2\t", 1)
+    with pytest.raises(ValueError, match=r"^line 1: header starts '# xorsmp-transcript v2', "
+                                         r"expected '# xorsmp-transcript v1'$"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("where", ["after", "before"])
+def test_dump_header_repeated_key_is_named(tmp_path, where):
+    # seed=6 after the real seed=5 used to win and replay inconsistently;
+    # placed before it, it was overwritten and replayed consistently
+    lines = _syndrome_dump_lines(tmp_path)
+    magic, rest = lines[0].split("\t", 1)
+    assert rest.startswith("seed=5\t")
+    lines[0] = f"{lines[0]}\tseed=6" if where == "after" else f"{magic}\tseed=6\t{rest}"
+    with pytest.raises(ValueError, match=r"^dump header field 'seed' appears twice$"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+def test_dump_header_field_without_value_is_named(tmp_path):
+    lines = _syndrome_dump_lines(tmp_path)
+    lines[0] += "\tverbose"
+    with pytest.raises(ValueError, match=r"^dump header field 'verbose' has no '='$"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+def test_malformed_line_number_counts_blank_lines(tmp_path):
+    # blank and whitespace-only lines are skipped, yet a line is named by
+    # its number in the file
+    lines = _syndrome_dump_lines(tmp_path)
+    lines[4] += "\textra"
+    lines[4:4] = ["  ", "\t "]
+    with pytest.raises(ValueError, match=r"^line 7: expected 4 tab-separated fields, got 5$"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("key, edit, message", [
     # x cut to its first byte used to replay with truth 0 at distance 1
     ("x", lambda v: v[:2], r"'x': 2 hex digits for 24 bits, expected 6"),

@@ -24,7 +24,7 @@ from xorsmp.protocol import (
     BRANCH_LOW,
     BRANCH_PARITY,
     Transcript,
-    TranscriptEntry,
+    TranscriptEntries,
     bundles_from_transcript,
     format_transcript,
     p_party_messages,
@@ -40,6 +40,8 @@ from xorsmp.protocol import (
     threshold_params,
     transcript_cost,
 )
+
+from .oracles import entry_rows
 
 ROOT = CoinSource.from_seed(0xACE)
 
@@ -173,12 +175,9 @@ def test_alice_bundle_independent_of_bob():
     b2 = p_party_messages(sh, x, ALICE)
     e1 = p_transcript_entries(sh, b1, p_party_messages(sh, BitVector.zeros(n), BOB))
     e2 = p_transcript_entries(sh, b2, p_party_messages(sh, complement(BitVector.zeros(n)), BOB))
-    alice1 = [e for e in e1 if e.party == ALICE]
-    alice2 = [e for e in e2 if e.party == ALICE]
-    assert len(alice1) == len(alice2)
-    for a, b in zip(alice1, alice2):
-        assert a.label == b.label
-        assert (a.payload == b.payload).all()
+    alice1 = [row for row in entry_rows(e1) if row[0] == ALICE]
+    alice2 = [row for row in entry_rows(e2) if row[0] == ALICE]
+    assert alice1 and alice1 == alice2
 
 
 def test_cost_decomposition():
@@ -329,8 +328,7 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
         list(bundle.guards)
     assert p_referee(sh, *eager).branch == BRANCH_LOW
     forced = p_transcript_entries(sh, *eager)
-    assert [(e.party, e.label) for e in forced] == [(e.party, e.label) for e in entries]
-    assert all((a.payload == b.payload).all() for a, b in zip(forced, entries))
+    assert entry_rows(forced) == entry_rows(entries)
 
 
 def test_unread_stack_payload_is_still_checked(monkeypatch, tmp_path):
@@ -356,10 +354,9 @@ def test_transcript_cost_basics():
     assert transcript_cost(Transcript(header={})) == 0
     two_bits = Transcript(
         header={},
-        entries=[
-            TranscriptEntry(ALICE, "p/parity", np.array([1], dtype=np.uint8)),
-            TranscriptEntry(BOB, "p/parity", np.array([0], dtype=np.uint8)),
-        ],
+        entries=TranscriptEntries.from_payloads(
+            (ALICE, BOB), ("p/parity", "p/parity"), [np.array([1], dtype=np.uint8)] * 2
+        ),
     )
     assert transcript_cost(two_bits) == 2
 
@@ -474,6 +471,14 @@ def test_transcript_roundtrip_replays_referee():
         assert res.branch == out.branch
 
 
+def test_parse_names_the_first_of_two_offsetting_faults():
+    # an empty payload written 'a' and a '-' in place of a hex digit leave
+    # the joined hex well formed; each is still a malformed line
+    text = "# xorsmp-transcript v1\nAlice\tp/a\ta\t0\nBob\tp/b\t-b\t8\n"
+    with pytest.raises(ValueError, match=r"^line 2 \('p/a'\): an empty payload is written '-'"):
+        parse_transcript(text)
+
+
 def test_transcript_labels_follow_grammar():
     n = 32
     pred = family("ham:2", n)
@@ -482,7 +487,7 @@ def test_transcript_labels_follow_grammar():
     x, y = sample_pair_with_distance(n, 2, coins.derive("in"))
     out = run_protocol(pred, prof, x, y, "syndrome", coins)
     entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
-    labels = {e.label for e in entries}
+    labels = set(entries.labels)
     k, c = prof.r0, c_of_k(prof.r0)
     assert "p/hd0" in labels and "p/hd1" in labels and "p/parity" in labels
     for i in range(k):
