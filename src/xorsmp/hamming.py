@@ -162,13 +162,6 @@ class HDParams:
         input bit once, the others one ``payload_bits`` message per block."""
         return self.length if self.strategy == "raw" else k * self.payload_bits
 
-    def block_bits(self, bounds: np.ndarray) -> Sequence[int]:
-        """Bits of each block's message in a stack whose block i occupies
-        [bounds[i], bounds[i+1]) of the input."""
-        if self.strategy == "raw":
-            return np.diff(bounds)
-        return [self.payload_bits] * (len(bounds) - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class HDShared:
@@ -288,9 +281,7 @@ class BlockMessages:
         cls, shared: HDShared, wire: np.ndarray, bounds: np.ndarray
     ) -> "BlockMessages":
         """Inverse of ``block_payloads``: ``wire`` is every block's wire bits
-        in block order, block i of the input occupying [bounds[i],
-        bounds[i+1]) and its payload of the length ``block_bits(bounds)``
-        gives."""
+        in block order, block i of the input occupying [bounds[i], bounds[i+1])."""
         params = shared.params
         k = len(bounds) - 1
         if params.strategy == "raw":

@@ -11,6 +11,7 @@ claims into deterministic checks with a controlled flake rate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -28,21 +29,21 @@ from .predicate import (
     family,
     oracle,
     parse_predicate,
-    random_predicate,
 )
 from .protocol import (
     Transcript,
     TrialOutcome,
+    _decimal,
     _hex_to_bytes,
     bundles_from_transcript,
     format_transcript,
     p_referee,
     p_shared,
-    p_total_cost,
     p_transcript_entries,
     parse_transcript,
     run_protocol,
     transcript_cost,
+    trial_plan,
 )
 
 
@@ -237,17 +238,21 @@ def _header_field(h: Dict[str, str], key: str, parse: Callable[[str], Any]) -> A
 
 def replay_transcript_text(text: str) -> ReplayResult:
     """Re-run the referee on a dumped transcript and cross-check it.  A
-    malformed dump raises ``ValueError``; a missing or malformed header
-    field is named.  The header's predicate is a family name or inline
-    ``values:``, as ``_dump_trial`` writes it; replay reads no file."""
+    malformed dump raises ``ValueError``.  The header has ``DUMP_HEADER``'s
+    fields in order, each as ``_dump_trial`` writes it (any other is named),
+    and names a family or inline ``values:`` predicate; replay reads no file."""
     t = parse_transcript(text)
     h = t.header
     missing = [key for key in DUMP_HEADER if key not in h]
     if missing:
         raise ValueError(f"dump header has no {', '.join(map(repr, missing))} field")
-    seed, trial, n, weight, output, cost_bits = (
-        _header_field(h, key, int)
-        for key in ("seed", "trial", "n", "weight", "output", "cost_bits")
+    for key, want in itertools.zip_longest(h, DUMP_HEADER):  # h is at least as long
+        if key != want:
+            where = f"stands where {want!r} belongs" if key in DUMP_HEADER else "is unknown"
+            raise ValueError(f"dump header field {key!r} {where}")
+    root = _header_field(h, "seed", lambda v: CoinSource.from_seed(_decimal(v)))
+    trial, n, weight, output, cost_bits = (
+        _header_field(h, key, _decimal) for key in ("trial", "n", "weight", "output", "cost_bits")
     )
 
     def input_bits(hexstr: str) -> BitVector:
@@ -258,12 +263,14 @@ def replay_transcript_text(text: str) -> ReplayResult:
     dist = hamming_distance(x, y)
     if weight != dist:
         raise ValueError(f"dump header field 'weight': {weight}, but |x XOR y| = {dist}")
-    root = CoinSource.from_seed(seed)
 
     def dumped_predicate(spec: str) -> Predicate:
         if spec.strip().startswith("file:"):
             raise ValueError("a dump names a family or inlines values:, never file:")
-        return resolve_predicate(spec, n, root.derive("predicate"))[0]
+        pred, name = resolve_predicate(spec, n, root.derive("predicate"))
+        if name != spec:
+            raise ValueError(f"{spec!r} is not written {name!r}")
+        return pred
 
     pred = _header_field(h, "predicate", dumped_predicate)
     profile = compute_profile(pred)
@@ -402,16 +409,14 @@ def cost_normalizer(r: int) -> float:
 
 def sweep_r(r_values: Sequence[int], n: int, strategy: str) -> List[SweepRow]:
     """Transcript cost per tail length r, beside the trivial 2n and the
-    cost/normalizer ratio.  Cost depends only on the profile, so each r is
-    priced once (``p_total_cost``) from the profile (r, 0) of one random
-    predicate; no input is drawn and no protocol is run."""
-    coins = CoinSource.from_seed(0).derive("sweep")
+    cost/normalizer ratio.  Cost depends only on the run shape, so each r
+    is priced from the plan of tails (r, 0), both parties' bits; no
+    predicate or input is drawn and no protocol is run."""
     rows = []
     for r in r_values:
         if not 0 <= r <= n / 2:
             raise ValueError(f"r = {r} outside [0, n/2] for n = {n}")
-        profile = compute_profile(random_predicate(n, r, coins.derive(f"r/{r}")))
-        cost = p_total_cost(profile, n, strategy)
+        cost = 2 * trial_plan(r, 0, n, strategy).party_bits
         norm = cost_normalizer(r)
         rows.append(SweepRow(r, n, strategy, cost, 2 * n, norm, cost / norm))
     return rows

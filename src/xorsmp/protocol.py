@@ -18,11 +18,12 @@ Cost accounting is bit-exact: a transcript is the ordered list of payloads
 both parties sent, and its cost is their total bit length.  Coins are free
 (public-coin model) and the referee sends nothing.
 
-Nothing is drawn or encoded that the referee does not read.  ``p_shared``
-checks and builds the plan of every instance at once, and the cost comes
-from the plan.  The referee always reads the low tail's guard, reads the
-high tail's only when the low one fails, and reads at most one promise
-run, in which the threshold search reads a few stacks per block.  Each of
+Nothing is drawn or encoded that the referee does not read.  The cost
+and the dump layout come from the run shape's plan (``trial_plan``),
+checked and built once per process.  The referee always reads the low
+tail's guard, reads the high tail's only when the low one fails, and
+reads at most one promise run, in which the threshold search reads a few
+stacks per block.  Each of
 these is drawn (``PShared``) and encoded (``PBundle``) on its first read.
 A message is a pure function of (own input, coins from its own derived
 child), so this changes no bit of it.  Writing a dump reads everything.
@@ -218,65 +219,80 @@ class Tail:
     branch: str
     reflected: bool
 
-    def r(self, profile: Profile) -> int:
-        return profile.r1 if self.reflected else profile.r0
-
 
 TAILS = (Tail("hd0", "main", BRANCH_LOW, False), Tail("hd1", "tilde", BRANCH_HIGH, True))
 
 
 @dataclass(frozen=True, eq=False)
+class TrialPlan:
+    """What no coin decides in a run of one shape (r0, r1, n, strategy).
+    One party's entries are the guards ``p/hd0`` and ``p/hd1``, each run
+    block by block (block i's thresholds j = 0..c in a row), ``p/parity``."""
+
+    strategy: str
+    rs: Tuple[int, ...]                     # each tail's length r
+    guards: Tuple[HDParams, ...]            # guard_params(r, ...) of each tail
+    runs: Tuple[Tuple[HDParams, ...], ...]  # threshold_params(r, ...); () when r = 0
+    labels: Tuple[str, ...]                 # one party's entries, in wire order
+    sizes: np.ndarray                       # their bits, read-only (p_layout sizes raw runs)
+    run_starts: Tuple[int, ...]             # the entry at which each tail's run starts
+    party_bits: int                         # bits each party sends
+
+
+@functools.cache
+def trial_plan(r0: int, r1: int, n: int, strategy: str) -> TrialPlan:
+    """The plan of one run shape, envelope-checked and built once per
+    process; every trial, replay and cost query of the shape reads it."""
+    check_envelope(n, max(r0, r1), strategy)
+    rs = (r0, r1)
+    guards = tuple(guard_params(r, strategy, n) for r in rs)
+    runs = tuple(threshold_params(r, strategy, n) if r else () for r in rs)
+    labels = [f"p/{tail.guard}" for tail in TAILS]
+    sizes = [g.payload_bits for g in guards]
+    party_bits = sum(sizes) + 1  # the guards and the parity bit
+    run_starts = []
+    for tail, r, params in zip(TAILS, rs, runs):
+        run_starts.append(len(labels))
+        labels += (f"p/pk/{tail.side}/block/{i}/hd/{j}" for i, j in np.ndindex(r, len(params)))
+        sizes += [p.payload_bits for p in params] * r
+        party_bits += sum(p.stack_bits(r) for p in params)
+    sizes = np.array(sizes + [1], dtype=np.int64)
+    sizes.setflags(write=False)
+    labels, run_starts = (*labels, "p/parity"), tuple(run_starts)
+    return TrialPlan(strategy, rs, guards, runs, labels, sizes, run_starts, party_bits)
+
+
+@dataclass(frozen=True, eq=False)
 class PShared:
-    """Public-coin material of the full protocol; the plans, ``guards``
-    and ``runs`` are indexed like ``TAILS``.  The plans (each instance's
-    ``HDParams``) are built at once and price the transcript.  A guard's
-    coins are drawn from its ``p/hd0`` or ``p/hd1`` child when it is first
-    read, and a run's partition and block order from
-    ``p/pk/<side>/partition`` likewise, each threshold stack from its own
-    child on its first read in turn; so whether or when one is drawn
-    changes no bit of another.  A dump reads, and so draws, everything."""
+    """Public-coin material of the full protocol: the run shape's ``plan``
+    and, indexed like ``TAILS``, the ``guards``, drawn from ``p/hd0`` or
+    ``p/hd1`` on first read, and the ``runs``, whose partition is drawn from
+    ``p/pk/<side>/partition`` and each stack from its own child likewise; so
+    whether or when one is drawn changes no bit of another."""
 
     predicate: Predicate
     profile: Profile
     n: int
-    guard_plan: Tuple[HDParams, ...]            # guard_params(r, ...) of each tail
-    run_plans: Tuple[Tuple[HDParams, ...], ...]  # threshold_params(r, ...); () when r = 0
-    guards: Lazy[HDShared]                      # threshold r on the tail's pair
-    runs: Lazy[Optional[PkShared]]              # promise r run on it; None when r = 0
-
-    @functools.cached_property
-    def party_bits(self) -> int:
-        """Bits each party sends, counted from the plan alone, whether or
-        not a guard or stack is ever computed: the guards, every stack of
-        each run and the parity bit."""
-        guards = sum(params.stack_bits(1) for params in self.guard_plan)
-        runs = sum(
-            params.stack_bits(tail.r(self.profile))
-            for tail, plan in zip(TAILS, self.run_plans)
-            for params in plan
-        )
-        return guards + runs + 1
+    plan: TrialPlan
+    guards: Lazy[HDShared]          # threshold r on the tail's pair
+    runs: Lazy[Optional[PkShared]]  # promise r run on it; None when r = 0
 
 
-def p_shared(
-    d: Predicate, profile: Profile, strategy: str, coins: CoinSource
-) -> PShared:
+def p_shared(d: Predicate, profile: Profile, strategy: str, coins: CoinSource) -> PShared:
     """The plan, checked and built before any coin is drawn (a bad setting
     raises here), with guards and runs drawn on first read."""
     n = d.n
-    check_envelope(n, profile.r, strategy)
-    rs = [tail.r(profile) for tail in TAILS]
-    guard_plan = tuple(guard_params(r, strategy, n) for r in rs)
-    run_plans = tuple(threshold_params(r, strategy, n) if r else () for r in rs)
+    plan = trial_plan(profile.r0, profile.r1, n, strategy)
 
     def guard(i: int) -> HDShared:
-        return hd_shared(guard_plan[i], coins.derive(f"p/{TAILS[i].guard}"))
+        return hd_shared(plan.guards[i], coins.derive(f"p/{TAILS[i].guard}"))
 
     def run(i: int) -> Optional[PkShared]:
-        return pk_shared(rs[i], n, strategy, coins.derive("p"), TAILS[i].side) if rs[i] else None
+        r = plan.rs[i]
+        return pk_shared(r, n, strategy, coins.derive("p"), TAILS[i].side) if r else None
 
     tails = len(TAILS)
-    return PShared(d, profile, n, guard_plan, run_plans, Lazy(tails, guard), Lazy(tails, run))
+    return PShared(d, profile, n, plan, Lazy(tails, guard), Lazy(tails, run))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +309,7 @@ class PBundle:
 
     @property
     def cost_bits(self) -> int:
-        return self.shared.party_bits
+        return self.shared.plan.party_bits
 
 
 def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBundle:
@@ -335,7 +351,7 @@ def p_referee(shared: PShared, bundle_a: PBundle, bundle_b: PBundle) -> PResult:
     if bundle_a.party == bundle_b.party:
         raise ValueError("need one bundle per party")
     for i, tail in enumerate(TAILS):
-        verdict = hd_decide(shared.guard_plan[i], bundle_a.guards[i], bundle_b.guards[i])
+        verdict = hd_decide(shared.plan.guards[i], bundle_a.guards[i], bundle_b.guards[i])
         if not verdict.le:
             continue
         run = shared.runs[i]
@@ -350,15 +366,8 @@ def p_referee(shared: PShared, bundle_a: PBundle, bundle_b: PBundle) -> PResult:
 
 def p_total_cost(profile: Profile, n: int, strategy: str) -> int:
     """Deterministic total transcript cost of the full protocol, in bits,
-    from the parameters ``p_shared`` builds its instances with."""
-    check_envelope(n, profile.r, strategy)
-    party = 1  # parity bit
-    for tail in TAILS:
-        r = tail.r(profile)
-        party += guard_params(r, strategy, n).stack_bits(1)
-        if r >= 1:
-            party += sum(params.stack_bits(r) for params in threshold_params(r, strategy, n))
-    return 2 * party
+    from the plan ``p_shared`` builds its instances with."""
+    return 2 * trial_plan(profile.r0, profile.r1, n, strategy).party_bits
 
 
 # Transcript accounting and the dump format.
@@ -424,27 +433,20 @@ def transcript_cost(t: Transcript) -> int:
     return int(t.entries.sizes.sum())
 
 
-@functools.cache
-def _run_labels(side: str, k: int, c: int) -> Tuple[str, ...]:
-    """Labels of a k-block promise run's entries, block by block."""
-    return tuple(f"p/pk/{side}/block/{i}/hd/{j}" for i in range(k) for j in range(c + 1))
-
-
 def p_layout(shared: PShared) -> Tuple[Tuple[str, ...], np.ndarray]:
-    """One party's transcript entries in wire order, as their labels and
-    their sizes in bits: the guards ``p/hd0`` and ``p/hd1``, then each
-    promise run block by block (block i's thresholds j = 0..c are
-    consecutive), then ``p/parity``.  Both parties send this layout, Alice
-    first; the dump writer and the replay reader both walk it."""
-    labels = [f"p/{t.guard}" for t in TAILS]
-    sizes = [np.array([g.stack_bits(1) for g in shared.guard_plan], dtype=np.int64)]
-    for tail, run in zip(TAILS, shared.runs):
+    """One party's transcript entries in wire order, as labels and sizes in
+    bits: the plan's, except that a raw run's entries, its blocks, are sized
+    by its drawn partition.  Both parties send this layout, Alice first; the
+    dump writer and the replay reader both walk it."""
+    plan = shared.plan
+    if plan.strategy != "raw":
+        return plan.labels, plan.sizes
+    sizes = plan.sizes.copy()
+    for start, run in zip(plan.run_starts, shared.runs):
         if run is not None:
-            labels.extend(_run_labels(tail.side, run.k, run.c))
-            sizes.append(np.column_stack([p.block_bits(run.bounds) for p in run.params]).ravel())
-    labels.append("p/parity")
-    sizes.append(np.ones(1, dtype=np.int64))
-    return tuple(labels), np.concatenate(sizes)
+            step = len(run.params)
+            sizes[start : start + run.k * step] = np.repeat(np.diff(run.bounds), step)
+    return plan.labels, sizes
 
 
 def p_transcript_entries(
@@ -466,6 +468,15 @@ _MAGIC = "# xorsmp-transcript v1"
 # the bit lengths of a dump's entry lines, joined by tabs, as format_transcript
 # writes them: ASCII decimal with no sign, space or leading zero
 _LENGTHS = re.compile(r"(?:0|[1-9][0-9]*)(?:\t(?:0|[1-9][0-9]*))*")
+
+
+def _decimal(text: str, what: str = "") -> int:
+    """An integer written as the dump writer writes it, in plain decimal;
+    ``ValueError`` otherwise."""
+    number = int(text)
+    if str(number) != text:
+        raise ValueError(f"{what}{text!r} is not written {str(number)!r}")
+    return number
 
 
 def _hex_to_bytes(hexstr: str, bitlen: int) -> bytes:
@@ -566,10 +577,7 @@ def _check_entry_line(no: int, cols: List[str]) -> None:
         raise ValueError(f"line {no}: expected 4 tab-separated fields, got {len(cols)}")
     _, label, hexstr, bitlen = cols
     try:
-        nbits = int(bitlen)
-        if str(nbits) != bitlen:
-            raise ValueError(f"bit length {bitlen!r} is not written {str(nbits)!r}")
-        _hex_to_bytes(hexstr, nbits)
+        _hex_to_bytes(hexstr, _decimal(bitlen, "bit length "))
     except ValueError as exc:
         raise ValueError(f"line {no} ({label!r}): {exc}") from None
 
@@ -631,9 +639,7 @@ def _first_out_of_layout(
     return ValueError(f"entry {len(want) + 1}: expected the end after {BOB} 'p/parity'")
 
 
-def bundles_from_transcript(
-    shared: PShared, t: Transcript
-) -> Tuple[PBundle, PBundle]:
+def bundles_from_transcript(shared: PShared, t: Transcript) -> Tuple[PBundle, PBundle]:
     """Rebuild both parties' bundles from a dumped transcript; together with
     the rederived coins this replays the referee exactly.  The entries must
     be ``p_layout``'s, Alice's and then Bob's, compared as whole columns: the
@@ -649,11 +655,6 @@ def bundles_from_transcript(
         or not np.array_equal(e.sizes, np.tile(sizes, 2))
     ):
         raise _first_out_of_layout(labels, sizes, e)
-    # a party's entries: the guards, each run's k (c + 1), then the parity bit
-    starts = list(itertools.accumulate(
-        (tail.r(shared.profile) * len(plan) for tail, plan in zip(TAILS, shared.run_plans)),
-        initial=len(TAILS),
-    ))
     whole = np.array([0, shared.n])
 
     def bundle(who: str, first: int) -> PBundle:
@@ -664,7 +665,7 @@ def bundles_from_transcript(
 
         def run(i: int) -> Optional[Lazy[BlockMessages]]:
             run = shared.runs[i]
-            return None if run is None else _run_stacks(run, e, first + starts[i])
+            return None if run is None else _run_stacks(run, e, first + shared.plan.run_starts[i])
 
         tails = len(TAILS)
         parity_bit = int(e.bits[e.starts[first + per - 1]])
@@ -723,6 +724,8 @@ __all__ = [
     "pk_shared",
     "pk_party_messages",
     "pk_referee",
+    "TrialPlan",
+    "trial_plan",
     "PShared",
     "PBundle",
     "PResult",

@@ -3,6 +3,7 @@ import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from xorsmp import gf2
@@ -21,7 +22,7 @@ from xorsmp.harness import (
     sweep_r,
 )
 from xorsmp.predicate import compute_profile, family, format_predicate
-from xorsmp.protocol import p_total_cost
+from xorsmp.protocol import p_total_cost, parse_transcript, transcript_cost
 
 
 def test_auto_weights_eq():
@@ -273,6 +274,42 @@ def test_dump_with_wrong_payload_length_and_zero_padding_is_rejected(tmp_path):
         replay_transcript_text("\n".join(lines) + "\n")
 
 
+def _hex_field(bits) -> str:
+    """A payload's hex field as format_transcript writes it."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes().hex() or "-"
+
+
+def _payload(fields):
+    """The bits of a split entry line."""
+    data = np.frombuffer(bytes.fromhex(fields[2].replace("-", "")), dtype=np.uint8)
+    return np.unpackbits(data, bitorder="little")[: int(fields[3])]
+
+
+def test_raw_run_entry_is_checked_against_the_partition(tmp_path):
+    # a raw run's entries are its blocks, so their sizes come from the drawn
+    # partition: one bit moved from block 0 to block 1 keeps every line
+    # well formed and the total cost, and replay names the first block
+    cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
+                      seed=5, strategy="raw", dump_dir=tmp_path)
+    run_trials(cfg)
+    text = next(tmp_path.glob("trial-*.txt")).read_text()
+    lines = text.splitlines()
+    i, j = (next(i for i, ln in enumerate(lines) if ln.startswith(f"Alice\t{label}\t"))
+            for label in ("p/pk/main/block/0/hd/0", "p/pk/main/block/1/hd/0"))
+    first, second = lines[i].split("\t"), lines[j].split("\t")
+    size = int(first[3])
+    assert size >= 1
+    a, b = _payload(first), _payload(second)
+    moved = (a[:-1], np.concatenate([a[-1:], b]))
+    for k, fields, bits in ((i, first, moved[0]), (j, second, moved[1])):
+        lines[k] = "\t".join(fields[:2] + [_hex_field(bits), str(len(bits))])
+    edited = "\n".join(lines) + "\n"
+    assert transcript_cost(parse_transcript(edited)) == transcript_cost(parse_transcript(text))
+    message = rf"^'p/pk/main/block/0/hd/0' payload has {size - 1} bits, expected {size}$"
+    with pytest.raises(ValueError, match=message):
+        replay_transcript_text(edited)
+
+
 def _syndrome_dump_lines(tmp_path):
     cfg = TrialConfig(n=24, predicate_spec="ham:2", weights=[1], trials=1,
                       seed=5, strategy="syndrome", dump_dir=tmp_path)
@@ -382,8 +419,19 @@ def test_malformed_line_number_counts_blank_lines(tmp_path):
      r"'cost_bits': invalid literal for int\(\) with base 10: 'abc'"),
     # a weight that is not |x XOR y| used to replay consistently
     ("weight", lambda v: "7", r"'weight': 7, but \|x XOR y\| = 1$"),
+    # each of these used to replay consistently: an integer field is plain
+    # decimal, like an entry's bit length, and the predicate is written as
+    # resolve_predicate names it
+    ("seed", lambda v: "0" + v, r"'seed': '05' is not written '5'$"),
+    ("seed", lambda v: "+" + v, r"'seed': '\+5' is not written '5'$"),
+    ("n", lambda v: " " + v, r"'n': ' 24' is not written '24'$"),
+    ("trial", lambda v: v + "0", r"'trial': '00' is not written '0'$"),
+    ("predicate", str.upper, r"'predicate': 'HAM:2' is not written 'ham:2'$"),
+    ("predicate", lambda v: " " + v, r"'predicate': ' ham:2' is not written 'ham:2'$"),
+    ("seed", lambda v: "-" + v, r"'seed': seed must be an unsigned 64-bit integer$"),
 ], ids=["short-x", "long-y", "seed-not-int", "output-empty", "cost-bits-not-int",
-        "weight-not-distance"])
+        "weight-not-distance", "zero-led-seed", "signed-seed", "spaced-n", "zero-led-trial",
+        "uppercase-predicate", "spaced-predicate", "negative-seed"])
 def test_dump_header_bad_field_is_named(tmp_path, key, edit, message):
     lines = _syndrome_dump_lines(tmp_path)
     lines[0] = "\t".join(
@@ -391,6 +439,19 @@ def test_dump_header_bad_field_is_named(tmp_path, key, edit, message):
         for t in lines[0].split("\t")
     )
     with pytest.raises(ValueError, match=rf"^dump header field {message}"):
+        replay_transcript_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda tokens: tokens + ["foo=bar"], r"^dump header field 'foo' is unknown$"),
+    (lambda tokens: tokens[::-1], r"^dump header field 'cost_bits' stands where 'seed' belongs$"),
+], ids=["extra-field", "reversed-fields"])
+def test_dump_header_has_the_writers_fields_in_order(tmp_path, edit, message):
+    # both used to replay consistently: replay requires DUMP_HEADER's keys, in order
+    lines = _syndrome_dump_lines(tmp_path)
+    magic, *tokens = lines[0].split("\t")
+    lines[0] = "\t".join([magic, *edit(tokens)])
+    with pytest.raises(ValueError, match=message):
         replay_transcript_text("\n".join(lines) + "\n")
 
 

@@ -267,6 +267,13 @@ def test_parameter_plan_is_built_once(monkeypatch):
     out = run_protocol(LAZY_PRED, prof, x, y, "syndrome", coins)
     assert out.cost_bits == p_total_cost(prof, LAZY_N, "syndrome")
     assert all(a.params is b.params for a, b in zip(out.shared.runs, sh.runs))
+    # a second p_shared and a cost query of the shape read the same plan
+    plans = []
+    make_plan = protocol.trial_plan
+    monkeypatch.setattr(protocol, "trial_plan", lambda *a: plans.append(make_plan(*a)) or plans[-1])
+    assert p_shared(LAZY_PRED, prof, "syndrome", ROOT.derive("plan/2")).plan is sh.plan
+    assert p_total_cost(prof, LAZY_N, "syndrome") == out.cost_bits
+    assert plans == [sh.plan, sh.plan] and out.shared.plan is sh.plan
     assert built == []
 
 
@@ -285,6 +292,19 @@ def test_parity_branch_encodes_no_promise_stack(monkeypatch):
         assert seen["encode_blocks"] == []
         assert seen["hd_shared"] == ["p/hd0", "p/hd1"]  # the guards only
         assert not any(label.endswith("/partition") for label in seen["generator"])
+
+
+def test_parity_branch_replay_draws_no_partition(tmp_path, monkeypatch):
+    # a dump's entry sizes come from the plan, so replaying a parity-branch
+    # dump opens the predicate's and the two guards' streams and nothing else
+    cfg = TrialConfig(n=256, predicate_spec="random:16", weights=[128], trials=1,
+                      seed=3, strategy="syndrome", dump_dir=tmp_path)
+    run_trials(cfg)
+    text = next(tmp_path.glob("trial-*.txt")).read_text()
+    assert "\tbranch=parity\t" in text.splitlines()[0]
+    seen = _record_calls(monkeypatch)
+    assert replay_transcript_text(text).consistent
+    assert seen["generator"] == ["predicate", "p/hd0", "p/hd1"]
 
 
 def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
