@@ -98,19 +98,20 @@ class Field:
         # zero-copy numpy views of the same tables, for gathers
         self.exp_np = np.frombuffer(self.exp, dtype=np.uint16)
         self.log_np = np.frombuffer(self.log, dtype=f"u{self.log.itemsize}")
-        self._qsolve: Optional[Dict[int, int]] = None
 
     def mul(self, a: int, b: int) -> int:
         return self.exp[self.log[a] + self.log[b]]
 
-    def qsolve(self, u: int) -> Optional[int]:
-        """Some w with w^2 + w = u, or None when u is outside the image."""
-        if self._qsolve is None:
-            table: Dict[int, int] = {}
-            for w in range(1 << self.m):
-                table.setdefault(self.mul(w, w) ^ w, w)
-            self._qsolve = table
-        return self._qsolve.get(u)
+    @cached_property
+    def qsolve_np(self) -> np.ndarray:
+        """Entry u is the even root w of w^2 + w = u (the other is w + 1),
+        or 0 when u is outside the map's image; at u = 0 the roots are 0
+        and 1.  One uint16 table, read by scalar and bulk decodes alike."""
+        w = np.arange(0, 1 << self.m, 2, dtype=np.uint16)
+        table = np.zeros(1 << self.m, dtype=np.uint16)
+        # exp reads 0 at twice log 0, so w = 0 squares to 0 too
+        table[self.exp_np.take(2 * self.log_np.take(w)) ^ w] = w
+        return table
 
 
 _FIELDS: Dict[int, Field] = {}
@@ -253,10 +254,11 @@ class BchCode:
 
     def _decode_pair(self, s1: int, s3: int, packed: int) -> Optional[Tuple[int, ...]]:
         # X1 + X2 = S1 and X1 X2 = (S3 + S1^3) / S1, so X = S1 w for the two
-        # roots w, w + 1 of w^2 + w = S3 / S1^3 + 1; w = 0 means X1 X2 = 0
+        # roots w, w + 1 of w^2 + w = S3 / S1^3 + 1; the table's w = 0 means
+        # no root, or X1 X2 = 0: no pair either way
         fld = self.field
         exp, log = fld.exp, fld.log
-        w = fld.qsolve(exp[log[s3] + -3 * log[s1] % fld.order] ^ 1)
+        w = fld.qsolve_np.item(exp[log[s3] + -3 * log[s1] % fld.order] ^ 1)
         if not w:
             return None
         hit = tuple(sorted((log[fld.mul(s1, w)], log[fld.mul(s1, w ^ 1)])))

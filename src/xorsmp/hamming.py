@@ -30,10 +30,12 @@ searches level by level, so each level asks one ``decide_block`` call per
 threshold.  It decodes only where the answer can lie, by three paths, each
 chosen from a property of its input, never from a setting:
 
-* Bulk weight-0/1 pass (calls of at least ``BULK_MIN_BLOCKS`` blocks): every
-  repetition whose syndrome difference is zero or one bucket's column is
-  settled, fingerprint included, in one numpy pass over all blocks; only
-  blocks with a repetition it cannot settle are decided one by one.
+* Bulk pass over weights 0 to 2 (calls of at least ``BULK_MIN_BLOCKS``
+  blocks): every repetition whose syndrome difference is zero, one bucket's
+  column, or (at d >= 2) the XOR of the two columns that the pair's closed
+  form names from S_1 and S_3 is settled, fingerprint included, in one
+  numpy pass over all blocks; only blocks with a repetition it cannot
+  settle are decided one by one.
 * Prediction: within a block, once two repetitions have decoded to more
   than two buckets, the positions decoded in both predict each later
   repetition, which is checked against its syndrome instead of decoded: a
@@ -340,7 +342,7 @@ def encode_blocks(
         # parities laid out in whole words of bits, so they pack in one call
         width = 64 * -(-params.bucket_count // 64)
         rep_base = np.arange(0, r_count * k * width, k * width)[:, None]
-        flat = shared.buckets[:, ones] + rep_base
+        flat = shared.buckets.take(ones, axis=1) + rep_base
         if k > 1:  # offset each one by its block
             flat += np.repeat(np.arange(0, k * width, width), np.diff(one_bounds))
         counts = np.bincount(flat.ravel(), minlength=r_count * k * width)
@@ -348,8 +350,10 @@ def encode_blocks(
         words = np.packbits(par, axis=-1, bitorder="little").view("<u8")
         return BlockMessages(shared, k, words=(words,))
     # A bucket hit twice cancels in the XOR, so no parity vector is needed.
-    hit = ones[None] if shared.buckets is None else shared.buckets[:, ones]
-    # take gathers rows several times faster than indexing with [hit]
+    # take gathers rows several times faster than indexing with [hit], and
+    # keeps hit C-ordered: buckets[:, ones] is Fortran-ordered, from which
+    # the row gathers below run 3-5x slower
+    hit = ones[None] if shared.buckets is None else shared.buckets.take(ones, axis=1)
     synd = _xor_by_block(params.syndrome_cols.take(hit, axis=0), one_bounds)
     cols = shared.fmat.reshape(-1, shared.fmat.shape[-1])  # (R B, w): rep r starts at r B
     rep_base = np.arange(r_count)[:, None] * params.bucket_count
@@ -426,12 +430,13 @@ def _decide_each(
 
 
 # A call deciding at least this many blocks first settles every repetition
-# of weight 0 or 1 in one numpy pass (_settle_light_blocks), a fixed few
-# tens of microseconds.  Every decide_block call of 400 c1_mix and 30
-# tail_r64 operations (seed 3), each timed best of 5 in-process on a 2-vCPU
-# host: c1_mix's calls of 8 to 16 blocks took 0.043 ms per operation with
-# the pass and 0.040 without; tail_r64's calls of 48 to 64 blocks 0.70
-# against 1.15.
+# of weight 0, 1 or 2 in one numpy pass (_settle_light_blocks), a fixed
+# 0.1 ms or so.  Every decide_block call of 400 c1_mix and 30 tail_r64
+# operations (seed 3), each timed best of 7 in-process on a 2-vCPU host with
+# the cut-offs interleaved: c1_mix's calls of 1 to 16 blocks took 0.058 ms
+# per operation at cut-offs of 12 to 48 and without the pass, and 0.064 at
+# 8; tail_r64's calls of 48 to 64 blocks 0.87 to 0.90 at any cut-off up to
+# 48, against 1.68 without.
 BULK_MIN_BLOCKS = 32
 
 
@@ -439,41 +444,56 @@ def _settle_light_blocks(
     shared: HDShared, syn: np.ndarray, fps: np.ndarray
 ) -> List[Optional[HDVerdict]]:
     """Verdicts of the blocks whose repetitions all have a syndrome
-    difference of weight 0 or 1, or that have such a repetition whose
+    difference of weight at most 2, or that have such a repetition whose
     fingerprint check fails; None for the others.
 
     ``syn`` and ``fps`` are the (R, blocks, words) syndrome and fingerprint
-    differences.  A repetition is weight 0 when its syndrome is zero, and
-    weight 1 at bucket log S_1 when that bucket's column is its syndrome,
-    which is what ``BchCode.decode_elements`` returns for it; either way its
+    differences.  A repetition is settled as what ``BchCode.decode_elements``
+    returns for it: weight 0 when its syndrome is zero; weight 1 at bucket
+    log S_1 when that bucket's column is its syndrome; and, when d >= 2,
+    weight 2 at the buckets log(S_1 w) and log(S_1 (w + 1)), the roots w,
+    w + 1 of w^2 + w = S_3 / S_1^3 + 1 read from ``Field.qsolve_np``, when
+    both lie below B and their columns XOR to its syndrome.  Either way its
     fingerprint must be that of the decoded buckets.  A block's verdict is
     GT when any repetition fails and LE with the largest decoded weight
     otherwise, so settling some repetitions in bulk and the rest one by one
     gives the same verdicts."""
     params = shared.params
-    zero = ~syn.any(axis=2)
-    one = np.zeros_like(zero)
+    # the weight-1 and weight-2 tests exclude each other and a zero syndrome
+    zero = ~np.logical_or.reduce(syn, axis=2)
+    one = two = np.zeros_like(zero)
     want = np.zeros_like(fps)
-    if syn.shape[2]:  # d >= 1: a syndrome to read S_1 from
-        code = params.code
-        s1 = (syn[..., 0] & np.uint64(code.field.order)).astype(np.intp)
-        pos = code.field.log_np.take(s1)
-        inside = pos < params.bucket_count  # log 0 is past every bucket
-        pos = np.where(inside, pos, 0)
-        one = inside & (code.cols.take(pos, axis=0) == syn).all(axis=2)
-        reps = np.arange(syn.shape[0])[:, None]
-        want[one] = shared.fmat[reps, pos][one]
-    settled = zero | one
-    failed = (settled & (want != fps).any(axis=2)).any(axis=0)
-    estimates = one.any(axis=0)
-    return [
-        HDVerdict(le=False, estimate=params.d + 1) if fail
-        else HDVerdict(le=True, estimate=int(est)) if done
-        else None
-        for fail, done, est in zip(
-            failed.tolist(), settled.all(axis=0).tolist(), estimates.tolist()
-        )
-    ]
+    if syn.shape[2]:  # d >= 1: a syndrome to read S_1 (and S_3) from
+        code, b = params.code, params.bucket_count
+        fld, cols = code.field, code.cols
+        elem, word = np.uint64(fld.order), syn[..., 0]
+        log1 = fld.log_np.take((word & elem).astype(np.intp)).astype(np.intp)
+        lo = hi = np.where(log1 < b, log1, 0)  # log 0 is past every bucket
+        one = np.logical_and.reduce(cols.take(lo, axis=0) == syn, axis=2) & (log1 < b)
+        if code.d >= 2:
+            log3 = fld.log_np.take((word >> np.uint64(code.m) & elem).astype(np.intp))
+            w = fld.qsolve_np.take(fld.exp_np.take(log3 + -3 * log1 % fld.order) ^ 1)
+            # w = 0 (no root, or X1 X2 = 0) and S_1 = 0 both read exp at or
+            # past 2 order, which is 0, whose log is past every bucket
+            roots = fld.log_np.take(fld.exp_np.take(log1 + fld.log_np.take([w, w ^ 1])))
+            inside = np.logical_and.reduce(roots < b, axis=0)
+            roots = np.where(inside, roots, 0)
+            pair = cols.take(roots[0], axis=0) ^ cols.take(roots[1], axis=0)
+            two = np.logical_and.reduce(pair == syn, axis=2) & inside
+            lo, hi = np.where(two, roots, (lo, hi))
+        # fingerprint columns: repetition r's bucket j is row r B + j
+        fcols = shared.fmat.reshape(-1, shared.fmat.shape[-1])
+        base = np.arange(syn.shape[0])[:, None] * b
+        want = np.where((one | two)[..., None], fcols.take(lo + base, axis=0), 0)
+        want ^= np.where(two[..., None], fcols.take(hi + base, axis=0), 0)
+    settled = zero | one | two
+    failed = np.logical_or.reduce(settled & np.logical_or.reduce(want != fps, axis=2), axis=0)
+    done = np.logical_and.reduce(settled, axis=0)
+    weight = np.maximum.reduce(np.where(two, 2, one), axis=0)
+    # one verdict object per outcome: LE at weight 0, 1, 2; GT; unsettled
+    outcomes = [HDVerdict(le=True, estimate=e) for e in range(3)]
+    outcomes += [HDVerdict(le=False, estimate=params.d + 1), None]
+    return [outcomes[o] for o in np.where(failed, 3, np.where(done, weight, 4)).tolist()]
 
 
 # A decode after a block's first one past weight 2 searches its locator's
@@ -546,8 +566,9 @@ def _decide_syndrome(
                 return HDVerdict(le=False, estimate=params.d + 1)
             if len(hit) > 2:
                 if buckets is None:
-                    where = None if positions is None else positions[i]
-                    buckets = shared.buckets if where is None else shared.buckets[:, where]
+                    buckets = shared.buckets
+                    if positions is not None:
+                        buckets = buckets.take(positions[i], axis=1)
                 mark = np.zeros(params.bucket_count, dtype=bool)
                 mark[list(hit)] = True
                 now = mark[buckets[rep]]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import BitVector, hamming_distance, sample_pair_with_distance
 from .coins import CoinSource, c_of_k
-from .hamming import HDParams
+from .hamming import STRATEGIES, HDParams
 from .predicate import (
     Predicate,
     Profile,
@@ -31,6 +31,7 @@ from .predicate import (
     parse_predicate,
 )
 from .protocol import (
+    BRANCHES,
     Transcript,
     TrialOutcome,
     _decimal,
@@ -236,6 +237,17 @@ def _header_field(h: Dict[str, str], key: str, parse: Callable[[str], Any]) -> A
         raise ValueError(f"dump header field {key!r}: {exc}") from None
 
 
+def _one_of(choices: Sequence[str]) -> Callable[[str], str]:
+    """A header field parser that accepts exactly the given spellings."""
+
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(map(repr, choices))}")
+        return value
+
+    return parse
+
+
 def replay_transcript_text(text: str) -> ReplayResult:
     """Re-run the referee on a dumped transcript and cross-check it.  A
     malformed dump raises ``ValueError``.  The header has ``DUMP_HEADER``'s
@@ -251,6 +263,8 @@ def replay_transcript_text(text: str) -> ReplayResult:
             where = f"stands where {want!r} belongs" if key in DUMP_HEADER else "is unknown"
             raise ValueError(f"dump header field {key!r} {where}")
     root = _header_field(h, "seed", lambda v: CoinSource.from_seed(_decimal(v)))
+    strategy = _header_field(h, "strategy", _one_of(STRATEGIES))
+    branch = _header_field(h, "branch", _one_of(BRANCHES))
     trial, n, weight, output, cost_bits = (
         _header_field(h, key, _decimal) for key in ("trial", "n", "weight", "output", "cost_bits")
     )
@@ -274,12 +288,12 @@ def replay_transcript_text(text: str) -> ReplayResult:
 
     pred = _header_field(h, "predicate", dumped_predicate)
     profile = compute_profile(pred)
-    shared = p_shared(pred, profile, h["strategy"], root.derive(f"trial/{trial}"))
+    shared = p_shared(pred, profile, strategy, root.derive(f"trial/{trial}"))
     bundle_a, bundle_b = bundles_from_transcript(shared, t)
     res = p_referee(shared, bundle_a, bundle_b)
     truth = oracle(pred, x, y)
     cost = transcript_cost(t)
-    consistent = res.output == output and cost == cost_bits and res.branch == h["branch"]
+    consistent = res.output == output and cost == cost_bits and res.branch == branch
     return ReplayResult(
         trial=trial,
         output=res.output,
@@ -353,9 +367,11 @@ def hd_error_experiment(
     samples: int,
     seed: int,
 ) -> List[HdErrorResult]:
-    """Verdict error rates at the hardest weights d and d + 1, on the
-    instance of ``hd_error_params``, scored against the exact comparison
-    the raw strategy would make."""
+    """Verdict error rates at w = d, the largest weight the sketch must
+    call LE, and w = d + 1, the smallest it must call GT, on the instance of
+    ``hd_error_params``, scored against the exact comparison the raw
+    strategy would make.  Neither is the hardest weight: the exact chance of
+    a false LE peaks at w = d + 2, where one collision leaves d odd buckets."""
     from .hamming import hd_decide, hd_encode_shared, hd_shared
 
     params = hd_error_params(d, epsilon, strategy)

@@ -205,6 +205,7 @@ def pk_referee(
 BRANCH_LOW = "low"
 BRANCH_HIGH = "high"
 BRANCH_PARITY = "parity"
+BRANCHES = (BRANCH_LOW, BRANCH_HIGH, BRANCH_PARITY)
 
 
 @dataclass(frozen=True)
@@ -713,6 +714,7 @@ __all__ = [
     "BRANCH_LOW",
     "BRANCH_HIGH",
     "BRANCH_PARITY",
+    "BRANCHES",
     "Tail",
     "TAILS",
     "Lazy",

@@ -2,7 +2,8 @@
 and config files.  A malformed dump or predicate file must end in a
 ``ValueError`` (which the CLI turns into a one-line message), and a
 malformed config file in that one-line exit, never in another exception
-from deep inside."""
+from deep inside.  One more property covers the referee's bulk pass: it
+decides threshold stacks as the per-block decider and the dense oracle do."""
 
 import re
 
@@ -11,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsmp import cli
+from xorsmp import cli, hamming
+from xorsmp.coins import CoinSource
+from xorsmp.gf2 import unpack_words
 from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
+from xorsmp.hamming import HDParams, decide_block, encode_blocks, hd_shared
 from xorsmp.predicate import Predicate, parse_predicate
 from xorsmp.protocol import (
     Transcript,
@@ -21,7 +25,7 @@ from xorsmp.protocol import (
     parse_transcript,
 )
 
-from .oracles import entry_rows, reference_parse_transcript
+from .oracles import dense_verdict, entry_rows, reference_parse_transcript
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -202,3 +206,55 @@ def test_config_merges_or_exits_with_message(config_path, command, data):
         assert len(exc.code.splitlines()) == 1, exc.code
         return
     assert merged.config == config_path
+
+
+BLOCK = 8  # input positions per block in the stack property below
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(32, 40),
+    j=st.integers(2, 10),
+    epsilon=st.sampled_from([0.1, 0.01, 0.001]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_bulk_decide_equals_per_block_decider_and_oracle(k, j, epsilon, seed, data):
+    # a random stack of k >= 32 blocks at threshold j, per-block differences
+    # of weight 0 to 4 and a few flipped syndrome or fingerprint bits: a
+    # call of at least 32 blocks (the bulk pass settles weights 0 to 2) gives
+    # the per-block decider's verdicts and the dense oracle's
+    n = BLOCK * k
+    params = HDParams(d=j, epsilon=epsilon, strategy="syndrome", length=n)
+    shared = hd_shared(params, CoinSource.from_seed(seed).derive("fuzz"))
+    weights = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k), label="weights")
+    gen = np.random.default_rng(seed)
+    ones = np.concatenate(
+        [BLOCK * i + np.sort(gen.choice(BLOCK, w, replace=False)) for i, w in enumerate(weights)]
+    )
+    one_bounds = np.concatenate([[0], np.cumsum(weights)])
+    bounds = np.arange(0, n + 1, BLOCK)
+    x = np.zeros(n, dtype=np.uint8)
+    none = np.array([], dtype=np.int64)
+    m_a = encode_blocks(shared, x, none, np.zeros(k + 1, dtype=np.int64), k, bounds)
+    x[ones] = 1
+    m_b = encode_blocks(shared, x, ones, one_bounds, k, bounds)
+    words = [w.copy() for w in m_b.words]
+    flips = st.tuples(
+        st.integers(0, 1), st.integers(0, params.repetitions - 1), st.integers(0, k - 1),
+        st.integers(0, 10**6),
+    )
+    for seg, rep, i, bit in data.draw(st.lists(flips, max_size=4), label="flips"):
+        bit %= params.segment_bits[seg]
+        words[seg][rep, i, bit // 64] ^= np.uint64(1 << bit % 64)
+    m_b = hamming.BlockMessages(shared, k, words=tuple(words))
+    blocks = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=32), label="blocks"))
+    positions = [np.arange(BLOCK * i, BLOCK * (i + 1)) for i in range(k)]
+
+    got = decide_block(m_a, m_b, blocks, positions)
+    diffs = [w.take(blocks, axis=1) for w in words]  # Alice's words are zero
+    assert got == hamming._decide_each(shared, diffs, positions, blocks)
+    syn_bits, fp_bits = (unpack_words(w, bits) for w, bits in zip(words, params.segment_bits))
+    assert [(v.le, v.estimate) for v in got] == [
+        dense_verdict(shared, syn_bits[:, i], fp_bits[:, i]) for i in blocks
+    ]

@@ -76,12 +76,17 @@ def test_field_mul_matches_polynomial_mult():
 
 
 def test_qsolve_solves_its_quadratic():
-    for m in (4, 5, 9):
+    # entry u is the even root of w^2 + w = u, 0 outside the image (and at
+    # u = 0, whose roots are 0 and 1)
+    for m in (4, 5, 9, 16):
         fld = field(m)
+        table = fld.qsolve_np
+        assert table.dtype == np.uint16 and table.shape == (1 << m,)
         hits = 0
         for u in range(1 << m):
-            w = fld.qsolve(u)
-            if w is not None:
+            w = int(table[u])
+            assert w % 2 == 0
+            if w or not u:
                 hits += 1
                 assert fld.mul(w, w) ^ w == u
         assert hits == (1 << m) // 2  # image of w^2 + w has index 2

@@ -570,19 +570,21 @@ def test_guard_decide_matches_decoding_every_repetition(d, n, monkeypatch):
 
 
 def test_bulk_decide_matches_per_block_oracle(monkeypatch):
-    # a call deciding >= 32 blocks settles every weight-0 and weight-1
-    # repetition in one pass and sends only the other blocks to the
-    # per-block decider; every block's verdict must be dense_verdict of its
-    # own differences.  Alice's input is zero, so Bob's words are the
-    # differences: blocks at distance 0 to 4 and 7 (weight-2 and
-    # Berlekamp-Massey rows among them), one zero block with a nonzero
-    # fingerprint, one distance-1 block with a tampered fingerprint, and one
-    # distance-3 block whose repetition 0 is made a weight-1 row with the
-    # wrong fingerprint
+    # a call deciding >= 32 blocks settles every repetition of weight 0, 1
+    # or 2 in one pass and sends only the other blocks to the per-block
+    # decider; every block's verdict must be dense_verdict of its own
+    # differences.  Alice's input is zero, so Bob's words are the
+    # differences: blocks at distance 0 to 4 and 7 (Berlekamp-Massey rows
+    # among them), one zero block with a nonzero fingerprint, one distance-1
+    # and one distance-2 block with a tampered fingerprint, one distance-3
+    # block whose repetition 0 is made a weight-1 row with the wrong
+    # fingerprint, and one distance-2 block whose repetition 0 is made the
+    # syndrome of a pair with a bucket past B = 64 (the code has length 127)
     n, k, j = 1600, 40, 4
     run = pk_shared(k, n, "syndrome", ROOT.derive("bulk"))
     stack = run.stacks[j]
     params, code = stack.params, stack.params.code
+    fld, b = code.field, params.bucket_count
     dists = [(0, 1, 2, 3, 4, 1, 0, 7)[i % 8] for i in range(k)]
     positions = [run.sort_order[run.bounds[i] : run.bounds[i + 1]] for i in range(k)]
     assert all(len(p) >= 7 for p in positions)
@@ -594,6 +596,12 @@ def test_bulk_decide_matches_per_block_oracle(monkeypatch):
     fp[1, 1, 0] ^= np.uint64(1 << 3)  # block 1: distance 1
     synd[0, 3] = code.cols[5]  # block 3: distance 3
     fp[0, 3] = stack.fmat[0, 6]
+    rep = int(np.flatnonzero(synd[:, 10].any(axis=1))[0])  # block 10: distance 2
+    fp[rep, 10, 0] ^= np.uint64(1 << 2)
+    pair = [fld.exp[(2 * i + 1) * 5 % fld.order] ^ fld.exp[(2 * i + 1) * 100 % fld.order]
+            for i in range(code.d)]  # block 18: distance 2
+    synd[0, 18, 0] = np.uint64(oracles.pack_elements(code, pair))
+    assert code.decode_elements(oracles.pack_elements(code, pair)) is None
     m_b = BlockMessages(stack, k, words=(synd, fp))
 
     def want(i):
@@ -609,11 +617,12 @@ def test_bulk_decide_matches_per_block_oracle(monkeypatch):
     blocks = list(range(k))
     got = decide_block(m_a, m_b, blocks, positions)
     assert [(v.le, v.estimate) for v in got] == [want(i) for i in blocks]
-    assert not got[0].le and not got[1].le and not got[3].le
+    assert not any(got[i].le for i in (0, 1, 3, 10, 18))
     assert got[2].le and got[4].le and (got[5].estimate, got[6].estimate) == (1, 0)
-    # blocks 0, 1 and 3 fail in the bulk pass, and weight-0/1 blocks settle
-    # there; the rest reach the per-block decider
-    assert calls == [i for i in blocks if dists[i] >= 2 and i != 3]
+    assert got[2].estimate == 2
+    # blocks 0, 1, 3 and 10 fail in the bulk pass, and weight-0/1/2 blocks
+    # settle there; the rest, block 18 among them, reach the per-block decider
+    assert calls == [i for i in blocks if (dists[i] >= 3 and i != 3) or i == 18]
     # 39 of the blocks go through the bulk pass, 20 all one by one
     for sub, decided in ((blocks[1:], calls[:]), (blocks[::2], blocks[::2])):
         calls.clear()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from xorsmp import gf2
+from xorsmp import gf2, harness
 from xorsmp.coins import CoinSource
 from xorsmp.harness import (
     TrialConfig,
@@ -429,15 +429,28 @@ def test_malformed_line_number_counts_blank_lines(tmp_path):
     ("predicate", str.upper, r"'predicate': 'HAM:2' is not written 'ham:2'$"),
     ("predicate", lambda v: " " + v, r"'predicate': ' ham:2' is not written 'ham:2'$"),
     ("seed", lambda v: "-" + v, r"'seed': seed must be an unsigned 64-bit integer$"),
+    # the strategy used to raise without naming its field, and each branch
+    # spelling used to replay with consistent False
+    ("strategy", str.upper,
+     r"'strategy': 'SYNDROME' is not one of 'raw', 'bucket', 'syndrome'$"),
+    ("branch", str.upper, r"'branch': 'LOW' is not one of 'low', 'high', 'parity'$"),
+    ("branch", lambda v: v + " ", r"'branch': 'low ' is not one of 'low', 'high', 'parity'$"),
 ], ids=["short-x", "long-y", "seed-not-int", "output-empty", "cost-bits-not-int",
         "weight-not-distance", "zero-led-seed", "signed-seed", "spaced-n", "zero-led-trial",
-        "uppercase-predicate", "spaced-predicate", "negative-seed"])
-def test_dump_header_bad_field_is_named(tmp_path, key, edit, message):
+        "uppercase-predicate", "spaced-predicate", "negative-seed", "uppercase-strategy",
+        "uppercase-branch", "spaced-branch"])
+def test_dump_header_bad_field_is_named(tmp_path, monkeypatch, key, edit, message):
     lines = _syndrome_dump_lines(tmp_path)
     lines[0] = "\t".join(
         f"{key}={edit(t.split('=', 1)[1])}" if t.startswith(f"{key}=") else t
         for t in lines[0].split("\t")
     )
+
+    def no_coins(*args):
+        raise AssertionError("p_shared ran")
+
+    # every header field is checked before any coin is drawn
+    monkeypatch.setattr(harness, "p_shared", no_coins)
     with pytest.raises(ValueError, match=rf"^dump header field {message}"):
         replay_transcript_text("\n".join(lines) + "\n")
 
