@@ -18,7 +18,11 @@ of the sender's input, so the XOR of the two messages equals the same
 function of x XOR y; all decisions are made on that difference.  Syndromes
 and fingerprints are computed as GF(2) operations: each is the XOR of
 packed uint64 columns gathered at the sender's ones (a bucket's BCH
-column, a bucket's fingerprint column), taken per block.  Both
+column, a bucket's fingerprint column), taken per block.  The XOR's
+layout follows the syndrome's word count: a single block's syndrome of
+several words is gathered position-major and XORed as contiguous rows.
+The referee checks a decode's one-word fingerprint as an int XOR of the
+decoded buckets' columns, and a wider one with numpy.  Both
 strategies only ever under-count distances (hash collisions cancel
 parities in pairs), which makes the verdict one-sided: a true distance at
 most d is never reported as GT unless a fingerprint or decode anomaly
@@ -34,8 +38,9 @@ chosen from a property of its input, never from a setting:
   blocks): every repetition whose syndrome difference is zero, one bucket's
   column, or (at d >= 2) the XOR of the two columns that the pair's closed
   form names from S_1 and S_3 is settled, fingerprint included, in one
-  numpy pass over all blocks; only blocks with a repetition it cannot
-  settle are decided one by one.
+  numpy pass over all blocks, which checks two candidate buckets per
+  repetition; only blocks with a repetition it cannot settle are decided
+  one by one.
 * Prediction: within a block, once two repetitions have decoded to more
   than two buckets, the positions decoded in both predict each later
   repetition, which is checked against its syndrome instead of decoded: a
@@ -354,7 +359,19 @@ def encode_blocks(
     # keeps hit C-ordered: buckets[:, ones] is Fortran-ordered, from which
     # the row gathers below run 3-5x slower
     hit = ones[None] if shared.buckets is None else shared.buckets.take(ones, axis=1)
-    synd = _xor_by_block(params.syndrome_cols.take(hit, axis=0), one_bounds)
+    scols = params.syndrome_cols
+    if k == 1 and scols.shape[1] > 1:
+        # One block, a syndrome of several words: gather position-major and
+        # XOR whole (R, words) rows, contiguous, instead of reducing the
+        # strided middle axis.  Gather and XOR, best of 7 in-process on a
+        # 2-vCPU host: the r = 64 guard's 15 words at 2,060 ones, 0.21 ms
+        # against 0.34; d = 8 at length 64 (2 words), 30 ones, 3.1 against
+        # 4.2 us.  One-word syndromes are contiguous already, and there
+        # position-major measured slower: 5.8 against 3.0 us at d = 4 with
+        # 128 ones.
+        synd = np.bitwise_xor.reduce(scols.take(hit.T, axis=0), axis=0)[:, None]
+    else:
+        synd = _xor_by_block(scols.take(hit, axis=0), one_bounds)
     cols = shared.fmat.reshape(-1, shared.fmat.shape[-1])  # (R B, w): rep r starts at r B
     rep_base = np.arange(r_count)[:, None] * params.bucket_count
     fp = _xor_by_block(cols.take(hit + rep_base, axis=0), one_bounds)
@@ -431,12 +448,13 @@ def _decide_each(
 
 # A call deciding at least this many blocks first settles every repetition
 # of weight 0, 1 or 2 in one numpy pass (_settle_light_blocks), a fixed
-# 0.1 ms or so.  Every decide_block call of 400 c1_mix and 30 tail_r64
-# operations (seed 3), each timed best of 7 in-process on a 2-vCPU host with
-# the cut-offs interleaved: c1_mix's calls of 1 to 16 blocks took 0.058 ms
-# per operation at cut-offs of 12 to 48 and without the pass, and 0.064 at
-# 8; tail_r64's calls of 48 to 64 blocks 0.87 to 0.90 at any cut-off up to
-# 48, against 1.68 without.
+# 0.03 to 0.05 ms.  Every decide_block call of 400 c1_mix and 30 tail_r64
+# operations (seed 3), timed in-process on a 2-vCPU host with the cut-offs
+# interleaved: c1_mix's calls of 1 to 16 blocks took 0.043 to 0.045 ms per
+# operation at cut-offs of 4 to 32 and without the pass, and 0.049 with
+# the pass at every call (best of 21); tail_r64's calls of 48 to 64 blocks
+# 0.77 ms at cut-offs of 8 to 48 and 0.82 at 1, against 1.99 without
+# (best of 11).
 BULK_MIN_BLOCKS = 32
 
 
@@ -448,52 +466,60 @@ def _settle_light_blocks(
     fingerprint check fails; None for the others.
 
     ``syn`` and ``fps`` are the (R, blocks, words) syndrome and fingerprint
-    differences.  A repetition is settled as what ``BchCode.decode_elements``
-    returns for it: weight 0 when its syndrome is zero; weight 1 at bucket
-    log S_1 when that bucket's column is its syndrome; and, when d >= 2,
-    weight 2 at the buckets log(S_1 w) and log(S_1 (w + 1)), the roots w,
-    w + 1 of w^2 + w = S_3 / S_1^3 + 1 read from ``Field.qsolve_np``, when
-    both lie below B and their columns XOR to its syndrome.  Either way its
-    fingerprint must be that of the decoded buckets.  A block's verdict is
-    GT when any repetition fails and LE with the largest decoded weight
-    otherwise, so settling some repetitions in bulk and the rest one by one
-    gives the same verdicts."""
+    differences, repetition-major.  Each repetition gets two candidate
+    buckets, B standing for none (a zero column), and is settled as what
+    ``BchCode.decode_elements`` returns for it when their columns XOR to its
+    syndrome.  The candidates are log X_1 and log X_2, X_2 = X_1 + S_1, each
+    B when its element is 0 or its log is not below B.  At d >= 2,
+    X_1 = S_1 w for the even root w of w^2 + w = S_3 / S_1^3 + 1 read from
+    ``Field.qsolve_np``; w = 0 (S_3 = S_1^3, or no root) and d = 1 give
+    X_1 = 0, so the single bucket log S_1, and S_1 = 0 gives none, which
+    settles a zero syndrome only.  A pair with one bucket at or past B
+    leaves the other's column, which cannot match: it reads S_1 = X_2, and
+    the syndrome S_1 = X_1 + X_2 with X_1 nonzero.  A settled repetition's
+    fingerprint must be that of its buckets.  A block's verdict is GT when
+    any repetition fails and LE with the largest decoded weight otherwise,
+    so settling some repetitions in bulk and the rest one by one gives the
+    same verdicts."""
     params = shared.params
-    # the weight-1 and weight-2 tests exclude each other and a zero syndrome
-    zero = ~np.logical_or.reduce(syn, axis=2)
-    one = two = np.zeros_like(zero)
-    want = np.zeros_like(fps)
-    if syn.shape[2]:  # d >= 1: a syndrome to read S_1 (and S_3) from
-        code, b = params.code, params.bucket_count
-        fld, cols = code.field, code.cols
-        elem, word = np.uint64(fld.order), syn[..., 0]
-        log1 = fld.log_np.take((word & elem).astype(np.intp)).astype(np.intp)
-        lo = hi = np.where(log1 < b, log1, 0)  # log 0 is past every bucket
-        one = np.logical_and.reduce(cols.take(lo, axis=0) == syn, axis=2) & (log1 < b)
+    r_count, step, words = syn.shape
+    b = params.bucket_count
+    if words:  # d >= 1: S_1 (and S_3) come off the first syndrome word
+        code = params.code
+        fld, order = code.field, code.field.order
+        word = syn[..., 0].view(np.int64)
+        s1 = word & order
         if code.d >= 2:
-            log3 = fld.log_np.take((word >> np.uint64(code.m) & elem).astype(np.intp))
-            w = fld.qsolve_np.take(fld.exp_np.take(log3 + -3 * log1 % fld.order) ^ 1)
-            # w = 0 (no root, or X1 X2 = 0) and S_1 = 0 both read exp at or
-            # past 2 order, which is 0, whose log is past every bucket
-            roots = fld.log_np.take(fld.exp_np.take(log1 + fld.log_np.take([w, w ^ 1])))
-            inside = np.logical_and.reduce(roots < b, axis=0)
-            roots = np.where(inside, roots, 0)
-            pair = cols.take(roots[0], axis=0) ^ cols.take(roots[1], axis=0)
-            two = np.logical_and.reduce(pair == syn, axis=2) & inside
-            lo, hi = np.where(two, roots, (lo, hi))
-        # fingerprint columns: repetition r's bucket j is row r B + j
-        fcols = shared.fmat.reshape(-1, shared.fmat.shape[-1])
-        base = np.arange(syn.shape[0])[:, None] * b
-        want = np.where((one | two)[..., None], fcols.take(lo + base, axis=0), 0)
-        want ^= np.where(two[..., None], fcols.take(hi + base, axis=0), 0)
-    settled = zero | one | two
-    failed = np.logical_or.reduce(settled & np.logical_or.reduce(want != fps, axis=2), axis=0)
-    done = np.logical_and.reduce(settled, axis=0)
-    weight = np.maximum.reduce(np.where(two, 2, one), axis=0)
-    # one verdict object per outcome: LE at weight 0, 1, 2; GT; unsettled
+            # exp at log S_3 - 3 log S_1 (mod order) is S_3 / S_1^3; S_1 = 0
+            # or S_3 = 0 read exp at or past 2 order, which is 0, and so
+            # does X_1 for w = 0, whose log is past every bucket
+            log1 = fld.log_np.take(s1)
+            log3 = fld.log_np.take(word >> code.m & order)
+            u = fld.exp_np.take(log3 + (order - 3 * log1 % order)) ^ 1
+            x1 = fld.exp_np.take(log1 + fld.log_np.take(fld.qsolve_np.take(u)))
+        else:
+            x1 = np.zeros_like(s1)
+        cand = np.minimum(fld.log_np.take(np.array((x1, x1 ^ s1))), b)
+    else:
+        cand = np.full((2, r_count, step), b)
+    # row B of the columns and column B of each repetition's fingerprint
+    # matrix are zero
+    cols = np.zeros((b + 1, words), dtype=np.uint64)
+    cols[:b] = params.syndrome_cols
+    pair = cols.take(cand, axis=0)
+    unsettled = np.logical_or.reduce(pair[0] ^ pair[1] != syn, axis=2)
+    fcols = np.zeros((r_count, b + 1, fps.shape[2]), dtype=np.uint64)
+    fcols[:, :b] = shared.fmat
+    base = np.arange(0, r_count * (b + 1), b + 1)[:, None]
+    pair = fcols.reshape(-1, fps.shape[2]).take(cand + base, axis=0)
+    wrong = np.logical_or.reduce(pair[0] ^ pair[1] != fps, axis=2)
+    # a repetition's outcome, ranked: its weight, 3 when unsettled, 4 when a
+    # settled fingerprint fails; a block's is the largest of its repetitions'
+    rank = np.where(unsettled, 3, np.where(wrong, 4, np.add.reduce(cand < b)))
+    # one verdict object per outcome: LE at weight 0, 1, 2; unsettled; GT
     outcomes = [HDVerdict(le=True, estimate=e) for e in range(3)]
-    outcomes += [HDVerdict(le=False, estimate=params.d + 1), None]
-    return [outcomes[o] for o in np.where(failed, 3, np.where(done, weight, 4)).tolist()]
+    outcomes += [None, HDVerdict(le=False, estimate=params.d + 1)]
+    return [outcomes[o] for o in np.maximum.reduce(rank).tolist()]
 
 
 # A decode after a block's first one past weight 2 searches its locator's
@@ -576,8 +602,13 @@ def _decide_syndrome(
                     predicted = buckets[:, now & seen].tolist()
                     now |= seen
                 seen = now
-        # the decoded buckets' columns must XOR to the fingerprint difference
-        if one_word and len(hit) <= 2:
+        # The decoded buckets' columns must XOR to the fingerprint
+        # difference.  A one-word column is XORed as an int, at any decode
+        # size: best of 5 in-process on a 2-vCPU host, 0.64 / 1.6 / 4.2 /
+        # 9.2 us for 3 / 10 / 30 / 60 buckets against the numpy form's
+        # 2.4 / 2.8 / 4.9 / 6.1, and 88% of tail_r64's checks are of 3 to 10
+        # buckets, 4% of more than 30.  Wider columns keep the numpy form.
+        if one_word:
             got = 0
             for b in hit:
                 got ^= fmat.item(rep, b, 0)

@@ -354,21 +354,39 @@ def test_zero_syndrome_with_fingerprint_difference_is_gt():
     assert not decide_block(m_a, m_b, [0])[0].le
 
 
-@pytest.mark.parametrize("d, w", [(1, 0), (1, 1), (2, 2), (3, 3)])
-def test_fingerprint_difference_after_decode_is_gt(d, w):
-    # one flipped fingerprint bit in repetition 0 must be caught after every
-    # decode path: w = 0 leaves the syndromes equal (the difference is then a
-    # codeword of weight >= 2d + 1), and w = 1, 2, 3 decode through the
-    # weight-1, weight-2 and Berlekamp-Massey paths
-    params = HDParams(d=d, epsilon=0.1, strategy="syndrome", length=32)
+@pytest.mark.parametrize("d, w, epsilon, rep", [
+    *(pytest.param(d, w, 0.1, 0, id=f"{d}-{w}") for d, w in [(1, 0), (1, 1), (2, 2), (3, 3)]),
+    pytest.param(8, 6, 0.1, -1, id="8-6-last"),
+    pytest.param(20, 15, 0.1, -1, id="20-15-last"),
+    pytest.param(8, 6, 1e-18, -1, id="8-6-last-wide"),
+])
+def test_fingerprint_difference_after_decode_is_gt(d, w, epsilon, rep, monkeypatch):
+    # one flipped fingerprint bit in one repetition must be caught after
+    # every decode path: w = 0 leaves the syndromes equal (the difference is
+    # then a codeword of weight >= 2d + 1), and w = 1, 2, 3 decode
+    # repetition 0 through the weight-1, weight-2 and Berlekamp-Massey
+    # paths.  w = 6 and 15 flip the last repetition, a predicted one of more
+    # than two buckets, with one-word fingerprints and, at epsilon = 1e-18,
+    # 70-row ones of two words
+    params = HDParams(d=d, epsilon=epsilon, strategy="syndrome", length=32)
+    assert (params.fingerprint_rows > 64) == (epsilon < 0.1)
     shared = hd_shared(params, ROOT.derive(f"zs/{d}"))
     x, y = sample_pair_with_distance(32, w, ROOT.derive(f"zsx/{d}/{w}"))
     m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
+    decoded = []  # the packed syndromes decoded
+    decode = gf2.BchCode.decode_elements
+    monkeypatch.setattr(
+        gf2.BchCode, "decode_elements",
+        lambda code, packed, *rest: decoded.append(packed) or decode(code, packed, *rest),
+    )
     for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, [0])[0]):
         assert v.le and v.estimate == w
     synd, fp = m_b.words
+    if rep:  # the last repetition is predicted, never decoded
+        last = gf2.row_ints((m_a.words[0] ^ synd)[rep])[0]
+        assert decoded and last not in decoded
     fp = fp.copy()
-    fp[0, 0, 0] ^= 1
+    fp[rep, 0, 0] ^= 1
     m_b = BlockMessages(shared, 1, words=(synd, fp))
     for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, [0])[0]):
         assert not v.le and v.estimate == d + 1
@@ -394,7 +412,25 @@ def test_stack_words_match_dense_oracle(zero_input):
     # words equal H . parity and F . parity mod 2 of each block's bucket
     # parities (F . x_block for d = 0), F being the (f, B) bit matrix whose
     # packed columns are fmat[r]; empty blocks and an all-zero input give
-    # zero words
+    # zero words.  So do single-block stacks whose syndromes span several
+    # words: d = 8 (72 bits) and d = 20 (220 bits) at length 64
+    def check(stack, msg, i, x_block):
+        params = stack.params
+        f = params.fingerprint_rows
+        if params.d == 0:
+            got = unpack_words(msg.words[1][0, i], f)
+            assert (got == gf2_mat_vec(unpack_words(stack.fmat[0], f).T, x_block)).all()
+            return
+        h = code_parity_check(params.code)
+        for r in range(params.repetitions):
+            par = np.bincount(
+                stack.buckets[r][x_block == 1], minlength=params.bucket_count
+            ) % 2
+            got_s = unpack_words(msg.words[0][r, i], params.code.redundancy)
+            got_f = unpack_words(msg.words[1][r, i], f)
+            assert (got_s == gf2_mat_vec(h, par)).all()
+            assert (got_f == gf2_mat_vec(unpack_words(stack.fmat[r], f).T, par)).all()
+
     n, k = 12, 6
     coins = ROOT.derive("stack")
     shared = pk_shared(k, n, "syndrome", coins)
@@ -404,23 +440,17 @@ def test_stack_words_match_dense_oracle(zero_input):
     msgs = pk_party_messages(shared, x)
     x_arr = x.to_array()
     for stack, msg in zip(shared.stacks, msgs):
-        params = stack.params
-        f = params.fingerprint_rows
         for i in range(k):
-            x_block = x_arr * (block_of == i)
-            if params.d == 0:
-                got = unpack_words(msg.words[1][0, i], f)
-                assert (got == gf2_mat_vec(unpack_words(stack.fmat[0], f).T, x_block)).all()
-                continue
-            h = code_parity_check(params.code)
-            for r in range(params.repetitions):
-                par = np.bincount(
-                    stack.buckets[r][x_block == 1], minlength=params.bucket_count
-                ) % 2
-                got_s = unpack_words(msg.words[0][r, i], params.code.redundancy)
-                got_f = unpack_words(msg.words[1][r, i], f)
-                assert (got_s == gf2_mat_vec(h, par)).all()
-                assert (got_f == gf2_mat_vec(unpack_words(stack.fmat[r], f).T, par)).all()
+            check(stack, msg, i, x_arr * (block_of == i))
+        if zero_input:
+            assert not any(w.any() for w in msg.words)
+    for d, bits in ((8, 72), (20, 220)):
+        params = HDParams(d=d, epsilon=0.1, strategy="syndrome", length=64)
+        assert params.code.redundancy == bits
+        stack = hd_shared(params, coins.derive(f"one/{d}"))
+        x = BitVector(64, 0) if zero_input else BitVector.random(64, coins.derive(f"x/{d}"))
+        msg = hd_encode_shared(stack, x)
+        check(stack, msg, 0, x.to_array())
         if zero_input:
             assert not any(w.any() for w in msg.words)
 

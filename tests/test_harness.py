@@ -214,6 +214,29 @@ def test_dump_and_replay_consistency(tmp_path):
         assert res.cost_bits == int(fields[9])
 
 
+def test_replay_resolves_a_runs_predicate_once(tmp_path, monkeypatch):
+    # every dump of one run names the same (predicate, n, seed): replay
+    # builds the family once for them, and again for a run with another seed
+    for seed in (13, 14):
+        cfg = TrialConfig(n=24, predicate_spec="random:3", weights=[1], trials=2,
+                          seed=seed, strategy="syndrome", dump_dir=tmp_path / str(seed))
+        run_trials(cfg)
+    harness._dumped_run.cache_clear()
+    built = []
+    build = harness.family
+    monkeypatch.setattr(harness, "family", lambda *args: built.append(args[:2]) or build(*args))
+    for seed, want in ((13, 1), (14, 2)):
+        dumps = sorted((tmp_path / str(seed)).glob("trial-*.txt"))
+        assert len(dumps) == 2
+        assert all(replay_transcript_text(path.read_text()).consistent for path in dumps)
+        assert built == [("random:3", 24)] * want
+    # a cached resolution still rejects a spelling the writer never produces
+    upper = dumps[0].read_text().replace("predicate=random:3", "predicate=RANDOM:3", 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'RANDOM:3' is not written 'random:3'"):
+            replay_transcript_text(upper)
+
+
 def test_replay_detects_tampering(tmp_path):
     cfg = TrialConfig(n=24, predicate_spec="eq", weights=[1], trials=1,
                       seed=2, strategy="syndrome", dump_dir=tmp_path)

@@ -73,6 +73,17 @@ def test_pk_degenerate_k1():
     assert sh.partition.block_of.tolist() == [0] * 8
 
 
+@pytest.mark.parametrize("k", [1, 64, 255, 256, 257])
+def test_pk_sort_order_is_stable_argsort_of_block_ids(k):
+    # the block ids are sorted as the narrowest unsigned type holding k - 1
+    # (uint8 up to k = 256, uint16 at 257); the order must be the int64
+    # stable argsort's, so each block's positions stay in increasing order
+    sh = pk_shared(k, 4096, "syndrome", ROOT.derive(f"sort/{k}"))
+    block_of = sh.partition.block_of
+    assert block_of.dtype == np.int64
+    assert (sh.sort_order == np.argsort(block_of, kind="stable")).all()
+
+
 def test_pk_message_count_and_symmetry():
     n, k = 64, 4
     sh = pk_shared(k, n, "syndrome", ROOT.derive("cnt"))
