@@ -1,8 +1,9 @@
 """One protocol run, narrated end to end.
 
 Alice holds x, Bob holds y, both read the same public coins.  Each builds
-a message bundle from its own input alone; the referee reads the two
-bundles plus the coins and announces f(x, y) = D(|x XOR y|).
+a message bundle from its own input alone; the referee reads the coins
+and the XOR of the two bundles, which is the bundle of x XOR y, and
+announces f(x, y) = D(|x XOR y|).
 """
 
 from xorsmp import (
@@ -43,7 +44,13 @@ bundle_a = p_party_messages(shared, x, ALICE)
 bundle_b = p_party_messages(shared, y, BOB)
 print(f"Alice sends {bundle_a.cost_bits} bits, Bob sends {bundle_b.cost_bits} bits")
 
-result = p_referee(shared, bundle_a, bundle_b)
+# Every message is GF(2)-linear in its sender's input, so the XOR of the two
+# bundles is the bundle of x XOR y: the referee reads only that difference.
+diff = bundle_a ^ bundle_b
+print("the referee reads bundle_a ^ bundle_b, the bundle of x XOR y "
+      f"(its parity bit is parity(x XOR y) = {diff.parity_bit})")
+
+result = p_referee(shared, diff)
 print(f"\nreferee branch taken: {result.branch} (recovered distance {result.sum_h})")
 print(f"referee output: {result.output}, ground truth: {oracle(pred, x, y)}")
 

@@ -33,17 +33,6 @@ class BitVector:
         return cls(length, 0)
 
     @classmethod
-    def from_bits(cls, bits: str) -> "BitVector":
-        """Parse a left-to-right bit string, position 0 first."""
-        if bits.strip("01"):
-            raise ValueError("bit string must contain only 0/1")
-        value = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                value |= 1 << i
-        return cls(len(bits), value)
-
-    @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitVector":
         packed = np.packbits(arr.astype(np.uint8), bitorder="little")
         return cls(len(arr), int.from_bytes(packed.tobytes(), "little"))

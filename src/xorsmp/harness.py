@@ -302,7 +302,7 @@ def replay_transcript_text(text: str) -> ReplayResult:
     pred, profile = _header_field(h, "predicate", dumped_predicate)
     shared = p_shared(pred, profile, strategy, root.derive(f"trial/{trial}"))
     bundle_a, bundle_b = bundles_from_transcript(shared, t)
-    res = p_referee(shared, bundle_a, bundle_b)
+    res = p_referee(shared, bundle_a ^ bundle_b)
     truth = oracle(pred, x, y)
     cost = transcript_cost(t)
     consistent = res.output == output and cost == cost_bits and res.branch == branch

@@ -187,10 +187,6 @@ def parse_predicate(text: str) -> Predicate:
     return Predicate([int(ch) for ch in row])
 
 
-def format_predicate(d: Predicate) -> str:
-    return f"{d.n}\n" + "".join(str(v) for v in d.values) + "\n"
-
-
 __all__ = [
     "Predicate",
     "Profile",
@@ -204,5 +200,4 @@ __all__ = [
     "random_predicate",
     "family",
     "parse_predicate",
-    "format_predicate",
 ]

@@ -2,7 +2,7 @@
 full three-branch protocol built from two of them.
 
 Both parties build their messages from (own input, shared coins) only; the
-referee reads the two message bundles plus the same public coins and
+referee reads the same public coins and the XOR of the two bundles, and
 announces one bit.  The promise protocol partitions [n] into k blocks,
 runs a stack of distance-threshold instances per block, and binary-searches
 each block's distance; it returns the total.  The full protocol handles
@@ -18,15 +18,23 @@ Cost accounting is bit-exact: a transcript is the ordered list of payloads
 both parties sent, and its cost is their total bit length.  Coins are free
 (public-coin model) and the referee sends nothing.
 
+Every message is GF(2)-linear in its sender's input, so ``bundle_a ^
+bundle_b`` is the bundle the same coins encode from x XOR y (from its
+complement on a reflected tail, as Alice's input is there), with parity
+bit parity(x XOR y).  That difference bundle is all the referee reads:
+``run_protocol`` encodes it once, on |x XOR y| ones, and a replay XORs
+the two dumped bundles stack by stack.
+
 Nothing is drawn or encoded that the referee does not read.  The cost
 and the dump layout come from the run shape's plan (``trial_plan``),
 checked and built once per process.  The referee always reads the low
 tail's guard, reads the high tail's only when the low one fails, and
 reads at most one promise run, in which the threshold search reads a few
-stacks per block.  Each of
-these is drawn (``PShared``) and encoded (``PBundle``) on its first read.
-A message is a pure function of (own input, coins from its own derived
-child), so this changes no bit of it.  Writing a dump reads everything.
+stacks per block.  Each of these is drawn (``PShared``) and encoded, or
+XORed (``PBundle``), on its first read.  A message is a pure function of
+(own input, coins from its own derived child), so this changes no bit of
+it.  The parties' own bundles cost nothing until a dump reads them, which
+reads everything.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from .hamming import (
     HDShared,
     decide_block,
     encode_blocks,
-    hd_decide,
+    hd_decide,  # not called here: perfbench/tracer.py wraps protocol.hd_decide
     hd_encode_shared,
     hd_shared,
     threshold_search,
@@ -94,6 +102,13 @@ class Lazy(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         return (self[j] for j in range(len(self._items)))
+
+    def __xor__(self, other: "Lazy") -> "Lazy":
+        """The sequence whose item j is ``self[j] ^ other[j]``, made, and
+        each operand's item read, on first read."""
+        if len(self) != len(other):
+            raise ValueError(f"cannot XOR {len(self)} items with {len(other)}")
+        return Lazy(len(self), lambda j: self[j] ^ other[j])
 
 
 # The guard of a length-r tail is the threshold d = r.
@@ -185,18 +200,18 @@ def pk_party_messages(shared: PkShared, x: Union[BitVector, np.ndarray]) -> Lazy
     )
 
 
-def pk_referee(
-    shared: PkShared, msgs_a: Lazy[BlockMessages], msgs_b: Lazy[BlockMessages]
-) -> int:
+def pk_referee(shared: PkShared, diff: Lazy[BlockMessages]) -> int:
     """Recover each block's distance by lazy binary search, all blocks
-    level by level, and return their total, clamped to n."""
-    if len(msgs_a) != len(shared.params) or len(msgs_b) != len(shared.params):
+    level by level, and return their total, clamped to n.  ``diff`` holds
+    the difference's threshold stacks: ``msgs_a ^ msgs_b`` of the two
+    parties' runs, or ``pk_party_messages`` of x XOR y."""
+    if len(diff) != len(shared.params):
         raise ValueError("message bundle does not match the instance")
     bounds = shared.bounds
     positions = Lazy(shared.k, lambda i: shared.sort_order[bounds[i] : bounds[i + 1]])
 
     def verdicts(j: int, blocks: List[int]) -> List[bool]:
-        return [v.le for v in decide_block(msgs_a[j], msgs_b[j], blocks, positions)]
+        return [v.le for v in decide_block(diff[j], blocks, positions)]
 
     return min(sum(threshold_search(shared.c, shared.k, verdicts)[0]), shared.n)
 
@@ -298,9 +313,14 @@ def p_shared(d: Predicate, profile: Profile, strategy: str, coins: CoinSource) -
     return PShared(d, profile, n, plan, Lazy(tails, guard), Lazy(tails, run))
 
 
+# The party of the bundle the referee reads, bundle_a ^ bundle_b.
+DIFFERENCE = f"{ALICE}^{BOB}"
+
+
 @dataclass(frozen=True, eq=False)
 class PBundle:
-    """Everything one party sends in the full protocol; ``guards`` and
+    """Everything one party sends in the full protocol, or, with party
+    ``DIFFERENCE``, the XOR of both parties' bundles; ``guards`` and
     ``runs`` are indexed like ``TAILS``.  A guard is encoded, and a run's
     input split by block, when the referee (or a dump) first reads it."""
 
@@ -314,6 +334,39 @@ class PBundle:
     def cost_bits(self) -> int:
         return self.shared.plan.party_bits
 
+    def __xor__(self, other: "PBundle") -> "PBundle":
+        """The difference bundle of Alice's and Bob's, in either order: each
+        guard and each run's threshold stack is XORed on first read."""
+        if {self.party, other.party} != {ALICE, BOB}:
+            raise ValueError("need one bundle per party")
+
+        def run(i: int) -> Optional[Lazy[BlockMessages]]:
+            return None if self.runs[i] is None else self.runs[i] ^ other.runs[i]
+
+        runs = Lazy(len(TAILS), run)
+        parity_bit = self.parity_bit ^ other.parity_bit
+        return PBundle(DIFFERENCE, self.shared, self.guards ^ other.guards, runs, parity_bit)
+
+
+def _encoded_bundle(shared: PShared, party: str, own_input: BitVector, flip: bool) -> PBundle:
+    """The bundle encoded from ``own_input``, complemented on the reflected
+    tails when ``flip``.  Nothing is unpacked or encoded before it is read."""
+    # each polarity is unpacked once: a tail's guard and run encode the same bits
+    plain = functools.cache(own_input.to_array)
+    unpacked = Lazy(2, lambda flipped: plain() ^ 1 if flipped else plain())
+
+    def own_bits(i: int) -> np.ndarray:
+        return unpacked[int(flip and TAILS[i].reflected)]
+
+    def guard(i: int) -> BlockMessages:
+        return hd_encode_shared(shared.guards[i], own_bits(i))
+
+    def run(i: int) -> Optional[Lazy[BlockMessages]]:
+        return None if shared.runs[i] is None else pk_party_messages(shared.runs[i], own_bits(i))
+
+    tails = len(TAILS)
+    return PBundle(party, shared, Lazy(tails, guard), Lazy(tails, run), parity(own_input))
+
 
 def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBundle:
     """Build one party's bundle.  A reflected tail sees the complemented
@@ -321,22 +374,7 @@ def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBund
     effectively works on the pair (complement(x), y) there."""
     if party not in (ALICE, BOB):
         raise ValueError(f"party must be {ALICE!r} or {BOB!r}")
-    # unpacked once: every trial's referee reads a guard, and each tail's
-    # guard and run encode the same bits
-    own_bits = own_input.to_array()
-    flip = party == ALICE
-    unpacked = Lazy(
-        len(TAILS), lambda i: own_bits ^ 1 if flip and TAILS[i].reflected else own_bits
-    )
-
-    def guard(i: int) -> BlockMessages:
-        return hd_encode_shared(shared.guards[i], unpacked[i])
-
-    def run(i: int) -> Optional[Lazy[BlockMessages]]:
-        return None if shared.runs[i] is None else pk_party_messages(shared.runs[i], unpacked[i])
-
-    tails = len(TAILS)
-    return PBundle(party, shared, Lazy(tails, guard), Lazy(tails, run), parity(own_input))
+    return _encoded_bundle(shared, party, own_input, party == ALICE)
 
 
 @dataclass(frozen=True)
@@ -346,24 +384,24 @@ class PResult:
     sum_h: Optional[int] = None
 
 
-def p_referee(shared: PShared, bundle_a: PBundle, bundle_b: PBundle) -> PResult:
-    """Three-branch decision: low tail, high tail, then the parity answer.
-    The first tail whose check passes gives the distance t of its pair: the
-    promise run's total, or the check's estimate when the tail has no run.
-    The answer is D(t), or D(n - t) on the reflected tail, with sum_h = t."""
-    if bundle_a.party == bundle_b.party:
-        raise ValueError("need one bundle per party")
+def p_referee(shared: PShared, diff: PBundle) -> PResult:
+    """Three-branch decision on the difference bundle ``bundle_a ^
+    bundle_b``: low tail, high tail, then the parity answer.  The first
+    tail whose check passes gives the distance t of its pair: the promise
+    run's total, or the check's estimate when the tail has no run.  The
+    answer is D(t), or D(n - t) on the reflected tail, with sum_h = t."""
+    if diff.party != DIFFERENCE:
+        raise ValueError(f"the referee reads bundle_a ^ bundle_b, not {diff.party}'s bundle")
+    if diff.shared.plan is not shared.plan:
+        raise ValueError("the bundle comes from another run shape than shared")
     for i, tail in enumerate(TAILS):
-        verdict = hd_decide(shared.plan.guards[i], bundle_a.guards[i], bundle_b.guards[i])
+        verdict = decide_block(diff.guards[i], [0])[0]
         if not verdict.le:
             continue
         run = shared.runs[i]
-        if run is None:
-            t = verdict.estimate
-        else:
-            t = pk_referee(run, bundle_a.runs[i], bundle_b.runs[i])
+        t = verdict.estimate if run is None else pk_referee(run, diff.runs[i])
         return PResult(shared.predicate(shared.n - t if tail.reflected else t), tail.branch, t)
-    answer = shared.profile.t_of(bundle_a.parity_bit ^ bundle_b.parity_bit)
+    answer = shared.profile.t_of(diff.parity_bit)
     return PResult(answer if answer is not None else 0, BRANCH_PARITY)
 
 
@@ -682,8 +720,9 @@ class TrialOutcome:
     output: int
     branch: str
     cost_bits: int
-    bundle_a: PBundle
+    bundle_a: PBundle  # the parties' bundles, encoded only when a dump reads them
     bundle_b: PBundle
+    diff: PBundle      # the referee's: bundle_a ^ bundle_b, encoded from x XOR y
     shared: PShared
 
 
@@ -695,17 +734,21 @@ def run_protocol(
     strategy: str,
     coins: CoinSource,
 ) -> TrialOutcome:
-    """One end-to-end run: shared coins, both bundles, referee decision."""
+    """One end-to-end run: shared coins, both bundles, referee decision.
+    The referee's bundle_a ^ bundle_b is encoded from x XOR y, as Alice's
+    bundle is from x, so each stack it reads is encoded once."""
     shared = p_shared(d, profile, strategy, coins)
     bundle_a = p_party_messages(shared, x, ALICE)
     bundle_b = p_party_messages(shared, y, BOB)
-    res = p_referee(shared, bundle_a, bundle_b)
+    diff = _encoded_bundle(shared, DIFFERENCE, x ^ y, flip=True)
+    res = p_referee(shared, diff)
     return TrialOutcome(
         output=res.output,
         branch=res.branch,
         cost_bits=bundle_a.cost_bits + bundle_b.cost_bits,
         bundle_a=bundle_a,
         bundle_b=bundle_b,
+        diff=diff,
         shared=shared,
     )
 
@@ -713,6 +756,7 @@ def run_protocol(
 __all__ = [
     "ALICE",
     "BOB",
+    "DIFFERENCE",
     "BRANCH_LOW",
     "BRANCH_HIGH",
     "BRANCH_PARITY",

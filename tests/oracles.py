@@ -14,6 +14,22 @@ from xorsmp.coins import CoinSource
 from xorsmp.predicate import Predicate
 
 
+def from_bits(bits: str) -> BitVector:
+    """Parse a left-to-right bit string, position 0 first."""
+    if bits.strip("01"):
+        raise ValueError("bit string must contain only 0/1")
+    value = 0
+    for i, ch in enumerate(bits):
+        if ch == "1":
+            value |= 1 << i
+    return BitVector(len(bits), value)
+
+
+def format_predicate(d: Predicate) -> str:
+    """A predicate file's text, as ``predicate.parse_predicate`` reads it."""
+    return f"{d.n}\n" + "".join(str(v) for v in d.values) + "\n"
+
+
 def weight_vector_by_loop(n: int, w: int, coins: CoinSource) -> BitVector:
     """``sample_weight_vector`` one position at a time: the same first w
     entries of the same permutation, each ORed into an integer."""

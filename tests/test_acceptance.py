@@ -125,7 +125,7 @@ def test_criterion_3_promise_protocol():
             x, y = sample_pair_with_distance(n, k, coins.derive("input"))
             shared = pk_shared(k, n, "syndrome", coins)
             total = pk_referee(
-                shared, pk_party_messages(shared, x), pk_party_messages(shared, y)
+                shared, pk_party_messages(shared, x) ^ pk_party_messages(shared, y)
             )
             good += int(pred(total) == pred(k))
         rates[k] = good / trials

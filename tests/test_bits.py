@@ -13,13 +13,13 @@ from xorsmp.bits import (
 )
 from xorsmp.coins import CoinSource
 
-from .oracles import weight_vector_by_loop
+from .oracles import from_bits, weight_vector_by_loop
 
 ROOT = CoinSource.from_seed(0xB17)
 
 
 def bv(s: str) -> BitVector:
-    return BitVector.from_bits(s)
+    return from_bits(s)
 
 
 def test_hamming_distance_examples():
@@ -63,7 +63,7 @@ def test_bitvector_validation():
     with pytest.raises(ValueError):
         BitVector(-1, 0)
     with pytest.raises(ValueError):
-        BitVector.from_bits("01x")
+        from_bits("01x")
     v = bv("0110")
     with pytest.raises(AttributeError):
         v.value = 3

@@ -251,7 +251,7 @@ def test_bulk_decide_equals_per_block_decider_and_oracle(k, j, epsilon, seed, da
     blocks = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=32), label="blocks"))
     positions = [np.arange(BLOCK * i, BLOCK * (i + 1)) for i in range(k)]
 
-    got = decide_block(m_a, m_b, blocks, positions)
+    got = decide_block(m_a ^ m_b, blocks, positions)
     diffs = [w.take(blocks, axis=1) for w in words]  # Alice's words are zero
     assert got == hamming._decide_each(shared, diffs, positions, blocks)
     syn_bits, fp_bits = (unpack_words(w, bits) for w, bits in zip(words, params.segment_bits))

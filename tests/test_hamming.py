@@ -77,7 +77,7 @@ def test_param_derivations():
 
 def test_raw_payload_is_verbatim():
     params = HDParams(d=2, epsilon=0.1, strategy="raw", length=4)
-    msg = hd_encode_shared(hd_shared(params, ROOT.derive("raw")), BitVector.from_bits("1010"))
+    msg = hd_encode_shared(hd_shared(params, ROOT.derive("raw")), oracles.from_bits("1010"))
     assert msg.block_payloads()[0].tolist() == [1, 0, 1, 0]
 
 
@@ -335,7 +335,7 @@ def test_messages_from_different_coins_rejected():
     with pytest.raises(ValueError, match="different coins"):
         hd_decide(params, m_a, m_b)
     with pytest.raises(ValueError, match="different coins"):
-        decide_block(m_b, m_a, [0])
+        decide_block(m_b ^ m_a, [0])
     same = hd_encode_shared(hd_shared(params, ROOT.derive("a")), x)
     assert hd_decide(params, m_a, same) == HDVerdict(le=True, estimate=0)
 
@@ -351,7 +351,7 @@ def test_zero_syndrome_with_fingerprint_difference_is_gt():
     fp[0, 0, 0] ^= 1
     m_b = BlockMessages(shared, 1, words=(synd.copy(), fp))
     assert not hd_decide(params, m_a, m_b).le
-    assert not decide_block(m_a, m_b, [0])[0].le
+    assert not decide_block(m_a ^ m_b, [0])[0].le
 
 
 @pytest.mark.parametrize("d, w, epsilon, rep", [
@@ -379,7 +379,7 @@ def test_fingerprint_difference_after_decode_is_gt(d, w, epsilon, rep, monkeypat
         gf2.BchCode, "decode_elements",
         lambda code, packed, *rest: decoded.append(packed) or decode(code, packed, *rest),
     )
-    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, [0])[0]):
+    for v in (hd_decide(params, m_a, m_b), decide_block(m_a ^ m_b, [0])[0]):
         assert v.le and v.estimate == w
     synd, fp = m_b.words
     if rep:  # the last repetition is predicted, never decoded
@@ -388,7 +388,7 @@ def test_fingerprint_difference_after_decode_is_gt(d, w, epsilon, rep, monkeypat
     fp = fp.copy()
     fp[rep, 0, 0] ^= 1
     m_b = BlockMessages(shared, 1, words=(synd, fp))
-    for v in (hd_decide(params, m_a, m_b), decide_block(m_a, m_b, [0])[0]):
+    for v in (hd_decide(params, m_a, m_b), decide_block(m_a ^ m_b, [0])[0]):
         assert not v.le and v.estimate == d + 1
 
 
@@ -502,7 +502,7 @@ def test_decide_block_matches_dense_oracle(d, epsilon, n):
     def check(m_a, m_b):
         syn = unpack_words(m_a.words[0][:, 0] ^ m_b.words[0][:, 0], code.redundancy)
         fp = unpack_words(m_a.words[1][:, 0] ^ m_b.words[1][:, 0], f)
-        got = decide_block(m_a, m_b, [0])[0]
+        got = decide_block(m_a ^ m_b, [0])[0]
         assert (got.le, got.estimate) == oracles.dense_verdict(shared, syn, fp)
         return got
 
@@ -561,7 +561,7 @@ def test_guard_decide_matches_decoding_every_repetition(d, n, monkeypatch):
             for a, b, bits in zip(m_a.words, m_b.words, params.segment_bits)
         )
         calls.clear()
-        got = decide_block(m_a, m_b, [0])[0]
+        got = decide_block(m_a ^ m_b, [0])[0]
         decoded = len(calls)
         for decode in (oracles.reference_decode, oracles.library_decode):
             assert (got.le, got.estimate) == oracles.dense_verdict(shared, syn, fp, decode)
@@ -597,6 +597,24 @@ def test_guard_decide_matches_decoding_every_repetition(d, n, monkeypatch):
     got, decoded = check(diff)
     assert got.le and got.estimate == d // 2
     assert decoded == 3 < params.repetitions
+
+
+@pytest.mark.parametrize("strategy", ["raw", "bucket", "syndrome"])
+def test_decide_block_reads_blocks_in_the_order_given(strategy):
+    # a list of all k blocks that is not 0..k-1 must still be gathered: a
+    # 2-block stack at threshold 1 with block distances 0 and 3 answers
+    # [1, 0] with block 1's verdict first, and [0, 0] with block 0's twice
+    n, j = 64, 1
+    run = pk_shared(2, n, strategy, ROOT.derive(f"order/{strategy}"))
+    far = run.sort_order[run.bounds[1] : run.bounds[1] + 3]  # three positions of block 1
+    y = BitVector.from_array(np.isin(np.arange(n), far))
+    diff = pk_party_messages(run, BitVector(n, 0))[j] ^ pk_party_messages(run, y)[j]
+    near, apart = decide_block(diff, [0])[0], decide_block(diff, [1])[0]
+    assert near == HDVerdict(le=True, estimate=0) and not apart.le
+    assert decide_block(diff, [0, 1]) == [near, apart]
+    assert decide_block(diff, [1, 0]) == [apart, near]
+    assert decide_block(diff, [0, 0]) == [near, near]
+    assert decide_block(diff, [1, 1]) == [apart, apart]
 
 
 def test_bulk_decide_matches_per_block_oracle(monkeypatch):
@@ -645,7 +663,7 @@ def test_bulk_decide_matches_per_block_oracle(monkeypatch):
         hamming, "_decide_syndrome", lambda *args: calls.append(args[-1]) or decide(*args)
     )
     blocks = list(range(k))
-    got = decide_block(m_a, m_b, blocks, positions)
+    got = decide_block(m_a ^ m_b, blocks, positions)
     assert [(v.le, v.estimate) for v in got] == [want(i) for i in blocks]
     assert not any(got[i].le for i in (0, 1, 3, 10, 18))
     assert got[2].le and got[4].le and (got[5].estimate, got[6].estimate) == (1, 0)
@@ -656,7 +674,7 @@ def test_bulk_decide_matches_per_block_oracle(monkeypatch):
     # 39 of the blocks go through the bulk pass, 20 all one by one
     for sub, decided in ((blocks[1:], calls[:]), (blocks[::2], blocks[::2])):
         calls.clear()
-        assert decide_block(m_a, m_b, sub, positions) == [got[i] for i in sub]
+        assert decide_block(m_a ^ m_b, sub, positions) == [got[i] for i in sub]
         assert calls == decided
 
 
@@ -678,7 +696,7 @@ def test_guard_size_decide_leaves_numpy_ma_unloaded():
         "verdict = hd_decide(params, hd_encode_shared(shared, x), hd_encode_shared(shared, y))\n"
         "assert verdict.le and verdict.estimate == 40, verdict\n"
         "run = pk_shared(64, 4096, 'syndrome', root.derive('run'))\n"
-        "assert pk_referee(run, pk_party_messages(run, x), pk_party_messages(run, y)) == 40\n"
+        "assert pk_referee(run, pk_party_messages(run, x) ^ pk_party_messages(run, y)) == 40\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -21,8 +21,10 @@ from xorsmp.harness import (
     run_trials,
     sweep_r,
 )
-from xorsmp.predicate import compute_profile, family, format_predicate
+from xorsmp.predicate import compute_profile, family
 from xorsmp.protocol import p_total_cost, parse_transcript, transcript_cost
+
+from .oracles import format_predicate
 
 
 def test_auto_weights_eq():

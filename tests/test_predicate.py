@@ -9,7 +9,6 @@ from xorsmp.predicate import (
     compute_profile,
     eq_predicate,
     family,
-    format_predicate,
     ham_predicate,
     oracle,
     parity_predicate,
@@ -19,7 +18,9 @@ from xorsmp.predicate import (
     violations,
 )
 
-from .oracles import assert_profile_minimal, brute_force_profile, feasible, scan_violations
+from .oracles import (
+    assert_profile_minimal, brute_force_profile, feasible, format_predicate, scan_violations,
+)
 
 ROOT = CoinSource.from_seed(0xD00D)
 

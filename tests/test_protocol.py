@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorsmp import gf2, protocol
 from xorsmp.bits import BitVector, complement, sample_pair_with_distance
@@ -105,7 +107,7 @@ def test_pk_equal_inputs_yield_d0():
         pred = family(spec, 32)
         sh = pk_shared(4, 32, "syndrome", ROOT.derive(f"d0/{spec}"))
         x, _ = sample_pair_with_distance(32, 0, ROOT.derive(f"d0in/{spec}"))
-        total = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, x))
+        total = pk_referee(sh, pk_party_messages(sh, x) ^ pk_party_messages(sh, x))
         assert pred(total) == pred(0)
         assert total == 0
 
@@ -119,7 +121,7 @@ def test_pk_raw_is_exact_within_cap():
             coins = ROOT.derive(f"rawpk/{w}/{i}")
             x, y = sample_pair_with_distance(n, w, coins.derive("in"))
             sh = pk_shared(k, n, "raw", coins)
-            total = pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
+            total = pk_referee(sh, pk_party_messages(sh, x) ^ pk_party_messages(sh, y))
             assert total == w
             assert pred(total) == pred(w)
 
@@ -132,12 +134,12 @@ def test_pk_referee_is_lazy(monkeypatch):
     visits = []  # the (block, threshold) pairs decided
     decide = protocol.decide_block
 
-    def recording(msgs_a, msgs_b, blocks, *rest):
-        visits.extend((i, msgs_a.shared.params.d) for i in blocks)
-        return decide(msgs_a, msgs_b, blocks, *rest)
+    def recording(diff, blocks, *rest):
+        visits.extend((i, diff.shared.params.d) for i in blocks)
+        return decide(diff, blocks, *rest)
 
     monkeypatch.setattr(protocol, "decide_block", recording)
-    pk_referee(sh, pk_party_messages(sh, x), pk_party_messages(sh, y))
+    pk_referee(sh, pk_party_messages(sh, x) ^ pk_party_messages(sh, y))
     assert len(set(visits)) == len(visits)
     assert 0 < len(visits) <= k * math.ceil(math.log2(sh.c + 1))
 
@@ -154,7 +156,7 @@ def test_pk_special_case_k0():
         sh = p_shared(pred, prof, strategy, ROOT.derive(f"k0/{strategy}"))
         assert list(sh.runs) == [None, None]
         for y, w, branch in ((x, 0, BRANCH_LOW), (complement(x), n, BRANCH_HIGH)):
-            res = p_referee(sh, p_party_messages(sh, x, ALICE), p_party_messages(sh, y, BOB))
+            res = p_referee(sh, p_party_messages(sh, x, ALICE) ^ p_party_messages(sh, y, BOB))
             assert (res.branch, res.output, res.sum_h) == (branch, pred(w), 0)
 
 
@@ -232,11 +234,13 @@ def test_cost_decomposition():
 
 def _record_calls(monkeypatch):
     """Wrap ``protocol.encode_blocks`` (promise-run stacks; the guards encode
-    through ``hamming``), ``protocol.hd_shared`` and ``protocol.threshold_search``,
-    recording each encoded threshold, each coin label drawn and each
-    search's visited thresholds, listed per block; and ``CoinSource.generator``,
-    recording the label of every stream opened."""
-    seen = {"encode_blocks": [], "hd_shared": [], "threshold_search": [], "generator": []}
+    through ``hamming``), ``protocol.hd_encode_shared`` (guards),
+    ``protocol.hd_shared`` and ``protocol.threshold_search``, recording each
+    encoded threshold, each encoded guard's coin label, each coin label
+    drawn and each search's visited thresholds, listed per block; and
+    ``CoinSource.generator``, recording the label of every stream opened."""
+    seen = {"encode_blocks": [], "hd_encode_shared": [], "hd_shared": [],
+            "threshold_search": [], "generator": []}
     opened = CoinSource.generator
 
     def generator(self):
@@ -246,6 +250,7 @@ def _record_calls(monkeypatch):
     monkeypatch.setattr(CoinSource, "generator", generator)
     record = {
         "encode_blocks": lambda args, out: args[0].params.d,
+        "hd_encode_shared": lambda args, out: args[0].coins.path[-1],
         "hd_shared": lambda args, out: args[1].path[-1],
         "threshold_search": lambda args, out: out[1],
     }
@@ -331,8 +336,11 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     read = sorted(set().union(*seen["threshold_search"][0]))
     c = c_of_k(prof.r0)
     assert c not in read  # the top stack bounds the search and is never read
-    # each visited threshold is encoded once per party, and no other one
-    assert sorted(seen["encode_blocks"]) == sorted(2 * read)
+    # the referee's bundle, encoded from x XOR y, encodes each visited
+    # threshold exactly once, and no other one, and its one read guard once;
+    # without a dump, no party stack or guard is encoded
+    assert sorted(seen["encode_blocks"]) == read
+    assert seen["hd_encode_shared"] == ["p/hd0"]
     # the hd0 guard settles the trial: hd1 and the tilde run are never drawn
     assert seen["hd_shared"][0] == "p/hd0"
     assert sorted(seen["hd_shared"][1:]) == sorted(f"pk/main/hd/{j}" for j in read)
@@ -341,11 +349,13 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     assert "p/hd1" not in seen["generator"]
     assert out.cost_bits == p_total_cost(prof, LAZY_N, "syndrome")
     # writing a dump forces the rest: over the trial and its dump, every
-    # stack of both runs is drawn once and encoded once per party
+    # stack of both runs is drawn once and encoded once per party, besides
+    # the referee's
     entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
     assert transcript_cost(Transcript(header={}, entries=entries)) == out.cost_bits
     everything = [j for r in (prof.r0, prof.r1) for j in range(c_of_k(r) + 1)]
-    assert sorted(seen["encode_blocks"]) == sorted(2 * everything)
+    assert sorted(seen["encode_blocks"]) == sorted(read + 2 * everything)
+    assert sorted(seen["hd_encode_shared"]) == sorted(["p/hd0"] + 2 * ["p/hd0", "p/hd1"])
     drawn = [f"pk/{side}/hd/{j}" for side, r in (("main", prof.r0), ("tilde", prof.r1))
              for j in range(c_of_k(r) + 1)]
     assert sorted(seen["hd_shared"]) == sorted(["p/hd0", "p/hd1"] + drawn)
@@ -357,7 +367,7 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
         for run in bundle.runs:
             list(run)
         list(bundle.guards)
-    assert p_referee(sh, *eager).branch == BRANCH_LOW
+    assert p_referee(sh, eager[0] ^ eager[1]).branch == BRANCH_LOW
     forced = p_transcript_entries(sh, *eager)
     assert entry_rows(forced) == entry_rows(entries)
 
@@ -461,7 +471,7 @@ def test_undefined_parity_sentinel_outputs_zero():
     x, y = sample_pair_with_distance(4, 3, ROOT.derive("sentin"))
     ba = p_party_messages(sh, x, ALICE)
     bb = p_party_messages(sh, y, BOB)
-    res = p_referee(sh, ba, bb)
+    res = p_referee(sh, ba ^ bb)
     if res.branch == BRANCH_PARITY:  # reached unless a guard misfires
         assert res.output == 0
 
@@ -497,7 +507,7 @@ def test_transcript_roundtrip_replays_referee():
         parsed = parse_transcript(format_transcript(t))
         assert parsed.header == t.header
         ba, bb = bundles_from_transcript(out.shared, parsed)
-        res = p_referee(out.shared, ba, bb)
+        res = p_referee(out.shared, ba ^ bb)
         assert res.output == out.output
         assert res.branch == out.branch
 
@@ -535,8 +545,17 @@ def test_referee_rejects_same_party_bundles():
     sh = p_shared(pred, prof, "syndrome", ROOT.derive("same"))
     x, y = sample_pair_with_distance(n, 1, ROOT.derive("samein"))
     ba = p_party_messages(sh, x, ALICE)
-    with pytest.raises(ValueError):
-        p_referee(sh, ba, p_party_messages(sh, y, ALICE))
+    with pytest.raises(ValueError, match="need one bundle per party"):
+        p_referee(sh, ba ^ p_party_messages(sh, y, ALICE))
+    # the referee reads the difference bundle, never one party's
+    with pytest.raises(ValueError, match="the referee reads bundle_a \\^ bundle_b"):
+        p_referee(sh, ba)
+    # nor one of another run shape
+    other = p_shared(ham_predicate(n, 2), compute_profile(ham_predicate(n, 2)), "syndrome",
+                     ROOT.derive("same"))
+    diff = p_party_messages(other, x, ALICE) ^ p_party_messages(other, y, BOB)
+    with pytest.raises(ValueError, match="another run shape"):
+        p_referee(sh, diff)
 
 
 def test_envelope_rejects_before_allocating(monkeypatch):
@@ -610,3 +629,67 @@ def test_cost_query_builds_no_code(monkeypatch):
     assert prof.r0 == 100
     assert p_total_cost(prof, 4096, "syndrome") == 1_691_118
     assert gf2._CODES == {}
+
+
+# one-tailed random:8 at n = 64, two-tailed at n = 32 (r0 = 3, r1 = 2), and
+# parity at n = 16, whose tails have length 0: d = 0 guards and no run
+LINEAR_PREDICATES = {
+    "random:8": family("random:8", 64, ROOT.derive("linear/fam")),
+    "two-tailed": Predicate([1 if k <= 2 or k >= 31 else k % 2 for k in range(33)]),
+    "parity": parity_predicate(16),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=st.sampled_from(sorted(LINEAR_PREDICATES)),
+    strategy=st.sampled_from(STRATEGIES),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_referee_reads_the_xor_of_the_two_bundles(spec, strategy, seed, data):
+    # every segment is GF(2)-linear in the sender's input: per label, the XOR
+    # of Alice's and Bob's payloads is the payload of the run's difference
+    # bundle, which is encoded from x XOR y (complemented on the reflected
+    # tail), and the referee on bundle_a ^ bundle_b is the run's referee
+    pred = LINEAR_PREDICATES[spec]
+    n, prof = pred.n, compute_profile(pred)
+    w = data.draw(st.sampled_from(sorted({0, 1, prof.r0, prof.r0 + 1, n // 2, n - prof.r1, n})))
+    coins = ROOT.derive(f"linear/{spec}/{strategy}/{seed}")
+    x, y = sample_pair_with_distance(n, w, coins.derive("in"))
+    out = run_protocol(pred, prof, x, y, strategy, coins)
+    res = p_referee(out.shared, out.diff)
+    assert (res.output, res.branch) == (out.output, out.branch)
+    assert p_referee(out.shared, out.bundle_a ^ out.bundle_b) == res
+    assert p_referee(out.shared, out.bundle_b ^ out.bundle_a) == res
+    parties = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
+    diff = p_transcript_entries(out.shared, out.diff, out.diff)
+    per = len(parties) // 2
+    assert diff.labels[:per] == parties.labels[:per] == parties.labels[per:]
+    for i in range(per):
+        both = parties.payloads([i]) ^ parties.payloads([per + i])
+        assert np.array_equal(both, diff.payloads([i])), diff.labels[i]
+
+
+def test_xor_of_messages_needs_one_coin_draw_and_both_parties():
+    n = 32
+    pred = LINEAR_PREDICATES["two-tailed"]
+    prof = compute_profile(pred)
+    x, y = sample_pair_with_distance(n, 3, ROOT.derive("xor/in"))
+    sh, other = (p_shared(pred, prof, "syndrome", ROOT.derive(f"xor/{s}")) for s in "ab")
+    ba, bb = p_party_messages(sh, x, ALICE), p_party_messages(sh, y, BOB)
+    for a, b in ((ba, p_party_messages(sh, y, ALICE)), (bb, bb), (ba ^ bb, ba)):
+        with pytest.raises(ValueError, match="need one bundle per party"):
+            a ^ b
+    # messages drawn from different coins, guards and run stacks alike
+    foreign = p_party_messages(other, y, BOB)
+    with pytest.raises(ValueError, match="different coins"):
+        ba.guards[0] ^ foreign.guards[0]
+    with pytest.raises(ValueError, match="different coins"):
+        ba.runs[0][1] ^ foreign.runs[0][1]
+    mixed = ba ^ foreign  # lazy: the first stack read raises
+    with pytest.raises(ValueError, match="different coins"):
+        p_referee(sh, mixed)
+    # runs of different lengths do not XOR
+    with pytest.raises(ValueError, match="cannot XOR"):
+        ba.runs[0] ^ bb.runs[1]

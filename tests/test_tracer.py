@@ -42,23 +42,32 @@ def test_tracer_installs_and_restores():
     assert all(getattr(o, a) is f for (o, a), f in zip(owners, before))
     assert out.branch == protocol.BRANCH_HIGH
     seen = {rec[0] for rec in tr.kept}
+    # the referee decides its guards with decide_block on the difference,
+    # so protocol.hd_decide is wrapped but not called in a run (decide calls
+    # are counted below)
     for name in ("p_shared", "pk_shared", "hd_shared", "p_party_messages",
                  "pk_party_messages", "hd_encode_shared", "encode_blocks", "p_referee",
-                 "hd_decide", "pk_referee", "decide_block"):
+                 "pk_referee", "decide_block"):
         assert f"protocol.{name}" in seen, name
     # the BCH decoder ran under its wrapped name, and never on a zero
     # repetition (the referee skips those, so no weight-0 decode is counted)
     assert "gf2:BchCode.decode_elements" in seen
     assert sum(tr.counts[f"gf2.decode.{kind}"] for kind in ("w1", "w2", "bm", "fail")) > 0
     assert "gf2.decode.w0" not in tr.counts
-    # each party encodes its two guards, then, on first read, each threshold
-    # stack of the taken tail that the referee's search visited in some block
+    # the referee's difference bundle, encoded from x XOR y, encodes its two
+    # guards, then, on first read, each threshold stack of the taken tail
+    # that the search visited in some block; the parties' bundles encode
+    # nothing, as no dump reads them
     t = [tail.branch for tail in protocol.TAILS].index(out.branch)
     run, msgs_a, msgs_b = out.shared.runs[t], out.bundle_a.runs[t], out.bundle_b.runs[t]
-    visited = protocol.threshold_search(
-        run.c,
-        run.k,
-        lambda j, blocks: [v.le for v in protocol.decide_block(msgs_a[j], msgs_b[j], blocks)],
-    )[1]
-    read = set().union(*visited)
-    assert tr.counts["hamming.encode_calls"] == 2 * (2 + len(read)) == 8
+    levels = []  # the threshold of each decide_block call of the search
+
+    def verdicts(j, blocks):
+        levels.append(j)
+        return [v.le for v in protocol.decide_block(msgs_a[j] ^ msgs_b[j], blocks)]
+
+    read = set().union(*protocol.threshold_search(run.c, run.k, verdicts)[1])
+    assert tr.counts["hamming.encode_calls"] == 2 + len(read) == 4
+    # both guards are decided (the high branch is taken), then one call per
+    # threshold asked at each level of the search
+    assert tr.counts["hamming.decide_calls"] == 2 + len(levels)
