@@ -6,6 +6,8 @@ and the XOR of the two bundles, which is the bundle of x XOR y, and
 announces f(x, y) = D(|x XOR y|).
 """
 
+import numpy as np
+
 from xorsmp import (
     CoinSource,
     compute_profile,
@@ -17,6 +19,7 @@ from xorsmp import (
 from xorsmp.protocol import (
     ALICE,
     BOB,
+    DIFFERENCE,
     Transcript,
     p_party_messages,
     p_referee,
@@ -46,8 +49,8 @@ print(f"Alice sends {bundle_a.cost_bits} bits, Bob sends {bundle_b.cost_bits} bi
 
 # Every message is GF(2)-linear in its sender's input, so the XOR of the two
 # bundles is the bundle of x XOR y: the referee reads only that difference.
-diff = bundle_a ^ bundle_b
-print("the referee reads bundle_a ^ bundle_b, the bundle of x XOR y "
+diff = p_party_messages(shared, x ^ y, DIFFERENCE)
+print("the referee reads the bundle of x XOR y "
       f"(its parity bit is parity(x XOR y) = {diff.parity_bit})")
 
 result = p_referee(shared, diff)
@@ -59,3 +62,12 @@ t = Transcript(header={}, entries=entries)
 print(f"\ntranscript: {len(entries)} entries, {transcript_cost(t)} bits total; first few:")
 for party, label, bits in list(zip(entries.parties, entries.labels, entries.sizes))[:5]:
     print(f"  {party:5s} {label:28s} {bits:4d} bits")
+
+# Label by label, Alice's payload XOR Bob's is the difference bundle's.
+diff_entries = p_transcript_entries(shared, diff, diff)
+per = len(entries) // 2
+print("\nAlice's payload XOR Bob's, against the difference bundle's:")
+for i in (0, 1, 2, per - 1):
+    both = entries.payloads([i]) ^ entries.payloads([per + i])
+    same = np.array_equal(both, diff_entries.payloads([i]))
+    print(f"  {entries.labels[i]:28s} {'equal' if same else 'DIFFERENT'}")

@@ -8,7 +8,6 @@ cost accounting and a Monte Carlo harness.
 
 from .bits import (
     BitVector,
-    complement,
     hamming_distance,
     parity,
     sample_pair_with_distance,
@@ -22,7 +21,6 @@ from .predicate import (
     compute_profile,
     family,
     oracle,
-    tilde,
     violations,
 )
 from .protocol import (
@@ -43,7 +41,6 @@ __all__ = [
     "BitVector",
     "hamming_distance",
     "parity",
-    "complement",
     "sample_pair_with_distance",
     "CoinSource",
     "Partition",
@@ -60,7 +57,6 @@ __all__ = [
     "Profile",
     "violations",
     "compute_profile",
-    "tilde",
     "oracle",
     "family",
     "pk_shared",

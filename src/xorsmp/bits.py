@@ -86,12 +86,6 @@ def parity(x: BitVector) -> int:
     return x.value.bit_count() & 1
 
 
-def complement(x: BitVector) -> BitVector:
-    """Flip every bit."""
-    mask = (1 << x.length) - 1
-    return BitVector(x.length, x.value ^ mask)
-
-
 def input_bits(x: Union[BitVector, np.ndarray], length: int, owner: str) -> np.ndarray:
     """A party's input as ``length`` 0/1 uint8 values: a BitVector is
     unpacked, and an array is taken as already unpacked (``to_array``), so
@@ -134,7 +128,6 @@ __all__ = [
     "BitVector",
     "hamming_distance",
     "parity",
-    "complement",
     "input_bits",
     "sample_weight_vector",
     "sample_pair_with_distance",

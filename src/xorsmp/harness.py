@@ -32,6 +32,8 @@ from .predicate import (
     parse_predicate,
 )
 from .protocol import (
+    ALICE,
+    BOB,
     BRANCHES,
     Transcript,
     TrialOutcome,
@@ -39,6 +41,7 @@ from .protocol import (
     _hex_to_bytes,
     bundles_from_transcript,
     format_transcript,
+    p_party_messages,
     p_referee,
     p_shared,
     p_transcript_entries,
@@ -129,9 +132,6 @@ class CellStats:
         p = self.rate
         return math.sqrt(p * (1.0 - p) / self.trials)
 
-    def branch_rate(self, branch: str) -> float:
-        return self.branch_counts.get(branch, 0) / self.trials
-
 
 RUN_CSV_HEADER = "trial,n,predicate,r0,r1,weight,output,truth,correct,cost_bits,seed"
 
@@ -213,7 +213,11 @@ def _dump_trial(
     )
     transcript = Transcript(
         header=dict(zip(DUMP_HEADER, map(str, values), strict=True)),
-        entries=p_transcript_entries(outcome.shared, outcome.bundle_a, outcome.bundle_b),
+        entries=p_transcript_entries(
+            outcome.shared,
+            p_party_messages(outcome.shared, x, ALICE),
+            p_party_messages(outcome.shared, y, BOB),
+        ),
     )
     path = cfg.dump_dir / f"trial-{t:06d}.txt"
     path.write_text(format_transcript(transcript))
@@ -301,8 +305,7 @@ def replay_transcript_text(text: str) -> ReplayResult:
 
     pred, profile = _header_field(h, "predicate", dumped_predicate)
     shared = p_shared(pred, profile, strategy, root.derive(f"trial/{trial}"))
-    bundle_a, bundle_b = bundles_from_transcript(shared, t)
-    res = p_referee(shared, bundle_a ^ bundle_b)
+    res = p_referee(shared, bundles_from_transcript(shared, t))
     truth = oracle(pred, x, y)
     cost = transcript_cost(t)
     consistent = res.output == output and cost == cost_bits and res.branch == branch

@@ -95,11 +95,6 @@ def compute_profile(d: Predicate) -> Profile:
     return Profile(r0=r0, r1=r1, r=max(r0, r1), t_even=t_even, t_odd=t_odd)
 
 
-def tilde(d: Predicate) -> Predicate:
-    """The reflected predicate k -> D(n - k); an involution."""
-    return Predicate(bytes(reversed(d.values)))
-
-
 def oracle(d: Predicate, x: BitVector, y: BitVector) -> int:
     """Ground truth f(x, y) = D(|x XOR y|), evaluated directly."""
     if x.length != d.n or y.length != d.n:
@@ -192,7 +187,6 @@ __all__ = [
     "Profile",
     "violations",
     "compute_profile",
-    "tilde",
     "oracle",
     "eq_predicate",
     "ham_predicate",

@@ -18,12 +18,12 @@ Cost accounting is bit-exact: a transcript is the ordered list of payloads
 both parties sent, and its cost is their total bit length.  Coins are free
 (public-coin model) and the referee sends nothing.
 
-Every message is GF(2)-linear in its sender's input, so ``bundle_a ^
-bundle_b`` is the bundle the same coins encode from x XOR y (from its
+Every message is GF(2)-linear in its sender's input, so the XOR of the
+two bundles is the bundle the same coins encode from x XOR y (from its
 complement on a reflected tail, as Alice's input is there), with parity
 bit parity(x XOR y).  That difference bundle is all the referee reads:
 ``run_protocol`` encodes it once, on |x XOR y| ones, and a replay XORs
-the two dumped bundles stack by stack.
+each of Alice's dumped payloads with Bob's before packing it.
 
 Nothing is drawn or encoded that the referee does not read.  The cost
 and the dump layout come from the run shape's plan (``trial_plan``),
@@ -31,10 +31,10 @@ checked and built once per process.  The referee always reads the low
 tail's guard, reads the high tail's only when the low one fails, and
 reads at most one promise run, in which the threshold search reads a few
 stacks per block.  Each of these is drawn (``PShared``) and encoded, or
-XORed (``PBundle``), on its first read.  A message is a pure function of
-(own input, coins from its own derived child), so this changes no bit of
-it.  The parties' own bundles cost nothing until a dump reads them, which
-reads everything.
+read from a dump (``PBundle``), on its first read.  A message is a pure
+function of (own input, coins from its own derived child), so this
+changes no bit of it.  The parties' own bundles are built only when a
+dump is written, which reads everything.
 """
 
 from __future__ import annotations
@@ -102,13 +102,6 @@ class Lazy(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         return (self[j] for j in range(len(self._items)))
-
-    def __xor__(self, other: "Lazy") -> "Lazy":
-        """The sequence whose item j is ``self[j] ^ other[j]``, made, and
-        each operand's item read, on first read."""
-        if len(self) != len(other):
-            raise ValueError(f"cannot XOR {len(self)} items with {len(other)}")
-        return Lazy(len(self), lambda j: self[j] ^ other[j])
 
 
 # The guard of a length-r tail is the threshold d = r.
@@ -203,8 +196,8 @@ def pk_party_messages(shared: PkShared, x: Union[BitVector, np.ndarray]) -> Lazy
 def pk_referee(shared: PkShared, diff: Lazy[BlockMessages]) -> int:
     """Recover each block's distance by lazy binary search, all blocks
     level by level, and return their total, clamped to n.  ``diff`` holds
-    the difference's threshold stacks: ``msgs_a ^ msgs_b`` of the two
-    parties' runs, or ``pk_party_messages`` of x XOR y."""
+    the difference's threshold stacks, ``pk_party_messages`` of x XOR y:
+    stack by stack, the XOR of the two parties' runs."""
     if len(diff) != len(shared.params):
         raise ValueError("message bundle does not match the instance")
     bounds = shared.bounds
@@ -313,7 +306,8 @@ def p_shared(d: Predicate, profile: Profile, strategy: str, coins: CoinSource) -
     return PShared(d, profile, n, plan, Lazy(tails, guard), Lazy(tails, run))
 
 
-# The party of the bundle the referee reads, bundle_a ^ bundle_b.
+# The party of the bundle the referee reads: the one encoded from x XOR y,
+# which is the XOR of Alice's bundle and Bob's.
 DIFFERENCE = f"{ALICE}^{BOB}"
 
 
@@ -322,7 +316,8 @@ class PBundle:
     """Everything one party sends in the full protocol, or, with party
     ``DIFFERENCE``, the XOR of both parties' bundles; ``guards`` and
     ``runs`` are indexed like ``TAILS``.  A guard is encoded, and a run's
-    input split by block, when the referee (or a dump) first reads it."""
+    input split by block, or each read from a dump, when the referee (or a
+    dump writer) first reads it."""
 
     party: str
     shared: PShared
@@ -334,23 +329,18 @@ class PBundle:
     def cost_bits(self) -> int:
         return self.shared.plan.party_bits
 
-    def __xor__(self, other: "PBundle") -> "PBundle":
-        """The difference bundle of Alice's and Bob's, in either order: each
-        guard and each run's threshold stack is XORed on first read."""
-        if {self.party, other.party} != {ALICE, BOB}:
-            raise ValueError("need one bundle per party")
 
-        def run(i: int) -> Optional[Lazy[BlockMessages]]:
-            return None if self.runs[i] is None else self.runs[i] ^ other.runs[i]
-
-        runs = Lazy(len(TAILS), run)
-        parity_bit = self.parity_bit ^ other.parity_bit
-        return PBundle(DIFFERENCE, self.shared, self.guards ^ other.guards, runs, parity_bit)
-
-
-def _encoded_bundle(shared: PShared, party: str, own_input: BitVector, flip: bool) -> PBundle:
-    """The bundle encoded from ``own_input``, complemented on the reflected
-    tails when ``flip``.  Nothing is unpacked or encoded before it is read."""
+def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBundle:
+    """The bundle ``party`` encodes from ``own_input``: Alice's from x,
+    Bob's from y, or the referee's ``DIFFERENCE`` bundle from x XOR y.  A
+    reflected tail sees the complemented input on Alice's side and the
+    plain input on Bob's, so the referee effectively works on the pair
+    (complement(x), y) there; the difference is complemented there too,
+    since complement(x) XOR y = complement(x XOR y).  Nothing is unpacked
+    or encoded before it is read."""
+    if party not in (ALICE, BOB, DIFFERENCE):
+        raise ValueError(f"party must be {ALICE!r}, {BOB!r} or {DIFFERENCE!r}")
+    flip = party != BOB
     # each polarity is unpacked once: a tail's guard and run encode the same bits
     plain = functools.cache(own_input.to_array)
     unpacked = Lazy(2, lambda flipped: plain() ^ 1 if flipped else plain())
@@ -368,15 +358,6 @@ def _encoded_bundle(shared: PShared, party: str, own_input: BitVector, flip: boo
     return PBundle(party, shared, Lazy(tails, guard), Lazy(tails, run), parity(own_input))
 
 
-def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBundle:
-    """Build one party's bundle.  A reflected tail sees the complemented
-    input on Alice's side and the plain input on Bob's, so the referee
-    effectively works on the pair (complement(x), y) there."""
-    if party not in (ALICE, BOB):
-        raise ValueError(f"party must be {ALICE!r} or {BOB!r}")
-    return _encoded_bundle(shared, party, own_input, party == ALICE)
-
-
 @dataclass(frozen=True)
 class PResult:
     output: int
@@ -385,11 +366,11 @@ class PResult:
 
 
 def p_referee(shared: PShared, diff: PBundle) -> PResult:
-    """Three-branch decision on the difference bundle ``bundle_a ^
-    bundle_b``: low tail, high tail, then the parity answer.  The first
-    tail whose check passes gives the distance t of its pair: the promise
-    run's total, or the check's estimate when the tail has no run.  The
-    answer is D(t), or D(n - t) on the reflected tail, with sum_h = t."""
+    """Three-branch decision on the ``DIFFERENCE`` bundle, the XOR of the
+    two parties' bundles: low tail, high tail, then the parity answer.  The
+    first tail whose check passes gives the distance t of its pair: the
+    promise run's total, or the check's estimate when the tail has no run.
+    The answer is D(t), or D(n - t) on the reflected tail, with sum_h = t."""
     if diff.party != DIFFERENCE:
         raise ValueError(f"the referee reads bundle_a ^ bundle_b, not {diff.party}'s bundle")
     if diff.shared.plan is not shared.plan:
@@ -648,17 +629,19 @@ def parse_transcript(text: str) -> Transcript:
     return Transcript(header, entries)
 
 
-def _run_stacks(run: PkShared, entries: TranscriptEntries, first: int) -> Lazy[BlockMessages]:
-    """A party's threshold stacks from the run's k (c + 1) entries, in wire
-    order from entry ``first``: threshold j is every (c + 1)-th entry from
-    j.  A stack's coins are drawn, and its k payloads gathered and packed,
-    when the referee first reads it."""
+def _run_stacks(
+    run: PkShared, payloads: Callable[[np.ndarray], np.ndarray], first: int
+) -> Lazy[BlockMessages]:
+    """The threshold stacks of the run whose k (c + 1) entries start at
+    entry ``first``, in wire order: threshold j is every (c + 1)-th entry
+    from j.  A stack's coins are drawn, and its k payloads read with
+    ``payloads`` and packed, when the referee first reads it."""
     step = len(run.params)
     blocks = first + step * np.arange(run.k)
     return Lazy(
         step,
         lambda j: BlockMessages.from_block_payloads(
-            run.stacks[j], entries.payloads(blocks + j), run.bounds
+            run.stacks[j], payloads(blocks + j), run.bounds
         ),
     )
 
@@ -680,10 +663,12 @@ def _first_out_of_layout(
     return ValueError(f"entry {len(want) + 1}: expected the end after {BOB} 'p/parity'")
 
 
-def bundles_from_transcript(shared: PShared, t: Transcript) -> Tuple[PBundle, PBundle]:
-    """Rebuild both parties' bundles from a dumped transcript; together with
-    the rederived coins this replays the referee exactly.  The entries must
-    be ``p_layout``'s, Alice's and then Bob's, compared as whole columns: the
+def bundles_from_transcript(shared: PShared, t: Transcript) -> PBundle:
+    """The referee's ``DIFFERENCE`` bundle from a dumped transcript: each
+    payload it reads is Alice's XOR Bob's under the same label, packed
+    once, and its parity bit is Alice's XOR Bob's.  Together with the
+    rederived coins this replays the referee exactly.  The entries must be
+    ``p_layout``'s, Alice's and then Bob's, compared as whole columns: the
     first one out of place (wrong party or label, missing or extra) or of
     the wrong size raises ``ValueError`` naming the label expected there,
     whether or not the referee reads it."""
@@ -698,21 +683,20 @@ def bundles_from_transcript(shared: PShared, t: Transcript) -> Tuple[PBundle, PB
         raise _first_out_of_layout(labels, sizes, e)
     whole = np.array([0, shared.n])
 
-    def bundle(who: str, first: int) -> PBundle:
-        def guard(i: int) -> BlockMessages:
-            return BlockMessages.from_block_payloads(
-                shared.guards[i], e.payloads([first + i]), whole
-            )
+    def payloads(entries: np.ndarray) -> np.ndarray:
+        # Bob's entry under a label is ``per`` entries after Alice's
+        return e.payloads(entries) ^ e.payloads(entries + per)
 
-        def run(i: int) -> Optional[Lazy[BlockMessages]]:
-            run = shared.runs[i]
-            return None if run is None else _run_stacks(run, e, first + shared.plan.run_starts[i])
+    def guard(i: int) -> BlockMessages:
+        return BlockMessages.from_block_payloads(shared.guards[i], payloads(np.array([i])), whole)
 
-        tails = len(TAILS)
-        parity_bit = int(e.bits[e.starts[first + per - 1]])
-        return PBundle(who, shared, Lazy(tails, guard), Lazy(tails, run), parity_bit)
+    def run(i: int) -> Optional[Lazy[BlockMessages]]:
+        run = shared.runs[i]
+        return None if run is None else _run_stacks(run, payloads, shared.plan.run_starts[i])
 
-    return bundle(ALICE, 0), bundle(BOB, per)
+    tails = len(TAILS)
+    parity_bit = int(e.bits[e.starts[per - 1]] ^ e.bits[e.starts[2 * per - 1]])
+    return PBundle(DIFFERENCE, shared, Lazy(tails, guard), Lazy(tails, run), parity_bit)
 
 
 @dataclass(frozen=True)
@@ -720,9 +704,7 @@ class TrialOutcome:
     output: int
     branch: str
     cost_bits: int
-    bundle_a: PBundle  # the parties' bundles, encoded only when a dump reads them
-    bundle_b: PBundle
-    diff: PBundle      # the referee's: bundle_a ^ bundle_b, encoded from x XOR y
+    diff: PBundle  # the referee's DIFFERENCE bundle, encoded from x XOR y
     shared: PShared
 
 
@@ -734,23 +716,14 @@ def run_protocol(
     strategy: str,
     coins: CoinSource,
 ) -> TrialOutcome:
-    """One end-to-end run: shared coins, both bundles, referee decision.
-    The referee's bundle_a ^ bundle_b is encoded from x XOR y, as Alice's
-    bundle is from x, so each stack it reads is encoded once."""
+    """One end-to-end run: shared coins, the referee's ``DIFFERENCE``
+    bundle encoded from x XOR y, and its decision.  Each stack the referee
+    reads is encoded once; the parties' own bundles are built only by a
+    dump (``p_party_messages`` of x and of y)."""
     shared = p_shared(d, profile, strategy, coins)
-    bundle_a = p_party_messages(shared, x, ALICE)
-    bundle_b = p_party_messages(shared, y, BOB)
-    diff = _encoded_bundle(shared, DIFFERENCE, x ^ y, flip=True)
+    diff = p_party_messages(shared, x ^ y, DIFFERENCE)
     res = p_referee(shared, diff)
-    return TrialOutcome(
-        output=res.output,
-        branch=res.branch,
-        cost_bits=bundle_a.cost_bits + bundle_b.cost_bits,
-        bundle_a=bundle_a,
-        bundle_b=bundle_b,
-        diff=diff,
-        shared=shared,
-    )
+    return TrialOutcome(res.output, res.branch, 2 * shared.plan.party_bits, diff, shared)
 
 
 __all__ = [

@@ -25,6 +25,22 @@ def from_bits(bits: str) -> BitVector:
     return BitVector(len(bits), value)
 
 
+def complement(x: BitVector) -> BitVector:
+    """Flip every bit."""
+    mask = (1 << x.length) - 1
+    return BitVector(x.length, x.value ^ mask)
+
+
+def tilde(d: Predicate) -> Predicate:
+    """The reflected predicate k -> D(n - k); an involution."""
+    return Predicate(bytes(reversed(d.values)))
+
+
+def branch_rate(cell, branch: str) -> float:
+    """The share of a ``harness.CellStats`` cell's trials that took ``branch``."""
+    return cell.branch_counts.get(branch, 0) / cell.trials
+
+
 def format_predicate(d: Predicate) -> str:
     """A predicate file's text, as ``predicate.parse_predicate`` reads it."""
     return f"{d.n}\n" + "".join(str(v) for v in d.values) + "\n"

@@ -30,7 +30,7 @@ from xorsmp.protocol import (
     run_protocol,
 )
 
-from .oracles import assert_profile_minimal
+from .oracles import assert_profile_minimal, branch_rate
 
 FAMILIES = ("eq", "ham:5", "parity", "random:8", "random:16")
 TRIALS_PER_CELL = 2000
@@ -94,7 +94,7 @@ def test_criterion_2_branch_constants(stratified_cells):
                     f"[C2] {spec} low cell w={cell.weight}: {cell.rate:.4f}"
                 )
             elif prof.r0 < cell.weight < 256 - prof.r1:
-                freq = cell.branch_rate(BRANCH_PARITY)
+                freq = branch_rate(cell, BRANCH_PARITY)
                 mid_worst = min(mid_worst, freq)
                 assert freq >= mid_gate, (
                     f"[C2] {spec} middle cell w={cell.weight}: parity branch "
@@ -124,9 +124,7 @@ def test_criterion_3_promise_protocol():
             coins = root.derive(f"trial/{t}")
             x, y = sample_pair_with_distance(n, k, coins.derive("input"))
             shared = pk_shared(k, n, "syndrome", coins)
-            total = pk_referee(
-                shared, pk_party_messages(shared, x) ^ pk_party_messages(shared, y)
-            )
+            total = pk_referee(shared, pk_party_messages(shared, x ^ y))
             good += int(pred(total) == pred(k))
         rates[k] = good / trials
         assert rates[k] >= gate, f"[C3] k={k}: rate {rates[k]:.4f} < {gate:.4f}"

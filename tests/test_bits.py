@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from xorsmp.bits import (
     BitVector,
-    complement,
     hamming_distance,
     parity,
     sample_pair_with_distance,
@@ -13,7 +12,7 @@ from xorsmp.bits import (
 )
 from xorsmp.coins import CoinSource
 
-from .oracles import from_bits, weight_vector_by_loop
+from .oracles import complement, from_bits, weight_vector_by_loop
 
 ROOT = CoinSource.from_seed(0xB17)
 

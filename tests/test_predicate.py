@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsmp.bits import BitVector, complement, sample_pair_with_distance
+from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource
 from xorsmp.predicate import (
     Predicate,
@@ -14,12 +14,17 @@ from xorsmp.predicate import (
     parity_predicate,
     parse_predicate,
     random_predicate,
-    tilde,
     violations,
 )
 
 from .oracles import (
-    assert_profile_minimal, brute_force_profile, feasible, format_predicate, scan_violations,
+    assert_profile_minimal,
+    brute_force_profile,
+    complement,
+    feasible,
+    format_predicate,
+    scan_violations,
+    tilde,
 )
 
 ROOT = CoinSource.from_seed(0xD00D)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsmp import gf2, protocol
-from xorsmp.bits import BitVector, complement, sample_pair_with_distance
+from xorsmp import gf2, harness, protocol
+from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource, c_of_k
 from xorsmp.hamming import STRATEGIES, HDParams
 from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
@@ -25,6 +25,7 @@ from xorsmp.protocol import (
     BRANCH_HIGH,
     BRANCH_LOW,
     BRANCH_PARITY,
+    DIFFERENCE,
     Transcript,
     TranscriptEntries,
     bundles_from_transcript,
@@ -43,7 +44,7 @@ from xorsmp.protocol import (
     transcript_cost,
 )
 
-from .oracles import entry_rows
+from .oracles import complement, entry_rows
 
 ROOT = CoinSource.from_seed(0xACE)
 
@@ -107,7 +108,7 @@ def test_pk_equal_inputs_yield_d0():
         pred = family(spec, 32)
         sh = pk_shared(4, 32, "syndrome", ROOT.derive(f"d0/{spec}"))
         x, _ = sample_pair_with_distance(32, 0, ROOT.derive(f"d0in/{spec}"))
-        total = pk_referee(sh, pk_party_messages(sh, x) ^ pk_party_messages(sh, x))
+        total = pk_referee(sh, pk_party_messages(sh, x ^ x))
         assert pred(total) == pred(0)
         assert total == 0
 
@@ -121,7 +122,7 @@ def test_pk_raw_is_exact_within_cap():
             coins = ROOT.derive(f"rawpk/{w}/{i}")
             x, y = sample_pair_with_distance(n, w, coins.derive("in"))
             sh = pk_shared(k, n, "raw", coins)
-            total = pk_referee(sh, pk_party_messages(sh, x) ^ pk_party_messages(sh, y))
+            total = pk_referee(sh, pk_party_messages(sh, x ^ y))
             assert total == w
             assert pred(total) == pred(w)
 
@@ -139,7 +140,7 @@ def test_pk_referee_is_lazy(monkeypatch):
         return decide(diff, blocks, *rest)
 
     monkeypatch.setattr(protocol, "decide_block", recording)
-    pk_referee(sh, pk_party_messages(sh, x) ^ pk_party_messages(sh, y))
+    pk_referee(sh, pk_party_messages(sh, x ^ y))
     assert len(set(visits)) == len(visits)
     assert 0 < len(visits) <= k * math.ceil(math.log2(sh.c + 1))
 
@@ -156,7 +157,7 @@ def test_pk_special_case_k0():
         sh = p_shared(pred, prof, strategy, ROOT.derive(f"k0/{strategy}"))
         assert list(sh.runs) == [None, None]
         for y, w, branch in ((x, 0, BRANCH_LOW), (complement(x), n, BRANCH_HIGH)):
-            res = p_referee(sh, p_party_messages(sh, x, ALICE) ^ p_party_messages(sh, y, BOB))
+            res = p_referee(sh, p_party_messages(sh, x ^ y, DIFFERENCE))
             assert (res.branch, res.output, res.sum_h) == (branch, pred(w), 0)
 
 
@@ -215,10 +216,10 @@ def test_cost_decomposition():
         x, y = sample_pair_with_distance(n, w, coins.derive("in"))
         out = run_protocol(pred, prof, x, y, strategy, coins)
         assert out.cost_bits == p_total_cost(prof, n, strategy)
-        entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
-        t = Transcript(header={}, entries=entries)
+        ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
+        t = Transcript(header={}, entries=p_transcript_entries(out.shared, ba, bb))
         assert transcript_cost(t) == out.cost_bits
-        runs = zip((prof.r0, prof.r1), out.shared.runs, out.bundle_a.runs, out.bundle_b.runs)
+        runs = zip((prof.r0, prof.r1), out.shared.runs, ba.runs, bb.runs)
         for r, run, run_a, run_b in runs:
             assert (run is None) == (run_a is None) == (r == 0)
             if r >= 1:
@@ -235,12 +236,14 @@ def test_cost_decomposition():
 def _record_calls(monkeypatch):
     """Wrap ``protocol.encode_blocks`` (promise-run stacks; the guards encode
     through ``hamming``), ``protocol.hd_encode_shared`` (guards),
-    ``protocol.hd_shared`` and ``protocol.threshold_search``, recording each
-    encoded threshold, each encoded guard's coin label, each coin label
-    drawn and each search's visited thresholds, listed per block; and
-    ``CoinSource.generator``, recording the label of every stream opened."""
+    ``protocol.hd_shared``, ``protocol.threshold_search`` and
+    ``protocol.p_party_messages``, recording each encoded threshold, each
+    encoded guard's coin label, each coin label drawn, each search's
+    visited thresholds, listed per block, and the party of each bundle
+    built; and ``CoinSource.generator``, recording the label of every
+    stream opened."""
     seen = {"encode_blocks": [], "hd_encode_shared": [], "hd_shared": [],
-            "threshold_search": [], "generator": []}
+            "threshold_search": [], "p_party_messages": [], "generator": []}
     opened = CoinSource.generator
 
     def generator(self):
@@ -253,6 +256,7 @@ def _record_calls(monkeypatch):
         "hd_encode_shared": lambda args, out: args[0].coins.path[-1],
         "hd_shared": lambda args, out: args[1].path[-1],
         "threshold_search": lambda args, out: out[1],
+        "p_party_messages": lambda args, out: args[2],
     }
     for name, what in record.items():
         def wrapper(*args, _name=name, _what=what, _original=getattr(protocol, name)):
@@ -323,7 +327,7 @@ def test_parity_branch_replay_draws_no_partition(tmp_path, monkeypatch):
     assert seen["generator"] == ["predicate", "p/hd0", "p/hd1"]
 
 
-def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
+def test_low_branch_encodes_only_visited_thresholds(monkeypatch, tmp_path):
     prof = compute_profile(LAZY_PRED)
     seen = _record_calls(monkeypatch)
     coins = ROOT.derive("lazy/low")
@@ -338,7 +342,8 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     assert c not in read  # the top stack bounds the search and is never read
     # the referee's bundle, encoded from x XOR y, encodes each visited
     # threshold exactly once, and no other one, and its one read guard once;
-    # without a dump, no party stack or guard is encoded
+    # without a dump, no party bundle is built, so none is encoded
+    assert seen["p_party_messages"] == [DIFFERENCE]
     assert sorted(seen["encode_blocks"]) == read
     assert seen["hd_encode_shared"] == ["p/hd0"]
     # the hd0 guard settles the trial: hd1 and the tilde run are never drawn
@@ -351,7 +356,8 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     # writing a dump forces the rest: over the trial and its dump, every
     # stack of both runs is drawn once and encoded once per party, besides
     # the referee's
-    entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
+    ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
+    entries = p_transcript_entries(out.shared, ba, bb)
     assert transcript_cost(Transcript(header={}, entries=entries)) == out.cost_bits
     everything = [j for r in (prof.r0, prof.r1) for j in range(c_of_k(r) + 1)]
     assert sorted(seen["encode_blocks"]) == sorted(read + 2 * everything)
@@ -362,14 +368,28 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch):
     # and its bytes are those of a trial whose coins were all drawn, and
     # stacks all encoded, before the referee ran
     sh = p_shared(LAZY_PRED, prof, "syndrome", coins)
-    eager = [p_party_messages(sh, v, who) for v, who in ((x, ALICE), (y, BOB))]
+    eager = [p_party_messages(sh, v, who)
+             for v, who in ((x, ALICE), (y, BOB), (x ^ y, DIFFERENCE))]
     for bundle in eager:
         for run in bundle.runs:
             list(run)
         list(bundle.guards)
-    assert p_referee(sh, eager[0] ^ eager[1]).branch == BRANCH_LOW
-    forced = p_transcript_entries(sh, *eager)
+    assert p_referee(sh, eager[2]).branch == BRANCH_LOW
+    forced = p_transcript_entries(sh, *eager[:2])
     assert entry_rows(forced) == entry_rows(entries)
+    # run_trials builds the parties' bundles only to write a dump: once
+    # each per trial, from _dump_trial, beside the referee's one per trial
+    dumped = []
+    build = harness.p_party_messages
+    monkeypatch.setattr(harness, "p_party_messages",
+                        lambda *args: dumped.append(args[2]) or build(*args))
+    seen["p_party_messages"].clear()
+    cfg = TrialConfig(n=LAZY_N, predicate_spec="ham:3", weights=[2, LAZY_N // 2], trials=2,
+                      seed=11, strategy="syndrome", dump_dir=tmp_path)
+    run_trials(cfg)
+    assert len(list(tmp_path.glob("trial-*.txt"))) == 4
+    assert dumped == [ALICE, BOB] * 4
+    assert seen["p_party_messages"] == [DIFFERENCE] * 4
 
 
 def test_unread_stack_payload_is_still_checked(monkeypatch, tmp_path):
@@ -469,9 +489,7 @@ def test_undefined_parity_sentinel_outputs_zero():
     assert prof.t_odd is None
     sh = p_shared(pred, prof, "syndrome", ROOT.derive("sent"))
     x, y = sample_pair_with_distance(4, 3, ROOT.derive("sentin"))
-    ba = p_party_messages(sh, x, ALICE)
-    bb = p_party_messages(sh, y, BOB)
-    res = p_referee(sh, ba ^ bb)
+    res = p_referee(sh, p_party_messages(sh, x ^ y, DIFFERENCE))
     if res.branch == BRANCH_PARITY:  # reached unless a guard misfires
         assert res.output == 0
 
@@ -485,7 +503,8 @@ def test_determinism_bit_identical_transcripts():
         coins = CoinSource.from_seed(321).derive("trial/9")
         x, y = sample_pair_with_distance(n, 5, coins.derive("input"))
         out = run_protocol(pred, prof, x, y, "syndrome", coins)
-        entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
+        ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
+        entries = p_transcript_entries(out.shared, ba, bb)
         texts.append(
             format_transcript(Transcript(header={"seed": "321"}, entries=entries))
         )
@@ -500,14 +519,11 @@ def test_transcript_roundtrip_replays_referee():
         coins = CoinSource.from_seed(777).derive(f"trial/{w}")
         x, y = sample_pair_with_distance(n, w, coins.derive("input"))
         out = run_protocol(pred, prof, x, y, "syndrome", coins)
-        t = Transcript(
-            header={"w": str(w)},
-            entries=p_transcript_entries(out.shared, out.bundle_a, out.bundle_b),
-        )
+        ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
+        t = Transcript(header={"w": str(w)}, entries=p_transcript_entries(out.shared, ba, bb))
         parsed = parse_transcript(format_transcript(t))
         assert parsed.header == t.header
-        ba, bb = bundles_from_transcript(out.shared, parsed)
-        res = p_referee(out.shared, ba ^ bb)
+        res = p_referee(out.shared, bundles_from_transcript(out.shared, parsed))
         assert res.output == out.output
         assert res.branch == out.branch
 
@@ -527,7 +543,8 @@ def test_transcript_labels_follow_grammar():
     coins = ROOT.derive("labels")
     x, y = sample_pair_with_distance(n, 2, coins.derive("in"))
     out = run_protocol(pred, prof, x, y, "syndrome", coins)
-    entries = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
+    ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
+    entries = p_transcript_entries(out.shared, ba, bb)
     labels = set(entries.labels)
     k, c = prof.r0, c_of_k(prof.r0)
     assert "p/hd0" in labels and "p/hd1" in labels and "p/parity" in labels
@@ -545,15 +562,13 @@ def test_referee_rejects_same_party_bundles():
     sh = p_shared(pred, prof, "syndrome", ROOT.derive("same"))
     x, y = sample_pair_with_distance(n, 1, ROOT.derive("samein"))
     ba = p_party_messages(sh, x, ALICE)
-    with pytest.raises(ValueError, match="need one bundle per party"):
-        p_referee(sh, ba ^ p_party_messages(sh, y, ALICE))
     # the referee reads the difference bundle, never one party's
     with pytest.raises(ValueError, match="the referee reads bundle_a \\^ bundle_b"):
         p_referee(sh, ba)
     # nor one of another run shape
     other = p_shared(ham_predicate(n, 2), compute_profile(ham_predicate(n, 2)), "syndrome",
                      ROOT.derive("same"))
-    diff = p_party_messages(other, x, ALICE) ^ p_party_messages(other, y, BOB)
+    diff = p_party_messages(other, x ^ y, DIFFERENCE)
     with pytest.raises(ValueError, match="another run shape"):
         p_referee(sh, diff)
 
@@ -651,7 +666,8 @@ def test_referee_reads_the_xor_of_the_two_bundles(spec, strategy, seed, data):
     # every segment is GF(2)-linear in the sender's input: per label, the XOR
     # of Alice's and Bob's payloads is the payload of the run's difference
     # bundle, which is encoded from x XOR y (complemented on the reflected
-    # tail), and the referee on bundle_a ^ bundle_b is the run's referee
+    # tail); a replay of the run's dump rebuilds that bundle from the two
+    # parties' payloads, and the referee on it is the run's referee
     pred = LINEAR_PREDICATES[spec]
     n, prof = pred.n, compute_profile(pred)
     w = data.draw(st.sampled_from(sorted({0, 1, prof.r0, prof.r0 + 1, n // 2, n - prof.r1, n})))
@@ -660,15 +676,22 @@ def test_referee_reads_the_xor_of_the_two_bundles(spec, strategy, seed, data):
     out = run_protocol(pred, prof, x, y, strategy, coins)
     res = p_referee(out.shared, out.diff)
     assert (res.output, res.branch) == (out.output, out.branch)
-    assert p_referee(out.shared, out.bundle_a ^ out.bundle_b) == res
-    assert p_referee(out.shared, out.bundle_b ^ out.bundle_a) == res
-    parties = p_transcript_entries(out.shared, out.bundle_a, out.bundle_b)
+    ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
+    parties = p_transcript_entries(out.shared, ba, bb)
     diff = p_transcript_entries(out.shared, out.diff, out.diff)
     per = len(parties) // 2
     assert diff.labels[:per] == parties.labels[:per] == parties.labels[per:]
     for i in range(per):
         both = parties.payloads([i]) ^ parties.payloads([per + i])
         assert np.array_equal(both, diff.payloads([i])), diff.labels[i]
+    # the replayed bundle carries every payload of the run's difference
+    # bundle (both guards, every stack j = 0..c of each run, the parity bit)
+    replayed = bundles_from_transcript(
+        out.shared, parse_transcript(format_transcript(Transcript({}, parties)))
+    )
+    assert replayed.party == DIFFERENCE
+    assert entry_rows(p_transcript_entries(out.shared, replayed, replayed)) == entry_rows(diff)
+    assert p_referee(out.shared, replayed) == res
 
 
 def test_xor_of_messages_needs_one_coin_draw_and_both_parties():
@@ -677,19 +700,13 @@ def test_xor_of_messages_needs_one_coin_draw_and_both_parties():
     prof = compute_profile(pred)
     x, y = sample_pair_with_distance(n, 3, ROOT.derive("xor/in"))
     sh, other = (p_shared(pred, prof, "syndrome", ROOT.derive(f"xor/{s}")) for s in "ab")
-    ba, bb = p_party_messages(sh, x, ALICE), p_party_messages(sh, y, BOB)
-    for a, b in ((ba, p_party_messages(sh, y, ALICE)), (bb, bb), (ba ^ bb, ba)):
-        with pytest.raises(ValueError, match="need one bundle per party"):
-            a ^ b
+    ba = p_party_messages(sh, x, ALICE)
+    # a bundle is Alice's, Bob's or their difference
+    with pytest.raises(ValueError, match="party must be 'Alice', 'Bob' or 'Alice\\^Bob'"):
+        p_party_messages(sh, y, "Carol")
     # messages drawn from different coins, guards and run stacks alike
     foreign = p_party_messages(other, y, BOB)
     with pytest.raises(ValueError, match="different coins"):
         ba.guards[0] ^ foreign.guards[0]
     with pytest.raises(ValueError, match="different coins"):
         ba.runs[0][1] ^ foreign.runs[0][1]
-    mixed = ba ^ foreign  # lazy: the first stack read raises
-    with pytest.raises(ValueError, match="different coins"):
-        p_referee(sh, mixed)
-    # runs of different lengths do not XOR
-    with pytest.raises(ValueError, match="cannot XOR"):
-        ba.runs[0] ^ bb.runs[1]

@@ -56,10 +56,12 @@ def test_tracer_installs_and_restores():
     assert "gf2.decode.w0" not in tr.counts
     # the referee's difference bundle, encoded from x XOR y, encodes its two
     # guards, then, on first read, each threshold stack of the taken tail
-    # that the search visited in some block; the parties' bundles encode
-    # nothing, as no dump reads them
+    # that the search visited in some block; the parties' bundles are not
+    # built, as no dump is written
     t = [tail.branch for tail in protocol.TAILS].index(out.branch)
-    run, msgs_a, msgs_b = out.shared.runs[t], out.bundle_a.runs[t], out.bundle_b.runs[t]
+    run = out.shared.runs[t]
+    msgs_a = protocol.p_party_messages(out.shared, x, protocol.ALICE).runs[t]
+    msgs_b = protocol.p_party_messages(out.shared, y, protocol.BOB).runs[t]
     levels = []  # the threshold of each decide_block call of the search
 
     def verdicts(j, blocks):
