@@ -45,7 +45,8 @@ shared = p_shared(pred, profile, "syndrome", coins)
 # Each party sees only its own input.
 bundle_a = p_party_messages(shared, x, ALICE)
 bundle_b = p_party_messages(shared, y, BOB)
-print(f"Alice sends {bundle_a.cost_bits} bits, Bob sends {bundle_b.cost_bits} bits")
+party_bits = shared.plan.party_bits  # fixed by the run shape, not by the inputs
+print(f"Alice sends {party_bits} bits, Bob sends {party_bits} bits")
 
 # Every message is GF(2)-linear in its sender's input, so the XOR of the two
 # bundles is the bundle of x XOR y: the referee reads only that difference.

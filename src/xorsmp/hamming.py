@@ -22,15 +22,13 @@ instead of both messages.
 
 Syndromes and fingerprints are computed as GF(2) operations: each is the
 XOR of packed uint64 columns gathered at the input's ones (a bucket's BCH
-column, a bucket's fingerprint column), taken per block.  The XOR's
-layout follows the syndrome's word count: a single block's syndrome of
-several words is gathered position-major and XORed as contiguous rows.
-The referee checks a decode's one-word fingerprint as an int XOR of the
-decoded buckets' columns, and a wider one with numpy.  Bucket and
-syndrome only ever under-count distances (hash collisions cancel
-parities in pairs), which makes the verdict one-sided: a true distance at
-most d is never reported as GT unless a fingerprint or decode anomaly
-fires, and those events are inside the error budget.
+column, a bucket's fingerprint column), taken per block.  The referee
+checks a decode's one-word fingerprint as an int XOR of the decoded
+buckets' columns, and a wider one with numpy.  Bucket and syndrome only
+ever under-count distances (hash collisions cancel parities in pairs),
+which makes the verdict one-sided: a true distance at most d is never
+reported as GT unless a fingerprint or decode anomaly fires, and those
+events are inside the error budget.
 
 The referee works in batches.  ``decide_block`` decides any set of blocks
 of one stack at once, and ``threshold_search`` runs the blocks' binary
@@ -376,19 +374,7 @@ def encode_blocks(
     # keeps hit C-ordered: buckets[:, ones] is Fortran-ordered, from which
     # the row gathers below run 3-5x slower
     hit = ones[None] if shared.buckets is None else shared.buckets.take(ones, axis=1)
-    scols = params.syndrome_cols
-    if k == 1 and scols.shape[1] > 1:
-        # One block, a syndrome of several words: gather position-major and
-        # XOR whole (R, words) rows, contiguous, instead of reducing the
-        # strided middle axis.  Gather and XOR, best of 7 in-process on a
-        # 2-vCPU host: the r = 64 guard's 15 words at 2,060 ones, 0.21 ms
-        # against 0.34; d = 8 at length 64 (2 words), 30 ones, 3.1 against
-        # 4.2 us.  One-word syndromes are contiguous already, and there
-        # position-major measured slower: 5.8 against 3.0 us at d = 4 with
-        # 128 ones.
-        synd = np.bitwise_xor.reduce(scols.take(hit.T, axis=0), axis=0)[:, None]
-    else:
-        synd = _xor_by_block(scols.take(hit, axis=0), one_bounds)
+    synd = _xor_by_block(params.syndrome_cols.take(hit, axis=0), one_bounds)
     cols = shared.fmat.reshape(-1, shared.fmat.shape[-1])  # (R B, w): rep r starts at r B
     rep_base = np.arange(r_count)[:, None] * params.bucket_count
     fp = _xor_by_block(cols.take(hit + rep_base, axis=0), one_bounds)

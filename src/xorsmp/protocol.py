@@ -325,10 +325,6 @@ class PBundle:
     runs: Lazy[Optional[Lazy[BlockMessages]]]     # threshold stacks j = 0..c
     parity_bit: int
 
-    @property
-    def cost_bits(self) -> int:
-        return self.shared.plan.party_bits
-
 
 def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBundle:
     """The bundle ``party`` encodes from ``own_input``: Alice's from x,
@@ -337,16 +333,15 @@ def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBund
     plain input on Bob's, so the referee effectively works on the pair
     (complement(x), y) there; the difference is complemented there too,
     since complement(x) XOR y = complement(x XOR y).  Nothing is unpacked
-    or encoded before it is read."""
+    or encoded before it is read, and each guard and run unpacks the input
+    itself."""
     if party not in (ALICE, BOB, DIFFERENCE):
         raise ValueError(f"party must be {ALICE!r}, {BOB!r} or {DIFFERENCE!r}")
     flip = party != BOB
-    # each polarity is unpacked once: a tail's guard and run encode the same bits
-    plain = functools.cache(own_input.to_array)
-    unpacked = Lazy(2, lambda flipped: plain() ^ 1 if flipped else plain())
 
     def own_bits(i: int) -> np.ndarray:
-        return unpacked[int(flip and TAILS[i].reflected)]
+        bits = own_input.to_array()
+        return bits ^ 1 if flip and TAILS[i].reflected else bits
 
     def guard(i: int) -> BlockMessages:
         return hd_encode_shared(shared.guards[i], own_bits(i))
@@ -372,7 +367,10 @@ def p_referee(shared: PShared, diff: PBundle) -> PResult:
     promise run's total, or the check's estimate when the tail has no run.
     The answer is D(t), or D(n - t) on the reflected tail, with sum_h = t."""
     if diff.party != DIFFERENCE:
-        raise ValueError(f"the referee reads bundle_a ^ bundle_b, not {diff.party}'s bundle")
+        raise ValueError(
+            "the referee reads p_party_messages(shared, x ^ y, DIFFERENCE),"
+            f" not {diff.party}'s bundle"
+        )
     if diff.shared.plan is not shared.plan:
         raise ValueError("the bundle comes from another run shape than shared")
     for i, tail in enumerate(TAILS):
@@ -701,10 +699,13 @@ def bundles_from_transcript(shared: PShared, t: Transcript) -> PBundle:
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """One run's decision (output and branch), its transcript cost in bits,
+    2 ``plan.party_bits``, and the coins it drew.  The referee's bundle is
+    not kept: ``p_party_messages(shared, x ^ y, DIFFERENCE)`` rebuilds it."""
+
     output: int
     branch: str
     cost_bits: int
-    diff: PBundle  # the referee's DIFFERENCE bundle, encoded from x XOR y
     shared: PShared
 
 
@@ -718,12 +719,13 @@ def run_protocol(
 ) -> TrialOutcome:
     """One end-to-end run: shared coins, the referee's ``DIFFERENCE``
     bundle encoded from x XOR y, and its decision.  Each stack the referee
-    reads is encoded once; the parties' own bundles are built only by a
-    dump (``p_party_messages`` of x and of y)."""
+    reads is encoded once, and the bundle is dropped with the run; the
+    parties' own bundles are built only by a dump (``p_party_messages`` of
+    x and of y)."""
     shared = p_shared(d, profile, strategy, coins)
     diff = p_party_messages(shared, x ^ y, DIFFERENCE)
     res = p_referee(shared, diff)
-    return TrialOutcome(res.output, res.branch, 2 * shared.plan.party_bits, diff, shared)
+    return TrialOutcome(res.output, res.branch, 2 * shared.plan.party_bits, shared)
 
 
 __all__ = [

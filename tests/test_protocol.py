@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from xorsmp import gf2, harness, protocol
 from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource, c_of_k
 from xorsmp.hamming import STRATEGIES, HDParams
-from xorsmp.harness import TrialConfig, replay_transcript_text, run_trials
+from xorsmp.harness import (
+    TrialConfig, auto_weights, replay_transcript_text, resolve_predicate, run_trials,
+)
 from xorsmp.predicate import (
     Predicate,
     compute_profile,
@@ -173,7 +176,7 @@ def test_parity_predicate_degenerate_bundle():
     f = math.ceil(math.log2(10)) + 4
     assert bundle.guards[0].bit_length == f
     assert bundle.guards[1].bit_length == f
-    assert bundle.cost_bits == 2 * f + 1
+    assert sh.plan.party_bits == 2 * f + 1
     assert p_total_cost(prof, n, "syndrome") == 2 * (2 * f + 1)
 
 
@@ -563,7 +566,7 @@ def test_referee_rejects_same_party_bundles():
     x, y = sample_pair_with_distance(n, 1, ROOT.derive("samein"))
     ba = p_party_messages(sh, x, ALICE)
     # the referee reads the difference bundle, never one party's
-    with pytest.raises(ValueError, match="the referee reads bundle_a \\^ bundle_b"):
+    with pytest.raises(ValueError, match=r"reads p_party_messages\(shared, x \^ y, DIFFERENCE\)"):
         p_referee(sh, ba)
     # nor one of another run shape
     other = p_shared(ham_predicate(n, 2), compute_profile(ham_predicate(n, 2)), "syndrome",
@@ -674,11 +677,12 @@ def test_referee_reads_the_xor_of_the_two_bundles(spec, strategy, seed, data):
     coins = ROOT.derive(f"linear/{spec}/{strategy}/{seed}")
     x, y = sample_pair_with_distance(n, w, coins.derive("in"))
     out = run_protocol(pred, prof, x, y, strategy, coins)
-    res = p_referee(out.shared, out.diff)
+    bundle = p_party_messages(out.shared, x ^ y, DIFFERENCE)
+    res = p_referee(out.shared, bundle)
     assert (res.output, res.branch) == (out.output, out.branch)
     ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
     parties = p_transcript_entries(out.shared, ba, bb)
-    diff = p_transcript_entries(out.shared, out.diff, out.diff)
+    diff = p_transcript_entries(out.shared, bundle, bundle)
     per = len(parties) // 2
     assert diff.labels[:per] == parties.labels[:per] == parties.labels[per:]
     for i in range(per):
@@ -710,3 +714,36 @@ def test_xor_of_messages_needs_one_coin_draw_and_both_parties():
         ba.guards[0] ^ foreign.guards[0]
     with pytest.raises(ValueError, match="different coins"):
         ba.runs[0][1] ^ foreign.runs[0][1]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "spec, n",
+    [("values:111101010101010101011", 20), ("random:16", 256)],
+    ids=["two-tailed", "random"],
+)
+def test_runs_replays_and_dumps_leave_no_reference_cycles(spec, n, strategy, tmp_path):
+    # a cycle (say a Lazy whose make refers to itself) would hold a run's
+    # arrays until the cyclic collector runs; with it off, each step must
+    # leave nothing for it to find
+    pred, _ = resolve_predicate(spec, n, CoinSource.from_seed(0).derive("predicate"))
+    prof = compute_profile(pred)
+    cfg = TrialConfig(n=n, predicate_spec=spec, weights="auto", trials=1, seed=4,
+                      strategy=strategy, dump_dir=tmp_path)
+    gc.collect()
+    gc.disable()
+    try:
+        for w in auto_weights(prof, n):
+            coins = ROOT.derive(f"cycles/{spec}/{strategy}/{w}")
+            x, y = sample_pair_with_distance(n, w, coins.derive("in"))
+            run_protocol(pred, prof, x, y, strategy, coins)
+        assert gc.collect() == 0
+        run_trials(cfg)
+        assert gc.collect() == 0
+        dumps = sorted(tmp_path.glob("trial-*.txt"))
+        assert dumps
+        for path in dumps:
+            assert replay_transcript_text(path.read_text()).consistent
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
