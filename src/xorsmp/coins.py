@@ -3,12 +3,26 @@
 Every party in a protocol run holds the same master seed, so any party can
 regenerate any stream from its derivation path alone; nothing about the
 coins ever needs to be communicated.  Child sources are derived by keyed
-BLAKE2b over the label, giving independent-behaving streams per label, and
-each source's bit stream comes from a counter-based Philox generator keyed
-by the first 128 bits of the derived key (reproducible and safe to fan out
-across workers).  A Philox stream is fixed by its key and counter alone, so
-a stream is opened straight from its key: no seed sequence is hashed and no
-OS entropy is read.
+BLAKE2b over the label, giving independent-behaving streams per label.
+
+A source has two kinds of stream:
+
+* ``generator()``, a counter-based Philox generator keyed by the first 128
+  bits of the derived key, opened from the key alone: no seed sequence is
+  hashed and no OS entropy is read.  Partitions, input sampling, random
+  predicates and every other sequential draw use it.
+* a keyed SplitMix64 counter stream (Steele, Lea and Flood, OOPSLA 2014),
+  read with ``counter_offset`` and ``counter_values``: value i is
+  ``mix64(k + (i + 1) gamma) mod 2^64``, k the first 8 bytes of the key
+  read little-endian and gamma SplitMix64's golden-ratio increment.  Any
+  value is computed from its counter alone, so a party evaluates only the
+  values it reads.  The sketch coins of one distance-threshold instance
+  (``hamming.HDShared``), with R repetitions, n positions, B buckets and
+  w words per fingerprint column, use it: the bucket of (rep, pos) is
+  value rep n + pos, multiply-shifted into [0, B) by its high 32 bits;
+  fingerprint word t of (rep, bucket) is value R n + (rep B + bucket) w + t,
+  masked past the f rows (at d = 0, where there are no bucket values, the
+  fingerprint words start at value 0).
 
 Derivation label layout used by the protocols (both parties must follow it
 byte for byte so their streams agree):
@@ -19,10 +33,9 @@ byte for byte so their streams agree):
     trial/<t>/p/pk/<side>/hd/<j>           one child per distance threshold j
     trial/<t>/pk/main/...                  standalone promise-protocol runs
 
-Per-block and per-repetition values are drawn as arrays from the
-per-threshold child (blocks are slices of one position-indexed array), so
-the streams stay bit-identical between parties without a derivation per
-block.
+Per-block and per-repetition values come from the per-threshold child
+(blocks are slices of one position-indexed stream), so the streams stay
+bit-identical between parties without a derivation per block.
 """
 
 from __future__ import annotations
@@ -36,6 +49,15 @@ from typing import Tuple
 import numpy as np
 
 _PERSON = b"xorsmp.coins.v1"
+
+# SplitMix64's increment (2^64 over the golden ratio, made odd) and its
+# finalizer's multipliers and shifts.  Scalars are numpy uint64s, so every
+# step stays in uint64 arrays, which wrap mod 2^64 without a warning.
+GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(GAMMA)
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -77,8 +99,40 @@ class CoinSource:
         opened from the key alone, with no OS entropy read."""
         return np.random.Generator(np.random.Philox(_key_sequence()(self.key)))
 
+    def counter_offset(self, start: int = 0) -> int:
+        """k + (start + 1) gamma mod 2^64, k the first 8 bytes of the key
+        read little-endian: value start + i of this source's counter stream
+        is ``counter_values(i, offset)``."""
+        return (int.from_bytes(self.key[:8], "little") + (start + 1) * GAMMA) & _MASK64
+
     def __repr__(self) -> str:
         return f"CoinSource({'/'.join(self.path) or '<root>'})"
+
+
+def mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (Steele, Lea and Flood, OOPSLA 2014) applied
+    in place to the uint64 array z, which is returned."""
+    z ^= z >> _SHIFT1
+    z *= _MUL1
+    z ^= z >> _SHIFT2
+    z *= _MUL2
+    z ^= z >> _SHIFT3
+    return z
+
+
+def counter_values(steps: np.ndarray, offsets) -> np.ndarray:
+    """mix64(steps gamma + offsets) mod 2^64, a new uint64 array: with
+    ``offsets`` from ``CoinSource.counter_offset(start)``, the stream's
+    values at counters start + steps.  ``steps`` holds nonnegative integer
+    counters; ``offsets`` is an int below 2^64 or a uint64 array that
+    broadcasts against them."""
+    # a signed array times a uint64 is promoted to float64, so nonnegative
+    # int64 counters are read as uint64 in place and others converted
+    if steps.dtype == np.int64:
+        steps = steps.view(np.uint64)
+    else:
+        steps = steps.astype(np.uint64, copy=False)
+    return mix64(np.add(np.multiply(steps, _GAMMA), offsets))
 
 
 @functools.cache
@@ -144,4 +198,6 @@ def c_of_k(k: int) -> int:
     return min(k, ceil(4.0 * log2(k) / log2(log2(k))))
 
 
-__all__ = ["CoinSource", "Partition", "sample_partition", "c_of_k"]
+__all__ = [
+    "CoinSource", "GAMMA", "mix64", "counter_values", "Partition", "sample_partition", "c_of_k",
+]

@@ -22,13 +22,18 @@ instead of both messages.
 
 Syndromes and fingerprints are computed as GF(2) operations: each is the
 XOR of packed uint64 columns gathered at the input's ones (a bucket's BCH
-column, a bucket's fingerprint column), taken per block.  The referee
-checks a decode's one-word fingerprint as an int XOR of the decoded
-buckets' columns, and a wider one with numpy.  Bucket and syndrome only
-ever under-count distances (hash collisions cancel parities in pairs),
-which makes the verdict one-sided: a true distance at most d is never
-reported as GT unless a fingerprint or decode anomaly fires, and those
-events are inside the error budget.
+column, a bucket's fingerprint column), taken per block.  The public coins
+(the bucket of each position, the fingerprint column of each bucket) are
+values of a counter stream keyed per instance, computed only at the
+indices read, or, for a small instance, all at once on the first read.
+The referee checks a small instance's decode against the fingerprint as
+an int XOR of the decoded buckets' columns (a numpy one for columns of
+several words), and a large one's decodes, every repetition's at once,
+after its last decode.  Bucket and syndrome only ever under-count
+distances (hash collisions cancel parities in pairs), which makes the
+verdict one-sided: a true distance at most d is never reported as GT
+unless a fingerprint or decode anomaly fires, and those events are inside
+the error budget.
 
 The referee works in batches.  ``decide_block`` decides any set of blocks
 of one stack at once, and ``threshold_search`` runs the blocks' binary
@@ -68,7 +73,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bits import BitVector, input_bits
-from .coins import CoinSource
+from .coins import GAMMA, CoinSource, counter_values, mix64
 from .gf2 import (
     MAX_FIELD_DEGREE, BchCode, bch_code, pack_words, row_ints, syndrome_bits, unpack_words,
 )
@@ -149,6 +154,29 @@ class HDParams:
         return self.code.cols if self.code else np.zeros((self.bucket_count, 0), np.uint64)
 
     @cached_property
+    def fingerprint_words(self) -> int:
+        """w = ceil(f / 64): the uint64 words of one fingerprint column."""
+        return -(-self.fingerprint_rows // 64)
+
+    @cached_property
+    def fingerprint_mask(self) -> np.uint64:
+        """The bits of a fingerprint column's last word below row f."""
+        return np.uint64((1 << ((self.fingerprint_rows - 1) % 64 + 1)) - 1)
+
+    @cached_property
+    def fingerprint_start(self) -> int:
+        """The counter of the first fingerprint word in an instance's
+        stream: after the R n bucket values, or 0 at d = 0."""
+        return self.repetitions * self.length if self.d else 0
+
+    @cached_property
+    def stream_length(self) -> int:
+        """The values in an instance's counter stream: R n bucket values
+        (none at d = 0) and R B w fingerprint words."""
+        words = self.repetitions * self.bucket_count * self.fingerprint_words
+        return self.fingerprint_start + words
+
+    @cached_property
     def segment_bits(self) -> Tuple[int, ...]:
         """One repetition's wire segments, in order: the d m syndrome bits
         and then the f fingerprint bits for syndrome and for d = 0 (an
@@ -172,41 +200,143 @@ class HDParams:
         return self.length if self.strategy == "raw" else k * self.payload_bits
 
 
-@dataclass(frozen=True, eq=False)
+# An instance whose whole counter stream, its R n bucket values and R B w
+# fingerprint words, has at most this many values is evaluated whole, in
+# one pass, on its first read, and later reads are table gathers; a larger
+# one is evaluated only at the counters each read asks for: numpy's cost
+# per call makes many small reads dearer than one pass.  Summed per-operation
+# minima of perfbench's operations (seed 3), both trees in one process on a
+# 2-vCPU host, against the Philox coins, at cut-offs 0 / 4,096 / 8,192 /
+# 16,384 / 65,536: c1_mix +7.9 / -6.9 / -8.8 / -8.1 / -5.4%; dump_replay
+# -1.2 / -11.3 / -9.0 / -8.8 / -9.6%; tail_r64 -22.4 / - / -22.9 / -22.4 /
+# -6.9% (its 53,248-value promise-run stacks are computed whole at 65,536);
+# sketch_grid +22.2% at 0, +1.2% at 2,048, -3.7% at 8,192.
+TABLE_MAX_VALUES = 8192
+_TABLE_STEPS = np.arange(TABLE_MAX_VALUES, dtype=np.uint64) * np.uint64(GAMMA)
+_TABLE_STEPS.setflags(write=False)
+
+_UNREAD = object()  # marks a coin table not looked at yet; a large instance's is None
+
+
 class HDShared:
     """Public-coin material for one instance: both parties hold the same copy.
 
-    ``coins`` is the source it was drawn from; the referee decides only
-    messages whose sources have the same key.  ``buckets`` maps (repetition,
-    position) -> bucket, None at d = 0 where each position is its own
-    bucket.  ``fmat`` is the fingerprint matrix as packed columns, None when
-    f = 0: (R, B, w) uint64 words, w = ceil(f / 64), where bit t % 64 of word
-    t // 64 of column b is row t and the bits at or past f are zero.  Drawn in
-    a fixed order from one derived stream so that independent derivations by
-    each party agree bit for bit.
+    ``coins`` is the source the coins come from; the referee decides only
+    messages whose sources have the same key.  The coins are values of the
+    source's SplitMix64 counter stream (``coins.counter_values``), computed
+    where they are read, so holding an instance costs nothing:
+
+    * ``buckets_at(positions)``: the bucket of (repetition rep, position
+      pos) is value rep n + pos, multiply-shifted into [0, B) by its high
+      32 bits, ``(hi * B) >> 32``.  At d = 0 each position is its own
+      bucket and no bucket value is read.
+    * ``fingerprints_at(columns)``: the fingerprint column of (rep,
+      bucket), column rep B + bucket, is w = ceil(f / 64) uint64 words;
+      word t is value s + column w + t, with bit t' % 64 of word t' // 64
+      being row t' and the bits at or past f zero.  The fingerprint values
+      follow the bucket values, s = R n, or start the stream at d = 0.
+
+    An instance of at most ``TABLE_MAX_VALUES`` values computes them all on
+    its first read and answers later reads from that table; the values are
+    the same either way.  ``bucket_rows()`` keeps every position's buckets
+    once asked for.
     """
 
-    params: HDParams
-    coins: CoinSource
-    buckets: Optional[np.ndarray]
-    fmat: Optional[np.ndarray]
+    __slots__ = ("params", "coins", "_table", "_rows", "_rep_offsets")
+
+    def __init__(self, params: HDParams, coins: CoinSource):
+        self.params = params
+        self.coins = coins
+        self._table = _UNREAD
+        self._rows = self._rep_offsets = None
+
+    def __repr__(self) -> str:
+        return f"HDShared({self.params!r}, {self.coins!r})"
+
+    def table(self) -> Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]:
+        """A small instance's (R, n) buckets (None at d = 0) and (R B, w)
+        fingerprint words (None for bucket), computed on the first call
+        from one pass over its whole stream; None for a large instance."""
+        table = self._table
+        if table is _UNREAD:
+            table = self._table = self._whole_stream()
+        return table
+
+    def _whole_stream(self):
+        params = self.params
+        if params.stream_length > TABLE_MAX_VALUES:
+            return None
+        steps = _TABLE_STEPS[: params.stream_length]  # i gamma: one add and one mix
+        values = mix64(steps + np.uint64(self.coins.counter_offset()))
+        start = params.fingerprint_start
+        buckets = fps = None
+        if start:
+            buckets = _to_buckets(values[:start], params.bucket_count)
+            buckets = buckets.reshape(params.repetitions, params.length)
+        if params.fingerprint_rows:
+            fps = values[start:].reshape(-1, params.fingerprint_words)
+            fps[:, -1] &= params.fingerprint_mask
+        return buckets, fps
+
+    def buckets_at(self, positions: np.ndarray) -> np.ndarray:
+        """The (R, len(positions)) int64 buckets of the given positions in
+        every repetition, a new array."""
+        table = self.table()
+        if table is not None:
+            return table[0].take(positions, axis=1)
+        offsets = self._rep_offsets
+        if offsets is None:  # value rep n + pos is counter_values(pos, offsets[rep])
+            n, coins = self.params.length, self.coins
+            offsets = self._rep_offsets = np.array(
+                [[coins.counter_offset(rep * n)] for rep in range(self.params.repetitions)],
+                dtype=np.uint64,
+            )
+        return _to_buckets(counter_values(positions, offsets), self.params.bucket_count)
+
+    def bucket_rows(self) -> np.ndarray:
+        """The (R, n) buckets of every position, computed on the first call
+        and kept; read-only."""
+        rows = self._rows
+        if rows is None:
+            table = self.table()
+            if table is not None:
+                rows = table[0]
+            else:
+                rows = self.buckets_at(np.arange(self.params.length))
+            rows.setflags(write=False)
+            self._rows = rows
+        return rows
+
+    def fingerprints_at(self, columns: np.ndarray) -> np.ndarray:
+        """The fingerprint words of the given int64 columns rep B + bucket,
+        of shape columns.shape + (w,), a new array."""
+        table = self.table()
+        if table is not None:
+            return table[1].take(columns, axis=0)
+        params = self.params
+        words = params.fingerprint_words
+        offset = self.coins.counter_offset(params.fingerprint_start)
+        if words == 1:
+            fps = counter_values(columns, offset)[..., None]
+        else:
+            fps = counter_values(columns[..., None] * words + np.arange(words), offset)
+        fps[..., -1] &= params.fingerprint_mask
+        return fps
+
+
+def _to_buckets(values: np.ndarray, b: int) -> np.ndarray:
+    """Multiply-shift of uint64 stream values into [0, b) by their high 32
+    bits, in place; the result is the same memory viewed as int64."""
+    values >>= np.uint64(32)
+    values *= np.uint64(b)
+    values >>= np.uint64(32)
+    return values.view(np.int64)
 
 
 def hd_shared(params: HDParams, coins: CoinSource) -> HDShared:
-    """Materialize the shared randomness of one instance from its coin child."""
-    if params.strategy == "raw":
-        return HDShared(params, coins, None, None)
-    gen = coins.generator()
-    buckets = fmat = None
-    if params.d:
-        size = (params.repetitions, params.length)
-        buckets = gen.integers(0, params.bucket_count, size=size, dtype=np.int64)
-    f = params.fingerprint_rows
-    if f:
-        size = (params.repetitions, params.bucket_count, -(-f // 64))
-        fmat = gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
-        fmat[..., -1] &= np.uint64((1 << ((f - 1) % 64 + 1)) - 1)
-    return HDShared(params, coins, buckets, fmat)
+    """The shared randomness of one instance, keyed by its coin child;
+    nothing is computed before a read."""
+    return HDShared(params, coins)
 
 
 @dataclass(frozen=True)
@@ -250,11 +380,20 @@ def threshold_search(
 
 
 # One threshold instance across all k blocks of a partition; a single
-# instance is the stack with k = 1.  The bucket hash is drawn per global
+# instance is the stack with k = 1.  The bucket hash is keyed per global
 # position (restricting a uniform hash on [n] to a block gives an
 # independent uniform hash on the block) and the fingerprint matrices are
 # shared across blocks, which leaves every per-block failure bound intact
 # since the union bound over blocks never needed independence.
+#
+# The failure bounds treat buckets and fingerprint bits as independent and
+# uniform.  They are values of a SplitMix64 counter stream (``HDShared``):
+# a fixed, non-cryptographic mixer, so that independence is a model of the
+# stream, which the C5 acceptance cells, at w = d + 2 as well, check
+# empirically.  Multiply-shift maps the uniform high 32 bits h to
+# (h B) >> 32, so a bucket's chance differs from 1/B by less than 2^-32,
+# a relative bias of at most B / 2^32: 2^-18 at B = 16,384, the r = 64
+# guard, and 2^-28 at the B = 16 floor.
 
 
 @dataclass(eq=False)  # not frozen: built several times per trial, and frozen init is slow
@@ -362,7 +501,7 @@ def encode_blocks(
         # parities laid out in whole words of bits, so they pack in one call
         width = 64 * -(-params.bucket_count // 64)
         rep_base = np.arange(0, r_count * k * width, k * width)[:, None]
-        flat = shared.buckets.take(ones, axis=1) + rep_base
+        flat = shared.buckets_at(ones) + rep_base
         if k > 1:  # offset each one by its block
             flat += np.repeat(np.arange(0, k * width, width), np.diff(one_bounds))
         counts = np.bincount(flat.ravel(), minlength=r_count * k * width)
@@ -370,14 +509,12 @@ def encode_blocks(
         words = np.packbits(par, axis=-1, bitorder="little").view("<u8")
         return BlockMessages(shared, k, words=(words,))
     # A bucket hit twice cancels in the XOR, so no parity vector is needed.
-    # take gathers rows several times faster than indexing with [hit], and
-    # keeps hit C-ordered: buckets[:, ones] is Fortran-ordered, from which
-    # the row gathers below run 3-5x slower
-    hit = ones[None] if shared.buckets is None else shared.buckets.take(ones, axis=1)
+    # hit is (R, ones) and C-ordered, from which the row gathers below run
+    # 3-5x faster than from a Fortran-ordered one
+    hit = shared.buckets_at(ones) if params.d else ones[None]
     synd = _xor_by_block(params.syndrome_cols.take(hit, axis=0), one_bounds)
-    cols = shared.fmat.reshape(-1, shared.fmat.shape[-1])  # (R B, w): rep r starts at r B
-    rep_base = np.arange(r_count)[:, None] * params.bucket_count
-    fp = _xor_by_block(cols.take(hit + rep_base, axis=0), one_bounds)
+    rep_base = np.arange(r_count)[:, None] * params.bucket_count  # rep r's columns start at r B
+    fp = _xor_by_block(shared.fingerprints_at(hit + rep_base), one_bounds)
     return BlockMessages(shared, k, words=(synd, fp))
 
 
@@ -501,17 +638,20 @@ def _settle_light_blocks(
         cand = np.minimum(fld.log_np.take(np.array((x1, x1 ^ s1))), b)
     else:
         cand = np.full((2, r_count, step), b)
-    # row B of the columns and column B of each repetition's fingerprint
-    # matrix are zero
+    # row B of the columns is zero
     cols = np.zeros((b + 1, words), dtype=np.uint64)
     cols[:b] = params.syndrome_cols
     pair = cols.take(cand, axis=0)
     unsettled = np.logical_or.reduce(pair[0] ^ pair[1] != syn, axis=2)
-    fcols = np.zeros((r_count, b + 1, fps.shape[2]), dtype=np.uint64)
-    fcols[:, :b] = shared.fmat
-    base = np.arange(0, r_count * (b + 1), b + 1)[:, None]
-    pair = fcols.reshape(-1, fps.shape[2]).take(cand + base, axis=0)
-    wrong = np.logical_or.reduce(pair[0] ^ pair[1] != fps, axis=2)
+    if words:
+        # each candidate's fingerprint column, zero for none: B is read as
+        # bucket B - 1, which exists, and its words are cleared
+        none = cand == b
+        base = np.arange(0, r_count * b, b)[:, None]
+        pair = shared.fingerprints_at(np.minimum(cand, b - 1) + base)
+        pair[none] = 0
+        fps = fps ^ pair[0] ^ pair[1]
+    wrong = np.logical_or.reduce(fps != 0, axis=2)
     # a repetition's outcome, ranked: its weight, 3 when unsettled, 4 when a
     # settled fingerprint fails; a block's is the largest of its repetitions'
     rank = np.where(unsettled, 3, np.where(wrong, 4, np.add.reduce(cand < b)))
@@ -567,19 +707,22 @@ def _decide_syndrome(
         if any(fps):
             return HDVerdict(le=False, estimate=params.d + 1)
         return HDVerdict(le=True, estimate=0)
-    code, fmat = params.code, shared.fmat
-    one_word = fmat.shape[-1] == 1
-    with_candidates = params.bucket_count >= CANDIDATE_MIN_BUCKETS
+    code, b = params.code, params.bucket_count
+    table = shared.table()
+    fcols = None if table is None else table[1]  # a small instance's (R B, w) words
+    one_word = fcols is not None and fcols.shape[-1] == 1
+    with_candidates = b >= CANDIDATE_MIN_BUCKETS
     estimate = 0
     buckets = None  # (R, block size): the block's buckets, on the first decode past weight 2
     seen = None  # per block position: did a decode past weight 2 return its bucket
     predicted = None  # per repetition, the buckets of the positions it predicts
+    decoded = []  # without fcols: each repetition's decode, checked after the loop
     for rep, (word, fp) in enumerate(zip(syn, fps)):
         hit = ()  # a zero syndrome decodes to no bucket
         if word and predicted is not None:
             odd = set()
-            for b in predicted[rep]:
-                odd ^= {b}
+            for bucket in predicted[rep]:
+                odd ^= {bucket}
             if len(odd) <= params.d and code.is_syndrome(odd, word):
                 hit = tuple(sorted(odd))
         if word and not hit:
@@ -591,10 +734,11 @@ def _decide_syndrome(
                 return HDVerdict(le=False, estimate=params.d + 1)
             if len(hit) > 2:
                 if buckets is None:
-                    buckets = shared.buckets
-                    if positions is not None:
-                        buckets = buckets.take(positions[i], axis=1)
-                mark = np.zeros(params.bucket_count, dtype=bool)
+                    if positions is None:
+                        buckets = shared.bucket_rows()
+                    else:
+                        buckets = shared.buckets_at(positions[i])
+                mark = np.zeros(b, dtype=bool)
                 mark[list(hit)] = True
                 now = mark[buckets[rep]]
                 if seen is not None:
@@ -602,20 +746,37 @@ def _decide_syndrome(
                     now |= seen
                 seen = now
         # The decoded buckets' columns must XOR to the fingerprint
-        # difference.  A one-word column is XORed as an int, at any decode
-        # size: best of 5 in-process on a 2-vCPU host, 0.64 / 1.6 / 4.2 /
-        # 9.2 us for 3 / 10 / 30 / 60 buckets against the numpy form's
-        # 2.4 / 2.8 / 4.9 / 6.1, and 88% of tail_r64's checks are of 3 to 10
-        # buckets, 4% of more than 30.  Wider columns keep the numpy form.
+        # difference.  A one-word column of a table is XORed as an int, at
+        # any decode size: best of 5 in-process on a 2-vCPU host, 0.64 /
+        # 1.6 / 4.2 / 9.2 us for 3 / 10 / 30 / 60 buckets against the numpy
+        # form's 2.4 / 2.8 / 4.9 / 6.1.  Without a table every repetition's
+        # columns are computed in one call after the loop: any failure is
+        # GT, whichever repetition it is found in.
+        if fcols is None:
+            decoded.append(hit)
+            estimate = max(estimate, len(hit))
+            continue
         if one_word:
             got = 0
-            for b in hit:
-                got ^= fmat.item(rep, b, 0)
+            for bucket in hit:
+                got ^= fcols.item(rep * b + bucket, 0)
         else:
-            got = row_ints(np.bitwise_xor.reduce(fmat[rep].take(hit, axis=0), keepdims=True))[0]
+            cols = fcols.take([rep * b + bucket for bucket in hit], axis=0)
+            got = row_ints(np.bitwise_xor.reduce(cols, axis=0, keepdims=True))[0]
         if got != fp:
             return HDVerdict(le=False, estimate=params.d + 1)
         estimate = max(estimate, len(hit))
+    if fcols is None:
+        sizes = [len(hit) for hit in decoded]
+        cols = np.fromiter(
+            (rep * b + bucket for rep, hit in enumerate(decoded) for bucket in hit),
+            dtype=np.int64, count=sum(sizes),
+        )
+        one_bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=one_bounds[1:])
+        got = row_ints(_xor_by_block(shared.fingerprints_at(cols), one_bounds))
+        if got != list(fps):
+            return HDVerdict(le=False, estimate=params.d + 1)
     return HDVerdict(le=True, estimate=estimate)
 
 

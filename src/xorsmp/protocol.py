@@ -30,11 +30,13 @@ and the dump layout come from the run shape's plan (``trial_plan``),
 checked and built once per process.  The referee always reads the low
 tail's guard, reads the high tail's only when the low one fails, and
 reads at most one promise run, in which the threshold search reads a few
-stacks per block.  Each of these is drawn (``PShared``) and encoded, or
-read from a dump (``PBundle``), on its first read.  A message is a pure
-function of (own input, coins from its own derived child), so this
-changes no bit of it.  The parties' own bundles are built only when a
-dump is written, which reads everything.
+stacks per block.  Each of these is keyed, a run's partition drawn
+(``PShared``), and encoded, or read from a dump (``PBundle``), on its
+first read, and a guard's or stack's coins are computed only where they
+are read (``hamming.HDShared``).  A message is a pure function of (own
+input, coins from its own derived child), so this changes no bit of it.
+The parties' own bundles are built only when a dump is written, which
+reads everything.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def threshold_params(k: int, strategy: str, n: int) -> Tuple[HDParams, ...]:
 class PkShared:
     """One promise-protocol run: split [n] into k blocks and run thresholds
     j = 0..c on every block; the referee recovers the total distance.  The
-    partition is drawn at once; threshold j's coins are drawn from its own
+    partition is drawn at once; threshold j's coins are keyed by its own
     ``pk/<side>/hd/<j>`` child when its stack is first read."""
 
     k: int

@@ -101,6 +101,66 @@ def assert_profile_minimal(d: Predicate, r0: int, r1: int) -> None:
         assert not feasible(d, r0, r1 - 1), f"{d}: r1 shrinkable"
 
 
+# The sketch coins, from the definition of the counter stream: value i of a
+# source's stream is SplitMix64's finalizer at k + (i + 1) gamma mod 2^64, k
+# the key's first 8 bytes read little-endian.  An instance's R n bucket
+# values come first (none at d = 0), then its R B w fingerprint words.
+
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(z: int) -> int:
+    """SplitMix64's finalizer on one Python int (Steele, Lea and Flood)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_value(coins: CoinSource, i: int) -> int:
+    """Value i of the source's counter stream, in Python ints."""
+    k = int.from_bytes(coins.key[:8], "little")
+    return splitmix64((k + (i + 1) * SPLITMIX_GAMMA) & MASK64)
+
+
+def stream_values(coins: CoinSource, counters: np.ndarray) -> np.ndarray:
+    """``stream_value`` at every counter, as a uint64 array of the same shape."""
+    k = np.uint64(int.from_bytes(coins.key[:8], "little"))
+    z = (counters.astype(np.uint64) + np.uint64(1)) * np.uint64(SPLITMIX_GAMMA) + k
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def coin_buckets(shared) -> Optional[np.ndarray]:
+    """The instance's (R, n) buckets, every position evaluated: value
+    rep n + pos, multiply-shifted by its high 32 bits into [0, B).  None at
+    d = 0, where each position is its own bucket."""
+    params = shared.params
+    if not params.d:
+        return None
+    size = params.repetitions * params.length
+    values = stream_values(shared.coins, np.arange(size)).reshape(params.repetitions, -1)
+    return ((values >> np.uint64(32)) * np.uint64(params.bucket_count) >> np.uint64(32)).astype(
+        np.int64
+    )
+
+
+def coin_fingerprints(shared) -> np.ndarray:
+    """The instance's (R, B, w) fingerprint words, every column evaluated:
+    word t of column rep B + bucket is value s + column w + t, s = R n (0 at
+    d = 0), with the bits of the last word at or past f cleared."""
+    params = shared.params
+    f = params.fingerprint_rows
+    words = -(-f // 64)
+    start = params.repetitions * params.length if params.d else 0
+    size = params.repetitions * params.bucket_count * words
+    values = stream_values(shared.coins, start + np.arange(size))
+    values = values.reshape(params.repetitions, params.bucket_count, words)
+    values[..., -1] &= np.uint64((1 << ((f - 1) % 64 + 1)) - 1)
+    return values
+
+
 @lru_cache(maxsize=16)
 def bch_parity_check(n_buckets: int, d: int, m: int, poly: int) -> np.ndarray:
     """Dense (d m, n_buckets) parity-check matrix of the narrow-sense binary
@@ -252,13 +312,15 @@ def dense_verdict(
     (R, f) fingerprint difference bits: each repetition in order is decoded
     by ``decode`` (``reference_decode``, or ``library_decode`` for the
     library's decode of every repetition) and its decode's fingerprint is
-    recomputed from the dense (f, B) matrix of the shared columns."""
+    recomputed from the dense (f, B) matrix of the instance's fingerprint
+    columns, ``coin_fingerprints``."""
     params = shared.params
     f = params.fingerprint_rows
     gt = (False, params.d + 1)
     if not syn_bits.any():
         return gt if fp_bits.any() else (True, 0)
     code = params.code
+    fmat = coin_fingerprints(shared)
     estimate = 0
     for rep in range(params.repetitions):
         hit = decode(code, split_elements(code, packed_row(syn_bits[rep])))
@@ -267,7 +329,7 @@ def dense_verdict(
         e = np.zeros(params.bucket_count, dtype=np.uint8)
         e[list(hit)] = 1
         dense_f = np.unpackbits(
-            shared.fmat[rep].astype("<u8").view(np.uint8), axis=-1, count=f, bitorder="little"
+            fmat[rep].astype("<u8").view(np.uint8), axis=-1, count=f, bitorder="little"
         ).T
         if (gf2_mat_vec(dense_f, e) != fp_bits[rep]).any():
             return gt

@@ -111,7 +111,7 @@ PINNED_CSV = [
       "--strategy", "bucket"), [
         "d,epsilon,strategy,weight,samples,errors,rate,stderr",
         "0,0.5,bucket,0,40,0,0,0",
-        "0,0.5,bucket,1,40,1,0.025,0.0246855",
+        "0,0.5,bucket,1,40,2,0.05,0.0344601",
         "1,0.5,bucket,1,40,0,0,0",
         "1,0.5,bucket,2,40,0,0,0",
     ]),

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from xorsmp.bits import BitVector
 from xorsmp.coins import CoinSource, c_of_k, sample_partition
+
+from . import oracles
 
 
 def test_same_seed_and_path_identical_streams():
@@ -40,8 +43,8 @@ def test_two_party_derivation_agrees():
     params = HDParams(d=3, epsilon=0.01, strategy="syndrome", length=500)
     sa = hd_shared(params, alice.derive("pk/main/hd/3"))
     sb = hd_shared(params, bob.derive("pk/main/hd/3"))
-    assert (sa.buckets == sb.buckets).all()
-    assert (sa.fmat == sb.fmat).all()
+    assert (oracles.coin_buckets(sa) == oracles.coin_buckets(sb)).all()
+    assert (oracles.coin_fingerprints(sa) == oracles.coin_fingerprints(sb)).all()
     # the referee decides the two parties' messages from their own copies
     x = BitVector.random(500, alice.derive("x"))
     verdict = hd_decide(params, hd_encode_shared(sa, x), hd_encode_shared(sb, x ^ BitVector(500, 0b101)))
@@ -165,3 +168,142 @@ def test_partition_lemma_small():
     bound = (math.e / c) ** c * k
     sigma = math.sqrt(bound * (1 - bound) / samples)
     assert emp <= bound + 3 * sigma
+
+
+# The sketch coins: a keyed SplitMix64 counter stream per instance.
+
+MASK64 = (1 << 64) - 1
+
+
+def test_mix64_matches_splitmix64_known_answers():
+    # SplitMix64 seeded with 0 (Steele, Lea and Flood's generator) returns
+    # these four words first: mix64 of gamma, 2 gamma, 3 gamma, 4 gamma
+    from xorsmp.coins import GAMMA, counter_values, mix64
+
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+    states = [(i + 1) * GAMMA & MASK64 for i in range(4)]
+    assert [oracles.splitmix64(z) for z in states] == want
+    assert mix64(np.array(states, dtype=np.uint64)).tolist() == want
+    assert counter_values(np.arange(4), GAMMA).tolist() == want
+    # and the pure-int finalizer on words with every high bit pattern
+    z = np.random.default_rng(7).integers(0, 1 << 64, size=2000, dtype=np.uint64)
+    z[:4] = [0, 1, MASK64, 1 << 63]
+    assert mix64(z.copy()).tolist() == [oracles.splitmix64(int(v)) for v in z]
+
+
+def test_sketch_coins_known_answers():
+    # the first bucket and fingerprint values of a fixed source, for a
+    # small instance (a table) and the r = 64 guard (evaluated on demand);
+    # pinned, and equal to the stream's definition in Python ints
+    from xorsmp.hamming import HDParams, hd_shared
+
+    src = CoinSource.from_seed(2026).derive("kat")
+    assert oracles.stream_value(src, 0) == 11135313689208558455
+    cases = [
+        (
+            HDParams(3, 0.1, "syndrome", 100),
+            [[21, 19, 18, 11], [3, 1, 14, 31]],
+            [622, 392, 481, 943],
+        ),
+        (
+            HDParams(64, 0.1, "syndrome", 4096),
+            [[9890, 8704, 8405, 5264], [11626, 4729, 6548, 4262]],
+            [14, 395, 56, 900],
+        ),
+    ]
+    for params, buckets, fingerprints in cases:
+        shared = hd_shared(params, src)
+        n, b, r_count = params.length, params.bucket_count, params.repetitions
+        assert shared.buckets_at(np.arange(4))[:2].tolist() == buckets
+        assert shared.fingerprints_at(np.arange(4))[:, 0].tolist() == fingerprints
+        high = [[oracles.stream_value(src, rep * n + pos) >> 32 for pos in range(4)]
+                for rep in range(2)]
+        assert [[h * b >> 32 for h in row] for row in high] == buckets
+        mask = (1 << params.fingerprint_rows) - 1
+        words = [oracles.stream_value(src, r_count * n + c) for c in range(4)]
+        assert [word & mask for word in words] == fingerprints
+
+
+@pytest.mark.parametrize(
+    "d, epsilon, n",
+    [(3, 0.1, 100), (64, 0.1, 4096), (0, 0.1, 40), (0, 0.1, 9000), (2, 1e-18, 48),
+     (2, 1e-18, 600), (4, 0.01, 64), (4, 0.01, 2000)],
+    ids=["table", "guard", "d0-table", "d0-on-demand", "f70-table", "f70-on-demand",
+         "bucket-table", "bucket-on-demand"],
+)
+def test_sketch_coins_at_chosen_indices_equal_the_whole_stream(d, epsilon, n):
+    # an instance of at most TABLE_MAX_VALUES values reads a table, a larger
+    # one evaluates each read; either way the values at any indices, in any
+    # order and repeated, are the stream's definition at those indices
+    from xorsmp.hamming import TABLE_MAX_VALUES, HDParams, hd_shared
+
+    strategy = "bucket" if epsilon == 0.01 else "syndrome"
+    params = HDParams(d, epsilon, strategy, n)
+    shared = hd_shared(params, CoinSource.from_seed(77).derive(f"idx/{d}/{n}"))
+    words = params.fingerprint_words
+    total = params.fingerprint_start + params.repetitions * params.bucket_count * words
+    assert (shared.table() is not None) == (total <= TABLE_MAX_VALUES)
+    gen = np.random.default_rng(n)
+    if d:
+        buckets = oracles.coin_buckets(shared)
+        positions = gen.integers(0, n, size=50)
+        assert (shared.buckets_at(positions) == buckets[:, positions]).all()
+        assert (shared.bucket_rows() == buckets).all()
+        assert (shared.buckets_at(positions[:0]).shape == (params.repetitions, 0))
+    if params.fingerprint_rows:
+        fmat = oracles.coin_fingerprints(shared).reshape(-1, words)
+        columns = gen.integers(0, len(fmat), size=(2, 3, 7))
+        assert (shared.fingerprints_at(columns) == fmat[columns]).all()
+        every = shared.fingerprints_at(np.arange(len(fmat)))
+        assert (every == fmat).all()
+        # the padding bits past f are zero, and some bit below f is set
+        bits = np.unpackbits(every.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+        assert not bits[:, params.fingerprint_rows:].any()
+        assert bits[:, : params.fingerprint_rows].any(axis=0).all()
+
+
+def test_sketch_coins_raise_no_overflow_warning():
+    # numpy warns when a uint64 scalar operation wraps; every coin path
+    # wraps mod 2^64 by design, in arrays only
+    import warnings
+
+    from xorsmp.coins import counter_values, mix64
+    from xorsmp.hamming import (
+        HDParams, decide_block, hd_decide, hd_encode_shared, hd_shared,
+    )
+    from xorsmp.protocol import pk_party_messages, pk_referee, pk_shared
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        key_max = CoinSource(b"\xff" * 32)
+        assert key_max.counter_offset(MASK64) < 1 << 64
+        mix64(np.array([MASK64, 0], dtype=np.uint64))
+        counter_values(np.array([MASK64], dtype=np.uint64), MASK64)
+        for params in (HDParams(3, 0.1, "syndrome", 100), HDParams(40, 0.1, "syndrome", 2000),
+                       HDParams(4, 0.01, "bucket", 2000), HDParams(0, 0.1, "syndrome", 9000)):
+            for src in (key_max, CoinSource.from_seed(5).derive("warn")):
+                shared = hd_shared(params, src)
+                x = BitVector.random(params.length, src.derive("x"))
+                y = x ^ BitVector(params.length, (1 << (params.d + 1)) - 1)
+                m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
+                assert not hd_decide(params, m_a, m_b).le
+                decide_block(m_a ^ m_b, [0])
+        run = pk_shared(40, 2000, "syndrome", key_max)
+        assert pk_referee(run, pk_party_messages(run, BitVector(2000, 0b1011))) == 3
+
+
+@pytest.mark.parametrize("d, n", [(1, 20_000), (64, 131_072)], ids=["B16", "B16384"])
+def test_bucket_hash_is_uniform_chi_square(d, n):
+    # multiply-shift of the stream's high 32 bits spreads every repetition's
+    # positions evenly over the B = 16 or 16,384 buckets
+    from xorsmp.hamming import HDParams, hd_shared
+
+    params = HDParams(d, 0.1, "syndrome", n)
+    shared = hd_shared(params, CoinSource.from_seed(19).derive(f"chi/{d}"))
+    b = params.bucket_count
+    assert b == max(16, 4 * d * d)
+    counts = np.bincount(shared.bucket_rows().ravel(), minlength=b).astype(float)
+    assert counts.size == b
+    expected = params.repetitions * n / b
+    statistic = ((counts - expected) ** 2 / expected).sum()
+    assert statistic < stats.chi2.ppf(1 - 0.001, df=b - 1)

@@ -99,7 +99,7 @@ def golden_outputs():
 # (fingerprint columns drawn as packed words) and every syndrome, fingerprint
 # and parity bit of both parties at that size.  ``--write`` prints it.
 BIG_TRIAL = TrialConfig(4096, "random:64", [40], 1, 64_001, "syndrome")
-BIG_TRIAL_SHA256 = "c05ebb5ff64ab30369a180af8e5aab4f310143058e80d5e3bfa9d217136d7a5a"
+BIG_TRIAL_SHA256 = "2b636bc776e0ceb64c6730808df51d6aefb98df6ecbf7957befe574469b59e0d"
 
 
 def big_trial_dump() -> str:

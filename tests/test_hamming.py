@@ -411,25 +411,28 @@ def test_stack_words_match_dense_oracle(zero_input):
     # k = 6 blocks over n = 12 with blocks 0 and 2 empty: every threshold's
     # words equal H . parity and F . parity mod 2 of each block's bucket
     # parities (F . x_block for d = 0), F being the (f, B) bit matrix whose
-    # packed columns are fmat[r]; empty blocks and an all-zero input give
+    # packed columns are oracles.coin_fingerprints(...)[r], and the parities
+    # those of oracles.coin_buckets; empty blocks and an all-zero input give
     # zero words.  So do single-block stacks whose syndromes span several
     # words: d = 8 (72 bits) and d = 20 (220 bits) at length 64
     def check(stack, msg, i, x_block):
         params = stack.params
         f = params.fingerprint_rows
+        fmat = oracles.coin_fingerprints(stack)
         if params.d == 0:
             got = unpack_words(msg.words[1][0, i], f)
-            assert (got == gf2_mat_vec(unpack_words(stack.fmat[0], f).T, x_block)).all()
+            assert (got == gf2_mat_vec(unpack_words(fmat[0], f).T, x_block)).all()
             return
         h = code_parity_check(params.code)
+        buckets = oracles.coin_buckets(stack)
         for r in range(params.repetitions):
             par = np.bincount(
-                stack.buckets[r][x_block == 1], minlength=params.bucket_count
+                buckets[r][x_block == 1], minlength=params.bucket_count
             ) % 2
             got_s = unpack_words(msg.words[0][r, i], params.code.redundancy)
             got_f = unpack_words(msg.words[1][r, i], f)
             assert (got_s == gf2_mat_vec(h, par)).all()
-            assert (got_f == gf2_mat_vec(unpack_words(stack.fmat[r], f).T, par)).all()
+            assert (got_f == gf2_mat_vec(unpack_words(fmat[r], f).T, par)).all()
 
     n, k = 12, 6
     coins = ROOT.derive("stack")
@@ -457,7 +460,7 @@ def test_stack_words_match_dense_oracle(zero_input):
 
 @pytest.mark.parametrize("d, epsilon, f", [(0, 0.1, 8), (2, 0.1, 10), (2, 1e-18, 70)])
 def test_fingerprint_columns_are_masked_words(d, epsilon, f):
-    # fmat packs each f-row column into ceil(f / 64) words with every bit at
+    # each f-row column is packed into ceil(f / 64) words with every bit at
     # or past f zero; otherwise a fingerprint checked against the words the
     # referee rebuilds from f wire bits (a replay) would disagree with the
     # live run
@@ -466,9 +469,12 @@ def test_fingerprint_columns_are_masked_words(d, epsilon, f):
     assert params.fingerprint_rows == f
     shared = hd_shared(params, ROOT.derive(f"mask/{d}/{f}"))
     w = -(-f // 64)
-    assert shared.fmat.shape == (params.repetitions, params.bucket_count, w)
-    bits = unpack_words(shared.fmat, 64 * w)
+    fmat = oracles.coin_fingerprints(shared)
+    assert fmat.shape == (params.repetitions, params.bucket_count, w)
+    bits = unpack_words(fmat, 64 * w)
     assert not bits[..., f:].any() and bits[..., :f].any()
+    columns = np.arange(params.repetitions * params.bucket_count)
+    assert (shared.fingerprints_at(columns) == fmat.reshape(-1, w)).all()
     whole = np.array([0, n])
     for weight in (d, d + 1):
         x, y = sample_pair_with_distance(n, weight, ROOT.derive(f"maskx/{d}/{weight}"))
@@ -523,7 +529,7 @@ def test_decide_block_matches_dense_oracle(d, epsilon, n):
     # decodes (3,) and the fingerprint rejects it
     wrong_s, wrong_f = synd.copy(), fp.copy()
     wrong_s[1, 0] ^= code.cols[3]
-    wrong_f[1, 0] ^= shared.fmat[1, 5]
+    wrong_f[1, 0] ^= oracles.coin_fingerprints(shared)[1, 5]
     wrong = BlockMessages(shared, 1, words=(wrong_s, wrong_f))
     assert code.decode_elements(
         int.from_bytes(code.cols[3].astype("<u8").tobytes(), "little")) == (3,)
@@ -567,6 +573,7 @@ def test_guard_decide_matches_decoding_every_repetition(d, n, monkeypatch):
             assert (got.le, got.estimate) == oracles.dense_verdict(shared, syn, fp, decode)
         return got, decoded
 
+    buckets = oracles.coin_buckets(shared)
     gen = np.random.default_rng(d)
     predicted = 0
     for w in (3, d // 2, d, d + 1):
@@ -574,7 +581,7 @@ def test_guard_decide_matches_decoding_every_repetition(d, n, monkeypatch):
         got, decoded = check(diff)
         if w <= d:
             assert got.le and got.estimate == w
-        collided = any(len(set(shared.buckets[r, diff].tolist())) < w for r in range(2))
+        collided = any(len(set(buckets[r, diff].tolist())) < w for r in range(2))
         if w <= d and not collided:
             # the first two repetitions decode every position: the rest
             # are predicted
@@ -586,14 +593,14 @@ def test_guard_decide_matches_decoding_every_repetition(d, n, monkeypatch):
     # miss them: repetition 2's prediction fails and is decoded, and the
     # prediction rebuilt with it (the pair is marked by repetitions 1 and 2,
     # which do not collide) holds for the rest
-    first = shared.buckets[0]
+    first = buckets[0]
     pair = next(
         np.flatnonzero(first == first[p])[:2] for p in range(n) if (first == first[p]).sum() > 1
     )
     rest = gen.choice(np.setdiff1d(np.arange(n), pair), size=d // 2 - 2, replace=False)
     diff = np.concatenate([pair, rest])
-    assert len(set(shared.buckets[0, diff].tolist())) < d // 2
-    assert all(len(set(shared.buckets[r, diff].tolist())) == d // 2 for r in (1, 2))
+    assert len(set(buckets[0, diff].tolist())) < d // 2
+    assert all(len(set(buckets[r, diff].tolist())) == d // 2 for r in (1, 2))
     got, decoded = check(diff)
     assert got.le and got.estimate == d // 2
     assert decoded == 3 < params.repetitions
@@ -643,7 +650,7 @@ def test_bulk_decide_matches_per_block_oracle(monkeypatch):
     fp[0, 0, 0] ^= np.uint64(1)  # block 0: distance 0
     fp[1, 1, 0] ^= np.uint64(1 << 3)  # block 1: distance 1
     synd[0, 3] = code.cols[5]  # block 3: distance 3
-    fp[0, 3] = stack.fmat[0, 6]
+    fp[0, 3] = oracles.coin_fingerprints(stack)[0, 6]
     rep = int(np.flatnonzero(synd[:, 10].any(axis=1))[0])  # block 10: distance 2
     fp[rep, 10, 0] ^= np.uint64(1 << 2)
     pair = [fld.exp[(2 * i + 1) * 5 % fld.order] ^ fld.exp[(2 * i + 1) * 100 % fld.order]

@@ -319,7 +319,8 @@ def test_parity_branch_encodes_no_promise_stack(monkeypatch):
 
 def test_parity_branch_replay_draws_no_partition(tmp_path, monkeypatch):
     # a dump's entry sizes come from the plan, so replaying a parity-branch
-    # dump opens the predicate's and the two guards' streams and nothing else
+    # dump opens the predicate's stream and nothing else: the two guards'
+    # coins are counter-stream values, which open no generator
     cfg = TrialConfig(n=256, predicate_spec="random:16", weights=[128], trials=1,
                       seed=3, strategy="syndrome", dump_dir=tmp_path)
     run_trials(cfg)
@@ -327,7 +328,7 @@ def test_parity_branch_replay_draws_no_partition(tmp_path, monkeypatch):
     assert "\tbranch=parity\t" in text.splitlines()[0]
     seen = _record_calls(monkeypatch)
     assert replay_transcript_text(text).consistent
-    assert seen["generator"] == ["predicate", "p/hd0", "p/hd1"]
+    assert seen["generator"] == ["predicate"]
 
 
 def test_low_branch_encodes_only_visited_thresholds(monkeypatch, tmp_path):

@@ -73,3 +73,21 @@ def test_tracer_installs_and_restores():
     # both guards are decided (the high branch is taken), then one call per
     # threshold asked at each level of the search
     assert tr.counts["hamming.decide_calls"] == 2 + len(levels)
+
+
+def test_sizing_a_shared_instance_computes_no_coins(monkeypatch):
+    # the tracer sizes each hd_shared result by getattr of its array
+    # attributes; an instance computes its coins only where they are read,
+    # so sizing one, small or large, must compute none of them
+    from xorsmp import hamming
+
+    def computed(*args):
+        raise AssertionError("a coin was computed")
+
+    monkeypatch.setattr(hamming, "counter_values", computed)
+    monkeypatch.setattr(hamming, "mix64", computed)
+    tracer = load_tracer()
+    coins = CoinSource.from_seed(4).derive("size")
+    for params in (protocol.guard_params(64, "syndrome", 4096),
+                   protocol.guard_params(3, "syndrome", 64)):
+        assert tracer._shared_nbytes(hamming.hd_shared(params, coins)) == 0
