@@ -25,11 +25,11 @@ XOR of packed uint64 columns gathered at the input's ones (a bucket's BCH
 column, a bucket's fingerprint column), taken per block.  The public coins
 (the bucket of each position, the fingerprint column of each bucket) are
 values of a counter stream keyed per instance, computed only at the
-indices read, or, for a small instance, all at once on the first read.
-The referee checks a small instance's decode against the fingerprint as
-an int XOR of the decoded buckets' columns (a numpy one for columns of
-several words), and a large one's decodes, every repetition's at once,
-after its last decode.  Bucket and syndrome only ever under-count
+indices read, or, for a small instance, all at once on the first read;
+only ``HDShared`` knows which.  The referee checks a block's decodes
+against its fingerprints once, after its last decode: the decoded buckets'
+columns, every repetition's in one fetch, must XOR to each repetition's
+fingerprint difference.  Bucket and syndrome only ever under-count
 distances (hash collisions cancel parities in pairs), which makes the
 verdict one-sided: a true distance at most d is never reported as GT
 unless a fingerprint or decode anomaly fires, and those events are inside
@@ -215,9 +215,6 @@ TABLE_MAX_VALUES = 8192
 _TABLE_STEPS = np.arange(TABLE_MAX_VALUES, dtype=np.uint64) * np.uint64(GAMMA)
 _TABLE_STEPS.setflags(write=False)
 
-_UNREAD = object()  # marks a coin table not looked at yet; a large instance's is None
-
-
 class HDShared:
     """Public-coin material for one instance: both parties hold the same copy.
 
@@ -238,79 +235,55 @@ class HDShared:
 
     An instance of at most ``TABLE_MAX_VALUES`` values computes them all on
     its first read and answers later reads from that table; the values are
-    the same either way.  ``bucket_rows()`` keeps every position's buckets
-    once asked for.
+    the same either way, and no caller knows which an instance does.
     """
 
-    __slots__ = ("params", "coins", "_table", "_rows", "_rep_offsets")
+    __slots__ = ("params", "coins", "_values")
 
     def __init__(self, params: HDParams, coins: CoinSource):
         self.params = params
         self.coins = coins
-        self._table = _UNREAD
-        self._rows = self._rep_offsets = None
+        self._values = None
 
     def __repr__(self) -> str:
         return f"HDShared({self.params!r}, {self.coins!r})"
 
-    def table(self) -> Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]:
+    def _table(self) -> Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]:
         """A small instance's (R, n) buckets (None at d = 0) and (R B, w)
         fingerprint words (None for bucket), computed on the first call
         from one pass over its whole stream; None for a large instance."""
-        table = self._table
-        if table is _UNREAD:
-            table = self._table = self._whole_stream()
-        return table
-
-    def _whole_stream(self):
+        table = self._values
         params = self.params
-        if params.stream_length > TABLE_MAX_VALUES:
-            return None
-        steps = _TABLE_STEPS[: params.stream_length]  # i gamma: one add and one mix
-        values = mix64(steps + np.uint64(self.coins.counter_offset()))
-        start = params.fingerprint_start
-        buckets = fps = None
-        if start:
-            buckets = _to_buckets(values[:start], params.bucket_count)
-            buckets = buckets.reshape(params.repetitions, params.length)
-        if params.fingerprint_rows:
-            fps = values[start:].reshape(-1, params.fingerprint_words)
-            fps[:, -1] &= params.fingerprint_mask
-        return buckets, fps
+        if table is None and params.stream_length <= TABLE_MAX_VALUES:
+            steps = _TABLE_STEPS[: params.stream_length]  # i gamma: one add and one mix
+            values = mix64(steps + np.uint64(self.coins.counter_offset()))
+            start = params.fingerprint_start
+            buckets = fps = None
+            if start:
+                buckets = _to_buckets(values[:start], params.bucket_count)
+                buckets = buckets.reshape(params.repetitions, params.length)
+            if params.fingerprint_rows:
+                fps = values[start:].reshape(-1, params.fingerprint_words)
+                fps[:, -1] &= params.fingerprint_mask
+            table = self._values = (buckets, fps)
+        return table
 
     def buckets_at(self, positions: np.ndarray) -> np.ndarray:
         """The (R, len(positions)) int64 buckets of the given positions in
         every repetition, a new array."""
-        table = self.table()
+        table = self._table()
         if table is not None:
             return table[0].take(positions, axis=1)
-        offsets = self._rep_offsets
-        if offsets is None:  # value rep n + pos is counter_values(pos, offsets[rep])
-            n, coins = self.params.length, self.coins
-            offsets = self._rep_offsets = np.array(
-                [[coins.counter_offset(rep * n)] for rep in range(self.params.repetitions)],
-                dtype=np.uint64,
-            )
-        return _to_buckets(counter_values(positions, offsets), self.params.bucket_count)
-
-    def bucket_rows(self) -> np.ndarray:
-        """The (R, n) buckets of every position, computed on the first call
-        and kept; read-only."""
-        rows = self._rows
-        if rows is None:
-            table = self.table()
-            if table is not None:
-                rows = table[0]
-            else:
-                rows = self.buckets_at(np.arange(self.params.length))
-            rows.setflags(write=False)
-            self._rows = rows
-        return rows
+        params = self.params
+        n = params.length
+        steps = positions + np.arange(0, params.repetitions * n, n)[:, None]  # rep n + pos
+        values = counter_values(steps, self.coins.counter_offset())
+        return _to_buckets(values, params.bucket_count)
 
     def fingerprints_at(self, columns: np.ndarray) -> np.ndarray:
         """The fingerprint words of the given int64 columns rep B + bucket,
         of shape columns.shape + (w,), a new array."""
-        table = self.table()
+        table = self._table()
         if table is not None:
             return table[1].take(columns, axis=0)
         params = self.params
@@ -696,8 +669,9 @@ def _decide_syndrome(
     in one decoded repetition, or a position that shares a differing one's
     bucket in two, cost one more decode, not one per later repetition.  In
     a code of at least ``CANDIDATE_MIN_BUCKETS`` buckets, every decode after
-    the first searches the buckets of the marked positions first.  Every
-    repetition's fingerprint is checked.
+    the first searches the buckets of the marked positions first.  After
+    the last decode every repetition's fingerprint is checked against the
+    columns of its decoded buckets, fetched in one call.
     """
     params = shared.params
     if not any(syn):
@@ -708,16 +682,12 @@ def _decide_syndrome(
             return HDVerdict(le=False, estimate=params.d + 1)
         return HDVerdict(le=True, estimate=0)
     code, b = params.code, params.bucket_count
-    table = shared.table()
-    fcols = None if table is None else table[1]  # a small instance's (R B, w) words
-    one_word = fcols is not None and fcols.shape[-1] == 1
     with_candidates = b >= CANDIDATE_MIN_BUCKETS
-    estimate = 0
     buckets = None  # (R, block size): the block's buckets, on the first decode past weight 2
     seen = None  # per block position: did a decode past weight 2 return its bucket
     predicted = None  # per repetition, the buckets of the positions it predicts
-    decoded = []  # without fcols: each repetition's decode, checked after the loop
-    for rep, (word, fp) in enumerate(zip(syn, fps)):
+    decoded = []  # each repetition's decoded buckets
+    for rep, word in enumerate(syn):
         hit = ()  # a zero syndrome decodes to no bucket
         if word and predicted is not None:
             odd = set()
@@ -734,10 +704,8 @@ def _decide_syndrome(
                 return HDVerdict(le=False, estimate=params.d + 1)
             if len(hit) > 2:
                 if buckets is None:
-                    if positions is None:
-                        buckets = shared.bucket_rows()
-                    else:
-                        buckets = shared.buckets_at(positions[i])
+                    block = np.arange(params.length) if positions is None else positions[i]
+                    buckets = shared.buckets_at(block)
                 mark = np.zeros(b, dtype=bool)
                 mark[list(hit)] = True
                 now = mark[buckets[rep]]
@@ -745,39 +713,19 @@ def _decide_syndrome(
                     predicted = buckets[:, now & seen].tolist()
                     now |= seen
                 seen = now
-        # The decoded buckets' columns must XOR to the fingerprint
-        # difference.  A one-word column of a table is XORed as an int, at
-        # any decode size: best of 5 in-process on a 2-vCPU host, 0.64 /
-        # 1.6 / 4.2 / 9.2 us for 3 / 10 / 30 / 60 buckets against the numpy
-        # form's 2.4 / 2.8 / 4.9 / 6.1.  Without a table every repetition's
-        # columns are computed in one call after the loop: any failure is
-        # GT, whichever repetition it is found in.
-        if fcols is None:
-            decoded.append(hit)
-            estimate = max(estimate, len(hit))
-            continue
-        if one_word:
-            got = 0
-            for bucket in hit:
-                got ^= fcols.item(rep * b + bucket, 0)
-        else:
-            cols = fcols.take([rep * b + bucket for bucket in hit], axis=0)
-            got = row_ints(np.bitwise_xor.reduce(cols, axis=0, keepdims=True))[0]
-        if got != fp:
+        decoded.append(hit)
+    # Each repetition's decoded buckets' fingerprint columns, all fetched in
+    # one call, must XOR to its fingerprint difference: any failure is GT,
+    # whichever repetition it is found in.
+    cols = [rep * b + bucket for rep, hit in enumerate(decoded) for bucket in hit]
+    got = iter(row_ints(shared.fingerprints_at(np.array(cols, dtype=np.int64))))
+    for hit, fp in zip(decoded, fps):
+        xor = 0
+        for _ in hit:
+            xor ^= next(got)
+        if xor != fp:
             return HDVerdict(le=False, estimate=params.d + 1)
-        estimate = max(estimate, len(hit))
-    if fcols is None:
-        sizes = [len(hit) for hit in decoded]
-        cols = np.fromiter(
-            (rep * b + bucket for rep, hit in enumerate(decoded) for bucket in hit),
-            dtype=np.int64, count=sum(sizes),
-        )
-        one_bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=one_bounds[1:])
-        got = row_ints(_xor_by_block(shared.fingerprints_at(cols), one_bounds))
-        if got != list(fps):
-            return HDVerdict(le=False, estimate=params.d + 1)
-    return HDVerdict(le=True, estimate=estimate)
+    return HDVerdict(le=True, estimate=max(map(len, decoded)))
 
 
 def hd_encode_shared(shared: HDShared, x: Union[BitVector, np.ndarray]) -> BlockMessages:

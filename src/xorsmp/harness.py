@@ -375,6 +375,22 @@ def hd_error_params(d: int, epsilon: float, strategy: str) -> HDParams:
     return HDParams(d=d, epsilon=epsilon, strategy=strategy, length=max(32, 8 * max(d, 1)))
 
 
+def _hd_errors(params: HDParams, w: int, samples: int, root: CoinSource) -> int:
+    """Wrong verdicts of the instance ``params`` in ``samples`` trials at
+    distance w, each trial's input and coins children of ``hd/<w>/trial/<s>``."""
+    # imported per call, so perfbench's sketch_grid and test_golden see a replaced hd_decide
+    from .hamming import hd_decide, hd_encode_shared, hd_shared
+
+    errors = 0
+    for s in range(samples):
+        coins = root.derive(f"hd/{w}/trial/{s}")
+        x, y = sample_pair_with_distance(params.length, w, coins.derive("input"))
+        shared = hd_shared(params, coins.derive("coins"))
+        verdict = hd_decide(params, hd_encode_shared(shared, x), hd_encode_shared(shared, y))
+        errors += int(verdict.le != (w <= params.d))
+    return errors
+
+
 def hd_error_experiment(
     d: int,
     epsilon: float,
@@ -387,24 +403,12 @@ def hd_error_experiment(
     ``hd_error_params``, scored against the exact comparison the raw
     strategy would make.  Neither is the hardest weight: the exact chance of
     a false LE peaks at w = d + 2, where one collision leaves d odd buckets."""
-    # imported per call, so perfbench's sketch_grid and test_golden see a replaced hd_decide
-    from .hamming import hd_decide, hd_encode_shared, hd_shared
-
     params = hd_error_params(d, epsilon, strategy)
     _check_trials(samples)
-    n = params.length
     root = CoinSource.from_seed(seed)
     results = []
     for w in (d, d + 1):
-        errors = 0
-        for s in range(samples):
-            coins = root.derive(f"hd/{w}/trial/{s}")
-            x, y = sample_pair_with_distance(n, w, coins.derive("input"))
-            shared = hd_shared(params, coins.derive("coins"))
-            verdict = hd_decide(
-                params, hd_encode_shared(shared, x), hd_encode_shared(shared, y)
-            )
-            errors += int(verdict.le != (w <= d))
+        errors = _hd_errors(params, w, samples, root)
         rate = errors / samples
         results.append(
             HdErrorResult(

@@ -14,9 +14,9 @@ import pytest
 from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.cli import main as cli_main
 from xorsmp.coins import CoinSource
-from xorsmp.hamming import hd_decide, hd_encode_shared, hd_shared
 from xorsmp.harness import (
     TrialConfig,
+    _hd_errors,
     hd_error_experiment,
     hd_error_params,
     lemma_partition_experiment,
@@ -189,14 +189,8 @@ def test_criterion_5_hardest_weight():
         root = CoinSource.from_seed(5000 + d)
         for eps in (0.1, 0.01):
             for strategy in ("bucket", "syndrome"):
-                params = hd_error_params(d, eps, strategy)
-                false_le = 0
-                for s in range(samples):
-                    coins = root.derive(f"hd/{w}/trial/{s}")
-                    x, y = sample_pair_with_distance(params.length, w, coins.derive("input"))
-                    shared = hd_shared(params, coins.derive("coins"))
-                    m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
-                    false_le += hd_decide(params, m_a, m_b).le
+                # above the threshold every wrong verdict is a false LE
+                false_le = _hd_errors(hd_error_params(d, eps, strategy), w, samples, root)
                 rate = false_le / samples
                 worst = max(worst, rate / eps)
                 gate = eps + margin(eps, samples)

@@ -241,14 +241,13 @@ def test_sketch_coins_at_chosen_indices_equal_the_whole_stream(d, epsilon, n):
     params = HDParams(d, epsilon, strategy, n)
     shared = hd_shared(params, CoinSource.from_seed(77).derive(f"idx/{d}/{n}"))
     words = params.fingerprint_words
-    total = params.fingerprint_start + params.repetitions * params.bucket_count * words
-    assert (shared.table() is not None) == (total <= TABLE_MAX_VALUES)
+    assert (shared._table() is not None) == (params.stream_length <= TABLE_MAX_VALUES)
     gen = np.random.default_rng(n)
     if d:
         buckets = oracles.coin_buckets(shared)
         positions = gen.integers(0, n, size=50)
         assert (shared.buckets_at(positions) == buckets[:, positions]).all()
-        assert (shared.bucket_rows() == buckets).all()
+        assert (shared.buckets_at(np.arange(n)) == buckets).all()
         assert (shared.buckets_at(positions[:0]).shape == (params.repetitions, 0))
     if params.fingerprint_rows:
         fmat = oracles.coin_fingerprints(shared).reshape(-1, words)
@@ -302,7 +301,7 @@ def test_bucket_hash_is_uniform_chi_square(d, n):
     shared = hd_shared(params, CoinSource.from_seed(19).derive(f"chi/{d}"))
     b = params.bucket_count
     assert b == max(16, 4 * d * d)
-    counts = np.bincount(shared.bucket_rows().ravel(), minlength=b).astype(float)
+    counts = np.bincount(shared.buckets_at(np.arange(n)).ravel(), minlength=b).astype(float)
     assert counts.size == b
     expected = params.repetitions * n / b
     statistic = ((counts - expected) ** 2 / expected).sum()

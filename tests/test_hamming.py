@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorsmp.bits import BitVector, sample_pair_with_distance
-from xorsmp.coins import CoinSource
+from xorsmp.coins import GAMMA, CoinSource
 from xorsmp import gf2, hamming
 from xorsmp.gf2 import unpack_words
 from xorsmp.protocol import pk_party_messages, pk_shared
@@ -354,23 +354,39 @@ def test_zero_syndrome_with_fingerprint_difference_is_gt():
     assert not decide_block(m_a ^ m_b, [0])[0].le
 
 
-@pytest.mark.parametrize("d, w, epsilon, rep", [
-    *(pytest.param(d, w, 0.1, 0, id=f"{d}-{w}") for d, w in [(1, 0), (1, 1), (2, 2), (3, 3)]),
-    pytest.param(8, 6, 0.1, -1, id="8-6-last"),
-    pytest.param(20, 15, 0.1, -1, id="20-15-last"),
-    pytest.param(8, 6, 1e-18, -1, id="8-6-last-wide"),
+def use_storage(monkeypatch, storage):
+    # "table" computes the coins of every instance of at most 2^16 stream
+    # values whole on its first read, "on-demand" only at the counters read
+    limit = 1 << 16 if storage == "table" else 0
+    monkeypatch.setattr(hamming, "TABLE_MAX_VALUES", limit)
+    steps = np.arange(limit, dtype=np.uint64) * np.uint64(GAMMA)
+    monkeypatch.setattr(hamming, "_TABLE_STEPS", steps)
+
+
+@pytest.mark.parametrize("d, w, epsilon, rep, storage", [
+    pytest.param(d, w, epsilon, rep, storage, id=name + suffix)
+    for d, w, epsilon, rep, name in [
+        *((d, w, 0.1, 0, f"{d}-{w}") for d, w in [(1, 0), (1, 1), (2, 2), (3, 3)]),
+        (8, 6, 0.1, -1, "8-6-last"),
+        (20, 15, 0.1, -1, "20-15-last"),
+        (8, 6, 1e-18, -1, "8-6-last-wide"),
+    ]
+    for storage, suffix in [("table", ""), ("on-demand", "-on-demand")]
 ])
-def test_fingerprint_difference_after_decode_is_gt(d, w, epsilon, rep, monkeypatch):
+def test_fingerprint_difference_after_decode_is_gt(d, w, epsilon, rep, storage, monkeypatch):
     # one flipped fingerprint bit in one repetition must be caught after
     # every decode path: w = 0 leaves the syndromes equal (the difference is
     # then a codeword of weight >= 2d + 1), and w = 1, 2, 3 decode
     # repetition 0 through the weight-1, weight-2 and Berlekamp-Massey
     # paths.  w = 6 and 15 flip the last repetition, a predicted one of more
     # than two buckets, with one-word fingerprints and, at epsilon = 1e-18,
-    # 70-row ones of two words
+    # 70-row ones of two words.  Each case runs with the coins tabled and
+    # computed on demand
+    use_storage(monkeypatch, storage)
     params = HDParams(d=d, epsilon=epsilon, strategy="syndrome", length=32)
     assert (params.fingerprint_rows > 64) == (epsilon < 0.1)
     shared = hd_shared(params, ROOT.derive(f"zs/{d}"))
+    assert (shared._table() is not None) == (storage == "table")
     x, y = sample_pair_with_distance(32, w, ROOT.derive(f"zsx/{d}/{w}"))
     m_a, m_b = hd_encode_shared(shared, x), hd_encode_shared(shared, y)
     decoded = []  # the packed syndromes decoded
@@ -624,7 +640,8 @@ def test_decide_block_reads_blocks_in_the_order_given(strategy):
     assert decide_block(diff, [1, 1]) == [apart, apart]
 
 
-def test_bulk_decide_matches_per_block_oracle(monkeypatch):
+@pytest.mark.parametrize("storage", ["table", "on-demand"])
+def test_bulk_decide_matches_per_block_oracle(storage, monkeypatch):
     # a call deciding >= 32 blocks settles every repetition of weight 0, 1
     # or 2 in one pass and sends only the other blocks to the per-block
     # decider; every block's verdict must be dense_verdict of its own
@@ -634,10 +651,13 @@ def test_bulk_decide_matches_per_block_oracle(monkeypatch):
     # and one distance-2 block with a tampered fingerprint, one distance-3
     # block whose repetition 0 is made a weight-1 row with the wrong
     # fingerprint, and one distance-2 block whose repetition 0 is made the
-    # syndrome of a pair with a bucket past B = 64 (the code has length 127)
+    # syndrome of a pair with a bucket past B = 64 (the code has length 127),
+    # with the coins tabled and computed on demand
+    use_storage(monkeypatch, storage)
     n, k, j = 1600, 40, 4
     run = pk_shared(k, n, "syndrome", ROOT.derive("bulk"))
     stack = run.stacks[j]
+    assert (stack._table() is not None) == (storage == "table")
     params, code = stack.params, stack.params.code
     fld, b = code.field, params.bucket_count
     dists = [(0, 1, 2, 3, 4, 1, 0, 7)[i % 8] for i in range(k)]
