@@ -39,8 +39,8 @@ j % 64 of word j // 64, which is the row's wire order.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import cache, cached_property
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class Field:
         return table
 
 
-_FIELDS: Dict[int, Field] = {}
-
-
 def field_degree(n_buckets: int) -> int:
     """Smallest supported m >= 2 whose code length 2^m - 1 covers n_buckets."""
     m = max(2, n_buckets.bit_length())
@@ -154,10 +151,9 @@ def row_ints(words: np.ndarray) -> List[int]:
     return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(rows)]
 
 
+@cache
 def field(m: int) -> Field:
-    if m not in _FIELDS:
-        _FIELDS[m] = Field(m)
-    return _FIELDS[m]
+    return Field(m)
 
 
 class BchCode:
@@ -385,14 +381,9 @@ def _rest_is_zero(fld: Field, slog: List[int], lam_logs: List[int], first: int) 
     return not np.bitwise_xor.reduce(fld.exp_np.take(reads), axis=1).any()
 
 
-_CODES: Dict[Tuple[int, int], BchCode] = {}
-
-
+@cache
 def bch_code(n_buckets: int, d: int) -> BchCode:
-    key = (n_buckets, d)
-    if key not in _CODES:
-        _CODES[key] = BchCode(n_buckets, d)
-    return _CODES[key]
+    return BchCode(n_buckets, d)
 
 
 __all__ = [

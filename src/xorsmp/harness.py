@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from . import hamming
 from .bits import BitVector, hamming_distance, sample_pair_with_distance
 from .coins import CoinSource, c_of_k
 from .hamming import STRATEGIES, HDParams
@@ -378,15 +379,15 @@ def hd_error_params(d: int, epsilon: float, strategy: str) -> HDParams:
 def _hd_errors(params: HDParams, w: int, samples: int, root: CoinSource) -> int:
     """Wrong verdicts of the instance ``params`` in ``samples`` trials at
     distance w, each trial's input and coins children of ``hd/<w>/trial/<s>``."""
-    # imported per call, so perfbench's sketch_grid and test_golden see a replaced hd_decide
-    from .hamming import hd_decide, hd_encode_shared, hd_shared
-
+    # looked up on the module, so a replaced hamming.hd_decide is the one called
     errors = 0
     for s in range(samples):
         coins = root.derive(f"hd/{w}/trial/{s}")
         x, y = sample_pair_with_distance(params.length, w, coins.derive("input"))
-        shared = hd_shared(params, coins.derive("coins"))
-        verdict = hd_decide(params, hd_encode_shared(shared, x), hd_encode_shared(shared, y))
+        shared = hamming.hd_shared(params, coins.derive("coins"))
+        m_x = hamming.hd_encode_shared(shared, x)
+        m_y = hamming.hd_encode_shared(shared, y)
+        verdict = hamming.hd_decide(params, m_x, m_y)
         errors += int(verdict.le != (w <= params.d))
     return errors
 

@@ -46,9 +46,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,54 +71,39 @@ ALICE = "Alice"
 BOB = "Bob"
 
 
-T = TypeVar("T")
+class Lazy(dict):
+    """A memo whose item j >= 0 is ``make(j)``, made on first read and kept,
+    even when it is None.  Guards, promise runs and threshold stacks are
+    held this way: in SMP each one is a pure function of (own input, coins),
+    so one the referee never reads is only counted, never computed.  It has
+    no length of its own, so it cannot be iterated or sized; a reader counts
+    from the plan, and an index past the plan raises from ``make``."""
 
+    __slots__ = ("_make",)
+    __iter__ = __len__ = None  # they would see only the items read so far
 
-_UNSET = object()  # marks a Lazy item not made yet; an item may be None
-
-
-class Lazy(Generic[T]):
-    """A fixed-length sequence whose item j is ``make(j)``, computed on
-    first read and kept, even when it is None.  Guards, promise runs and
-    threshold stacks are held this way: in SMP each one is a pure function
-    of (own input, coins), so one the referee never reads is only counted,
-    never computed."""
-
-    __slots__ = ("_make", "_items")
-
-    def __init__(self, length: int, make: Callable[[int], T]):
+    def __init__(self, make: Callable[[int], object]):
+        super().__init__()
         self._make = make
-        self._items: List[object] = [_UNSET] * length
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, j: int) -> T:
-        item = self._items[j]  # out of range raises; a negative j counts from the end
-        if item is _UNSET:
-            j = range(len(self._items))[j]  # make sees the index from the front
-            item = self._items[j] = self._make(j)
+    def __missing__(self, j: int):
+        if j < 0:
+            raise IndexError(f"Lazy index {j} < 0")
+        item = self[j] = self._make(j)
         return item
-
-    def __iter__(self) -> Iterator[T]:
-        return (self[j] for j in range(len(self._items)))
-
-
-# The guard of a length-r tail is the threshold d = r.
-SYNDROME_R_MAX = SYNDROME_D_MAX
 
 
 def check_envelope(n: int, r: int, strategy: str) -> None:
     """The supported (n, r, strategy) of the full protocol, checked before
     anything is drawn: a tail length 0 <= r <= n and, for ``syndrome``,
-    r <= ``SYNDROME_R_MAX`` (127), since the distance-r guard hashes into
+    r <= ``SYNDROME_D_MAX`` (127), since the distance-r guard hashes into
     4 r^2 buckets, which must fit the largest configured field.  Raises
     ``ValueError`` naming the limit; ``HDParams`` rejects unknown strategies."""
     if not 0 <= r <= n:
         raise ValueError(f"tail length r = {r} outside [0, n = {n}]")
-    if strategy == "syndrome" and r > SYNDROME_R_MAX:
+    if strategy == "syndrome" and r > SYNDROME_D_MAX:
         raise ValueError(
-            f"syndrome supports tails up to r = {SYNDROME_R_MAX}: the guard's 4r^2 "
+            f"syndrome supports tails up to r = {SYNDROME_D_MAX}: the guard's 4r^2 "
             f"buckets must fit GF(2^{MAX_FIELD_DEGREE}); got r = {r}"
         )
 
@@ -148,8 +131,9 @@ def threshold_params(k: int, strategy: str, n: int) -> Tuple[HDParams, ...]:
 class PkShared:
     """One promise-protocol run: split [n] into k blocks and run thresholds
     j = 0..c on every block; the referee recovers the total distance.  The
-    partition is drawn at once; threshold j's coins are keyed by its own
-    ``pk/<side>/hd/<j>`` child when its stack is first read."""
+    partition is drawn at once; ``stacks`` is a ``Lazy`` memo whose item j,
+    threshold j's coins, is keyed by its own ``pk/<side>/hd/<j>`` child when
+    first read.  Readers count the stacks from ``params``."""
 
     k: int
     n: int
@@ -167,9 +151,7 @@ class PkShared:
 def pk_shared(k: int, n: int, strategy: str, coins: CoinSource, side: str = "main") -> PkShared:
     params = threshold_params(k, strategy, n)
     part = sample_partition(n, k, coins.derive(f"pk/{side}/partition"))
-    stacks = Lazy(
-        len(params), lambda j: hd_shared(params[j], coins.derive(f"pk/{side}/hd/{j}"))
-    )
+    stacks = Lazy(lambda j: hd_shared(params[j], coins.derive(f"pk/{side}/hd/{j}")))
     # keys of 16 bits or fewer make the stable sort a radix sort, with the
     # same order: 15 against 183 us at n = 4096, k = 64 on a 2-vCPU host
     sort_order = np.argsort(part.block_of.astype(np.min_scalar_type(k - 1)), kind="stable")
@@ -188,10 +170,9 @@ def pk_party_messages(shared: PkShared, x: Union[BitVector, np.ndarray]) -> Lazy
     ones = shared.sort_order[hits]
     one_bounds = np.searchsorted(hits, shared.bounds)
     return Lazy(
-        len(shared.params),
         lambda j: encode_blocks(
             shared.stacks[j], x_sorted, ones, one_bounds, shared.k, shared.bounds
-        ),
+        )
     )
 
 
@@ -200,10 +181,8 @@ def pk_referee(shared: PkShared, diff: Lazy[BlockMessages]) -> int:
     level by level, and return their total, clamped to n.  ``diff`` holds
     the difference's threshold stacks, ``pk_party_messages`` of x XOR y:
     stack by stack, the XOR of the two parties' runs."""
-    if len(diff) != len(shared.params):
-        raise ValueError("message bundle does not match the instance")
     bounds = shared.bounds
-    positions = Lazy(shared.k, lambda i: shared.sort_order[bounds[i] : bounds[i + 1]])
+    positions = Lazy(lambda i: shared.sort_order[bounds[i] : bounds[i + 1]])
 
     def verdicts(j: int, blocks: List[int]) -> List[bool]:
         return [v.le for v in decide_block(diff[j], blocks, positions)]
@@ -278,10 +257,11 @@ def trial_plan(r0: int, r1: int, n: int, strategy: str) -> TrialPlan:
 @dataclass(frozen=True, eq=False)
 class PShared:
     """Public-coin material of the full protocol: the run shape's ``plan``
-    and, indexed like ``TAILS``, the ``guards``, drawn from ``p/hd0`` or
-    ``p/hd1`` on first read, and the ``runs``, whose partition is drawn from
-    ``p/pk/<side>/partition`` and each stack from its own child likewise; so
-    whether or when one is drawn changes no bit of another."""
+    and two ``Lazy`` memos keyed like ``TAILS``: the ``guards``, drawn from
+    ``p/hd0`` or ``p/hd1`` on first read, and the ``runs``, whose partition
+    is drawn from ``p/pk/<side>/partition`` and each stack from its own
+    child likewise; so whether or when one is drawn changes no bit of
+    another."""
 
     predicate: Predicate
     profile: Profile
@@ -304,8 +284,7 @@ def p_shared(d: Predicate, profile: Profile, strategy: str, coins: CoinSource) -
         r = plan.rs[i]
         return pk_shared(r, n, strategy, coins.derive("p"), TAILS[i].side) if r else None
 
-    tails = len(TAILS)
-    return PShared(d, profile, n, plan, Lazy(tails, guard), Lazy(tails, run))
+    return PShared(d, profile, n, plan, Lazy(guard), Lazy(run))
 
 
 # The party of the bundle the referee reads: the one encoded from x XOR y,
@@ -317,9 +296,10 @@ DIFFERENCE = f"{ALICE}^{BOB}"
 class PBundle:
     """Everything one party sends in the full protocol, or, with party
     ``DIFFERENCE``, the XOR of both parties' bundles; ``guards`` and
-    ``runs`` are indexed like ``TAILS``.  A guard is encoded, and a run's
-    input split by block, or each read from a dump, when the referee (or a
-    dump writer) first reads it."""
+    ``runs`` are ``Lazy`` memos keyed like ``TAILS``, and a run is a memo of
+    its threshold stacks.  A guard is encoded, and a run's input split by
+    block, or each read from a dump, when the referee (or a dump writer)
+    first reads it."""
 
     party: str
     shared: PShared
@@ -351,18 +331,24 @@ def p_party_messages(shared: PShared, own_input: BitVector, party: str) -> PBund
     def run(i: int) -> Optional[Lazy[BlockMessages]]:
         return None if shared.runs[i] is None else pk_party_messages(shared.runs[i], own_bits(i))
 
-    tails = len(TAILS)
-    return PBundle(party, shared, Lazy(tails, guard), Lazy(tails, run), parity(own_input))
+    return PBundle(party, shared, Lazy(guard), Lazy(run), parity(own_input))
 
 
 @dataclass(frozen=True)
-class PResult:
+class TrialOutcome:
+    """One run's decision (output and branch), its transcript cost in bits,
+    2 ``plan.party_bits``, the coins it drew, and the distance t the taken
+    tail recovered (None on the parity branch).  The referee's bundle is
+    not kept: ``p_party_messages(shared, x ^ y, DIFFERENCE)`` rebuilds it."""
+
     output: int
     branch: str
+    cost_bits: int
+    shared: PShared
     sum_h: Optional[int] = None
 
 
-def p_referee(shared: PShared, diff: PBundle) -> PResult:
+def p_referee(shared: PShared, diff: PBundle) -> TrialOutcome:
     """Three-branch decision on the ``DIFFERENCE`` bundle, the XOR of the
     two parties' bundles: low tail, high tail, then the parity answer.  The
     first tail whose check passes gives the distance t of its pair: the
@@ -375,15 +361,17 @@ def p_referee(shared: PShared, diff: PBundle) -> PResult:
         )
     if diff.shared.plan is not shared.plan:
         raise ValueError("the bundle comes from another run shape than shared")
+    cost_bits = 2 * shared.plan.party_bits
     for i, tail in enumerate(TAILS):
         verdict = decide_block(diff.guards[i], [0])[0]
         if not verdict.le:
             continue
         run = shared.runs[i]
         t = verdict.estimate if run is None else pk_referee(run, diff.runs[i])
-        return PResult(shared.predicate(shared.n - t if tail.reflected else t), tail.branch, t)
+        output = shared.predicate(shared.n - t if tail.reflected else t)
+        return TrialOutcome(output, tail.branch, cost_bits, shared, t)
     answer = shared.profile.t_of(diff.parity_bit)
-    return PResult(answer if answer is not None else 0, BRANCH_PARITY)
+    return TrialOutcome(answer if answer is not None else 0, BRANCH_PARITY, cost_bits, shared)
 
 
 def p_total_cost(profile: Profile, n: int, strategy: str) -> int:
@@ -464,7 +452,8 @@ def p_layout(shared: PShared) -> Tuple[Tuple[str, ...], np.ndarray]:
     if plan.strategy != "raw":
         return plan.labels, plan.sizes
     sizes = plan.sizes.copy()
-    for start, run in zip(plan.run_starts, shared.runs):
+    for i, start in enumerate(plan.run_starts):
+        run = shared.runs[i]
         if run is not None:
             step = len(run.params)
             sizes[start : start + run.k * step] = np.repeat(np.diff(run.bounds), step)
@@ -477,10 +466,10 @@ def p_transcript_entries(
     labels, _ = p_layout(shared)
     payloads: List[np.ndarray] = []
     for bundle in (bundle_a, bundle_b):
-        payloads.extend(msgs.block_payloads()[0] for msgs in bundle.guards)
-        for msgs in bundle.runs:
-            if msgs is not None:
-                payloads.extend(itertools.chain(*zip(*(m.block_payloads() for m in msgs))))
+        payloads.extend(bundle.guards[i].block_payloads()[0] for i in range(len(TAILS)))
+        for i, params in enumerate(shared.plan.runs):
+            stacks = (bundle.runs[i][j].block_payloads() for j in range(len(params)))
+            payloads.extend(itertools.chain(*zip(*stacks)))
         payloads.append(np.array([bundle.parity_bit], dtype=np.uint8))
     parties = (bundle_a.party,) * len(labels) + (bundle_b.party,) * len(labels)
     return TranscriptEntries.from_payloads(parties, labels * 2, payloads)
@@ -639,10 +628,7 @@ def _run_stacks(
     step = len(run.params)
     blocks = first + step * np.arange(run.k)
     return Lazy(
-        step,
-        lambda j: BlockMessages.from_block_payloads(
-            run.stacks[j], payloads(blocks + j), run.bounds
-        ),
+        lambda j: BlockMessages.from_block_payloads(run.stacks[j], payloads(blocks + j), run.bounds)
     )
 
 
@@ -694,21 +680,8 @@ def bundles_from_transcript(shared: PShared, t: Transcript) -> PBundle:
         run = shared.runs[i]
         return None if run is None else _run_stacks(run, payloads, shared.plan.run_starts[i])
 
-    tails = len(TAILS)
     parity_bit = int(e.bits[e.starts[per - 1]] ^ e.bits[e.starts[2 * per - 1]])
-    return PBundle(DIFFERENCE, shared, Lazy(tails, guard), Lazy(tails, run), parity_bit)
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One run's decision (output and branch), its transcript cost in bits,
-    2 ``plan.party_bits``, and the coins it drew.  The referee's bundle is
-    not kept: ``p_party_messages(shared, x ^ y, DIFFERENCE)`` rebuilds it."""
-
-    output: int
-    branch: str
-    cost_bits: int
-    shared: PShared
+    return PBundle(DIFFERENCE, shared, Lazy(guard), Lazy(run), parity_bit)
 
 
 def run_protocol(
@@ -725,9 +698,7 @@ def run_protocol(
     parties' own bundles are built only by a dump (``p_party_messages`` of
     x and of y)."""
     shared = p_shared(d, profile, strategy, coins)
-    diff = p_party_messages(shared, x ^ y, DIFFERENCE)
-    res = p_referee(shared, diff)
-    return TrialOutcome(res.output, res.branch, 2 * shared.plan.party_bits, shared)
+    return p_referee(shared, p_party_messages(shared, x ^ y, DIFFERENCE))
 
 
 __all__ = [
@@ -741,7 +712,6 @@ __all__ = [
     "Tail",
     "TAILS",
     "Lazy",
-    "SYNDROME_R_MAX",
     "check_envelope",
     "guard_params",
     "threshold_params",
@@ -753,7 +723,7 @@ __all__ = [
     "trial_plan",
     "PShared",
     "PBundle",
-    "PResult",
+    "TrialOutcome",
     "p_shared",
     "p_party_messages",
     "p_referee",
@@ -766,6 +736,5 @@ __all__ = [
     "format_transcript",
     "parse_transcript",
     "bundles_from_transcript",
-    "TrialOutcome",
     "run_protocol",
 ]

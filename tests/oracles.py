@@ -361,6 +361,12 @@ def threshold_search(c: int, verdict) -> Tuple[int, List[int]]:
 EntryRow = Tuple[str, str, List[int]]
 
 
+def cache_calls(fn) -> int:
+    """Calls so far of a ``functools.cache`` function, hits and misses."""
+    info = fn.cache_info()
+    return info.hits + info.misses
+
+
 def entry_rows(entries) -> List[EntryRow]:
     """Each entry of a ``TranscriptEntries`` as (party, label, payload
     bits), read one slice at a time."""

@@ -16,7 +16,7 @@ from xorsmp.gf2 import unpack_words
 from xorsmp.protocol import pk_party_messages, pk_shared
 
 from . import oracles
-from .oracles import code_parity_check, gf2_mat_vec
+from .oracles import cache_calls, code_parity_check, gf2_mat_vec
 from xorsmp.hamming import (
     BlockMessages,
     HDParams,
@@ -51,7 +51,7 @@ def test_param_derivations():
         assert z.payload_bits == f
     # past the largest field, d = 0 still encodes and decides, and builds
     # no GF(2^m) field and no code
-    fields, codes = dict(gf2._FIELDS), dict(gf2._CODES)
+    fields, codes = cache_calls(gf2.field), cache_calls(gf2.bch_code)
     n = 2**16 + 1
     for strategy in ("bucket", "syndrome"):
         z = HDParams(d=0, epsilon=0.1, strategy=strategy, length=n)
@@ -62,7 +62,7 @@ def test_param_derivations():
         for y, verdict in ((x, HDVerdict(le=True, estimate=0)),
                            (x ^ BitVector(n, 1), HDVerdict(le=False, estimate=1))):
             assert hd_decide(z, m_x, hd_encode_shared(shared, y)) == verdict
-    assert gf2._FIELDS == fields and gf2._CODES == codes
+    assert cache_calls(gf2.field) == fields and cache_calls(gf2.bch_code) == codes
     with pytest.raises(ValueError):
         HDParams(d=1, epsilon=0.0, strategy="bucket", length=8)
     with pytest.raises(ValueError):
@@ -458,7 +458,9 @@ def test_stack_words_match_dense_oracle(zero_input):
     x = BitVector(n, 0) if zero_input else BitVector.random(n, coins.derive("x"))
     msgs = pk_party_messages(shared, x)
     x_arr = x.to_array()
-    for stack, msg in zip(shared.stacks, msgs):
+    assert shared.c >= 1  # so the loop below checks at least two stacks
+    for j in range(len(shared.params)):
+        stack, msg = shared.stacks[j], msgs[j]
         for i in range(k):
             check(stack, msg, i, x_arr * (block_of == i))
         if zero_input:

@@ -24,7 +24,7 @@ from xorsmp.harness import (
 from xorsmp.predicate import compute_profile, family
 from xorsmp.protocol import p_total_cost, parse_transcript, transcript_cost
 
-from .oracles import format_predicate
+from .oracles import cache_calls, format_predicate
 
 
 def test_auto_weights_eq():
@@ -160,12 +160,12 @@ def test_sweep_deterministic():
     assert csv_lines(SweepRow, a) == csv_lines(SweepRow, b)
 
 
-def test_sweep_prices_from_the_plan(monkeypatch):
+def test_sweep_prices_from_the_plan():
     # each r is priced by p_total_cost: no input drawn, no protocol run,
     # so the r = 127 guard's BCH code is never built
-    monkeypatch.setattr(gf2, "_CODES", {})
+    codes = cache_calls(gf2.bch_code)
     rows = sweep_r([64, 127], 4096, "syndrome")
-    assert gf2._CODES == {}
+    assert cache_calls(gf2.bch_code) == codes
     assert csv_lines(SweepRow, rows)[1:] == [
         "64,4096,syndrome,1065078,8192,5347.85,199.16",
         "127,4096,syndrome,2311264,8192,15454.5,149.553",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsmp import gf2, harness, protocol
+from xorsmp import gf2, hamming, harness, protocol
 from xorsmp.bits import BitVector, sample_pair_with_distance
 from xorsmp.coins import CoinSource, c_of_k
 from xorsmp.hamming import STRATEGIES, HDParams
@@ -29,6 +29,7 @@ from xorsmp.protocol import (
     BRANCH_LOW,
     BRANCH_PARITY,
     DIFFERENCE,
+    TAILS,
     Transcript,
     TranscriptEntries,
     bundles_from_transcript,
@@ -47,7 +48,7 @@ from xorsmp.protocol import (
     transcript_cost,
 )
 
-from .oracles import complement, entry_rows
+from .oracles import cache_calls, complement, entry_rows
 
 ROOT = CoinSource.from_seed(0xACE)
 
@@ -75,7 +76,7 @@ def test_pk_epsilon_budget_identity():
 def test_pk_degenerate_k1():
     sh = pk_shared(1, 8, "syndrome", ROOT.derive("k1"))
     assert sh.c == 1
-    assert len(sh.stacks) == 2  # thresholds 0 and 1
+    assert [sh.stacks[j].params.d for j in range(len(sh.params))] == [0, 1]
     assert sh.partition.block_of.tolist() == [0] * 8
 
 
@@ -95,7 +96,10 @@ def test_pk_message_count_and_symmetry():
     sh = pk_shared(k, n, "syndrome", ROOT.derive("cnt"))
     x, y = sample_pair_with_distance(n, 3, ROOT.derive("cnt/in"))
     ma, mb = pk_party_messages(sh, x), pk_party_messages(sh, y)
-    assert len(ma) == sh.c + 1
+    # thresholds j = 0..c, and no stack past c
+    for lazy in (ma, mb):
+        with pytest.raises(IndexError):
+            lazy[sh.c + 1]
     for j in range(sh.c + 1):
         pas, pbs = ma[j].block_payloads(), mb[j].block_payloads()
         assert len(pas) == len(pbs) == k
@@ -158,7 +162,7 @@ def test_pk_special_case_k0():
     x = BitVector.random(n, ROOT.derive("k0/x"))
     for strategy in STRATEGIES:
         sh = p_shared(pred, prof, strategy, ROOT.derive(f"k0/{strategy}"))
-        assert list(sh.runs) == [None, None]
+        assert [sh.runs[i] for i in range(len(TAILS))] == [None, None]
         for y, w, branch in ((x, 0, BRANCH_LOW), (complement(x), n, BRANCH_HIGH)):
             res = p_referee(sh, p_party_messages(sh, x ^ y, DIFFERENCE))
             assert (res.branch, res.output, res.sum_h) == (branch, pred(w), 0)
@@ -170,7 +174,7 @@ def test_parity_predicate_degenerate_bundle():
     pred = parity_predicate(n)
     prof = compute_profile(pred)
     sh = p_shared(pred, prof, "syndrome", ROOT.derive("deg"))
-    assert list(sh.runs) == [None, None]
+    assert [sh.runs[i] for i in range(len(TAILS))] == [None, None]
     x, _ = sample_pair_with_distance(n, 7, ROOT.derive("degin"))
     bundle = p_party_messages(sh, x, ALICE)
     f = math.ceil(math.log2(10)) + 4
@@ -222,12 +226,14 @@ def test_cost_decomposition():
         ba, bb = p_party_messages(out.shared, x, ALICE), p_party_messages(out.shared, y, BOB)
         t = Transcript(header={}, entries=p_transcript_entries(out.shared, ba, bb))
         assert transcript_cost(t) == out.cost_bits
-        runs = zip((prof.r0, prof.r1), out.shared.runs, ba.runs, bb.runs)
-        for r, run, run_a, run_b in runs:
+        for i, r in enumerate((prof.r0, prof.r1)):
+            run, run_a, run_b = out.shared.runs[i], ba.runs[i], bb.runs[i]
             assert (run is None) == (run_a is None) == (r == 0)
             if r >= 1:
                 sub = sum(params.stack_bits(r) for params in run.params)
-                assert sub == sum(m.bit_length for m in run_a) == sum(m.bit_length for m in run_b)
+                stacks = range(len(run.params))
+                assert sub == sum(run_a[j].bit_length for j in stacks)
+                assert sub == sum(run_b[j].bit_length for j in stacks)
                 assert out.cost_bits >= 2 * sub  # superset of the promise run
         if pred is two_tails:
             assert (prof.r0, prof.r1) == (3, 4)
@@ -289,7 +295,8 @@ def test_parameter_plan_is_built_once(monkeypatch):
     x, y = sample_pair_with_distance(LAZY_N, 2, coins.derive("in"))
     out = run_protocol(LAZY_PRED, prof, x, y, "syndrome", coins)
     assert out.cost_bits == p_total_cost(prof, LAZY_N, "syndrome")
-    assert all(a.params is b.params for a, b in zip(out.shared.runs, sh.runs))
+    for i in range(len(TAILS)):
+        assert out.shared.runs[i].params is sh.runs[i].params
     # a second p_shared and a cost query of the shape read the same plan
     plans = []
     make_plan = protocol.trial_plan
@@ -375,9 +382,10 @@ def test_low_branch_encodes_only_visited_thresholds(monkeypatch, tmp_path):
     eager = [p_party_messages(sh, v, who)
              for v, who in ((x, ALICE), (y, BOB), (x ^ y, DIFFERENCE))]
     for bundle in eager:
-        for run in bundle.runs:
-            list(run)
-        list(bundle.guards)
+        for i, params in enumerate(sh.plan.runs):
+            bundle.guards[i]
+            for j in range(len(params)):
+                bundle.runs[i][j]
     assert p_referee(sh, eager[2]).branch == BRANCH_LOW
     forced = p_transcript_entries(sh, *eager[:2])
     assert entry_rows(forced) == entry_rows(entries)
@@ -579,8 +587,8 @@ def test_referee_rejects_same_party_bundles():
 
 def test_envelope_rejects_before_allocating(monkeypatch):
     # the r = 128 guard would hash into 4 r^2 = 2^16 buckets, past GF(2^16)
-    assert protocol.SYNDROME_R_MAX == 127
-    monkeypatch.setattr(gf2, "_CODES", {})
+    assert hamming.SYNDROME_D_MAX == 127
+    codes = cache_calls(gf2.bch_code)
     seen = _record_calls(monkeypatch)
     pred = family("ham:127", 4096)
     prof = compute_profile(pred)
@@ -589,7 +597,7 @@ def test_envelope_rejects_before_allocating(monkeypatch):
         p_total_cost(prof, 4096, "syndrome")
     with pytest.raises(ValueError, match="syndrome supports tails up to r = 127"):
         p_shared(pred, prof, "syndrome", ROOT.derive("envelope"))
-    assert gf2._CODES == {}
+    assert cache_calls(gf2.bch_code) == codes
     assert seen["hd_shared"] == []
     # r = 127 is inside; bucket and raw build no field
     assert p_total_cost(compute_profile(family("ham:126", 4096)), 4096, "syndrome") > 0
@@ -619,35 +627,36 @@ def test_bad_settings_raise_before_any_coin(monkeypatch):
 
 def test_lazy_makes_each_item_once():
     made = []
-    lazy = protocol.Lazy(3, lambda j: made.append(j) or (None if j == 1 else 10 * j))
-    assert len(lazy) == 3 and made == []
-    # an item that is None is kept like any other
+    lazy = protocol.Lazy(lambda j: made.append(j) or (None if j == 1 else 10 * j))
+    assert made == []  # nothing is made before a read
+    # each item is made on its first read and kept, an item that is None too
     assert lazy[1] is None and lazy[1] is None
     assert made == [1]
-    assert list(lazy) == [0, None, 20]
-    assert made == [1, 0, 2]
-    assert list(lazy) == [0, None, 20] and made == [1, 0, 2]
-    # a negative index counts from the end; one out of range raises
-    assert lazy[-1] == 20 and lazy[-3] == 0
-    for j in (3, -4):
+    assert (lazy[2], lazy[0], lazy[2], lazy[0], lazy[1]) == (20, 0, 20, 0, None)
+    assert made == [1, 2, 0]
+    # a memo has no length to walk: iterating or sizing one raises, and so
+    # does an index below 0, before make sees it
+    for walk in (list, iter, len, lambda m: zip(m, range(3))):
+        with pytest.raises(TypeError):
+            walk(lazy)
+    for j in (-1, -3):
         with pytest.raises(IndexError):
             lazy[j]
-    assert made == [1, 0, 2]
-    assert list(protocol.Lazy(0, lambda j: made.append(j))) == []
-    # make sees the index from the front, however the item was first read
-    made.clear()
-    lazy = protocol.Lazy(4, lambda j: made.append(j) or j)
-    assert (lazy[-1], lazy[3], lazy[-4], lazy[0]) == (3, 3, 0, 0)
-    assert made == [3, 0]
+    assert made == [1, 2, 0]
+    # an index past what make can build raises from make itself
+    stacks = protocol.Lazy(lambda j: (0, 1)[j])
+    with pytest.raises(IndexError):
+        stacks[2]
+    assert stacks[1] == 1
 
 
-def test_cost_query_builds_no_code(monkeypatch):
+def test_cost_query_builds_no_code():
     # the cost model reads sizes only: no BCH code (tens of MB at r0 = 100)
-    monkeypatch.setattr(gf2, "_CODES", {})
+    codes = cache_calls(gf2.bch_code)
     prof = compute_profile(family("ham:99", 4096))
     assert prof.r0 == 100
     assert p_total_cost(prof, 4096, "syndrome") == 1_691_118
-    assert gf2._CODES == {}
+    assert cache_calls(gf2.bch_code) == codes
 
 
 # one-tailed random:8 at n = 64, two-tailed at n = 32 (r0 = 3, r1 = 2), and
